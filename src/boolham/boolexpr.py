@@ -1,5 +1,9 @@
 """Boolean formula ASTs, the infix expression parser, and DIMACS/WCNF input.
 
+Every walk over a formula is one iterative post-order ``fold``.  ``compose``
+holds the composition rules once; ``eval_expr`` (ints), ``truth_table``
+(uint8 vectors) and ``compiler.compile_expr`` (Z-polynomials) apply them.
+
 Grammar for the infix parser::
 
     expr    := or ('=>' expr)?          right-associative
@@ -11,6 +15,7 @@ Grammar for the infix parser::
 
 Precedence from tightest to loosest: ! & ^ | =>.  N-ary And/Or/Xor nodes
 are flattened, so "x1 & x2 & x3" is a single And with three children.
+Parentheses nest at most MAX_NESTING deep.
 
 Assignments follow the package-wide convention: an integer assignment has
 x_1 as its least significant bit; sequences list (x_1, x_2, ...).
@@ -20,15 +25,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Callable, Sequence, TypeVar, Union
 
 import numpy as np
 
-from .errors import CapExceeded, ParseError, QubitCountError
+from .errors import ParseError, QubitCountError
+from .zpoly import check_table_cap
 
-TABLE_CAP = 24
+MAX_NESTING = 100
 
 Assignment = Union[int, Sequence[int]]
+T = TypeVar("T")
 
 
 class BoolExpr:
@@ -75,44 +82,36 @@ class Not(BoolExpr):
     child: BoolExpr
 
 
-def _flatten(op_type, children) -> tuple:
-    flat = []
-    for c in children:
-        if isinstance(c, op_type):
-            flat.extend(c.children)
-        else:
-            flat.append(c)
-    return tuple(flat)
+class _NAry(BoolExpr):
+    """And, Or, Xor: two or more children, same-type children flattened in."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        flat = []
+        for c in self.children:
+            if isinstance(c, type(self)):
+                flat.extend(c.children)
+            else:
+                flat.append(c)
+        object.__setattr__(self, "children", tuple(flat))
+        if len(self.children) < 2:
+            raise ValueError(f"{type(self).__name__} needs at least two children")
 
 
 @dataclass(frozen=True, slots=True)
-class And(BoolExpr):
+class And(_NAry):
     children: tuple[BoolExpr, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", _flatten(And, self.children))
-        if len(self.children) < 2:
-            raise ValueError("And needs at least two children")
 
 
 @dataclass(frozen=True, slots=True)
-class Or(BoolExpr):
+class Or(_NAry):
     children: tuple[BoolExpr, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", _flatten(Or, self.children))
-        if len(self.children) < 2:
-            raise ValueError("Or needs at least two children")
 
 
 @dataclass(frozen=True, slots=True)
-class Xor(BoolExpr):
+class Xor(_NAry):
     children: tuple[BoolExpr, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", _flatten(Xor, self.children))
-        if len(self.children) < 2:
-            raise ValueError("Xor needs at least two children")
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,17 +120,95 @@ class Implies(BoolExpr):
     rhs: BoolExpr
 
 
+# -- the fold ------------------------------------------------------------
+
+
+def _operands(node: BoolExpr) -> tuple[BoolExpr, ...]:
+    if isinstance(node, (Var, Const)):
+        return ()
+    if isinstance(node, Not):
+        return (node.child,)
+    if isinstance(node, _NAry):
+        return node.children
+    if isinstance(node, Implies):
+        return (node.lhs, node.rhs)
+    raise TypeError(f"not a BoolExpr node: {node!r}")
+
+
+def fold(e: BoolExpr, combine: Callable[[BoolExpr, Sequence[T]], T]) -> T:
+    """Post-order fold: combine(node, values of its operands, in order) at
+    every node, operands first.  Iterative, so depth costs memory only."""
+    order: list[tuple[BoolExpr, int]] = []
+    pending = [e]
+    while pending:
+        node = pending.pop()
+        operands = _operands(node)
+        order.append((node, len(operands)))
+        pending.extend(operands)
+    # reversed pre-order with the last operand expanded first is a
+    # left-to-right post-order: each node's operand values end the stack
+    values: list = []
+    for node, arity in reversed(order):
+        if arity:
+            args = values[-arity:]
+            del values[-arity:]
+        else:
+            args = ()
+        values.append(combine(node, args))
+    return values[0]
+
+
+def compose(
+    node: BoolExpr,
+    values: Sequence[T],
+    one: T,
+    var: Callable[[int], T],
+    step: Callable[[T], T] = lambda v: v,
+) -> T:
+    """The composition rules, over any ring where 0/1 functions are idempotent:
+
+        !f = 1 - f    f & g = f g    f | g = f + g - f g
+        f ^ g = f + g - 2 f g        f => g = 1 - f + f g
+
+    ``values`` are the composed operands of ``node``; 1 is ``one``, 0 is
+    one - one and x_j is ``var(j)``.  N-ary nodes combine pairwise from the
+    left, and ``step`` sees each pairwise result (and each =>).
+    """
+    if isinstance(node, Var):
+        return var(node.index)
+    if isinstance(node, Const):
+        return one if node.value else one - one
+    if isinstance(node, Not):
+        return one - values[0]
+    if isinstance(node, Implies):
+        f, g = values
+        return step(one - f + f * g)
+    acc = values[0]
+    for g in values[1:]:
+        if isinstance(node, And):
+            acc = step(acc * g)
+        elif isinstance(node, Or):
+            acc = step(acc + g - acc * g)
+        else:
+            acc = step(acc + g - 2 * (acc * g))
+    return acc
+
+
 def max_var(e: BoolExpr) -> int:
     """Largest variable index appearing in the formula (0 if none)."""
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, Not):
-        return max_var(e.child)
-    if isinstance(e, (And, Or, Xor)):
-        return max(max_var(c) for c in e.children)
-    if isinstance(e, Implies):
-        return max(max_var(e.lhs), max_var(e.rhs))
-    return 0
+    return fold(
+        e, lambda node, values: node.index if isinstance(node, Var) else max(values, default=0)
+    )
+
+
+def register_size(e: BoolExpr, n: int | None = None) -> int:
+    """n, or max_var(e) when n is None; QubitCountError if e uses a variable above n."""
+    used = max_var(e)
+    if n is None:
+        return used
+    if used > n:
+        raise QubitCountError(f"formula uses x{used} but register has {n} qubits")
+    return n
 
 
 def _as_mask(x: Assignment) -> int:
@@ -148,115 +225,62 @@ def _as_mask(x: Assignment) -> int:
 def eval_expr(e: BoolExpr, x: Assignment) -> int:
     """Evaluate on an assignment; returns 0 or 1."""
     mask = _as_mask(x)
-
-    def rec(node) -> int:
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, Var):
-            return (mask >> (node.index - 1)) & 1
-        if isinstance(node, Not):
-            return 1 - rec(node.child)
-        if isinstance(node, And):
-            for c in node.children:
-                if not rec(c):
-                    return 0
-            return 1
-        if isinstance(node, Or):
-            for c in node.children:
-                if rec(c):
-                    return 1
-            return 0
-        if isinstance(node, Xor):
-            acc = 0
-            for c in node.children:
-                acc ^= rec(c)
-            return acc
-        if isinstance(node, Implies):
-            return 1 if (not rec(node.lhs)) or rec(node.rhs) else 0
-        raise TypeError(f"not a BoolExpr node: {node!r}")
-
-    return rec(e)
+    var = lambda j: (mask >> (j - 1)) & 1
+    return fold(e, lambda node, values: compose(node, values, 1, var))
 
 
 def truth_table(e: BoolExpr, n: int) -> np.ndarray:
     """All 2^n values as a float vector indexed by assignment (x_1 = LSB)."""
-    if n > TABLE_CAP:
-        raise CapExceeded(f"truth table for n={n} exceeds cap {TABLE_CAP}")
-    if max_var(e) > n:
-        raise QubitCountError(
-            f"formula uses x{max_var(e)} but table has only {n} variables"
-        )
+    check_table_cap(n)
+    register_size(e, n)
     idx = np.arange(1 << n, dtype=np.uint32)
-
-    def rec(node) -> np.ndarray:
-        if isinstance(node, Const):
-            return np.full(idx.shape, node.value, dtype=np.uint8)
-        if isinstance(node, Var):
-            return ((idx >> np.uint32(node.index - 1)) & 1).astype(np.uint8)
-        if isinstance(node, Not):
-            return 1 - rec(node.child)
-        if isinstance(node, And):
-            acc = rec(node.children[0])
-            for c in node.children[1:]:
-                acc = acc & rec(c)
-            return acc
-        if isinstance(node, Or):
-            acc = rec(node.children[0])
-            for c in node.children[1:]:
-                acc = acc | rec(c)
-            return acc
-        if isinstance(node, Xor):
-            acc = rec(node.children[0])
-            for c in node.children[1:]:
-                acc = acc ^ rec(c)
-            return acc
-        if isinstance(node, Implies):
-            return (1 - rec(node.lhs)) | rec(node.rhs)
-        raise TypeError(f"not a BoolExpr node: {node!r}")
-
-    return rec(e).astype(np.float64)
+    one = np.ones(1 << n, dtype=np.uint8)
+    var = lambda j: ((idx >> np.uint32(j - 1)) & 1).astype(np.uint8)
+    return fold(e, lambda node, values: compose(node, values, one, var)).astype(np.float64)
 
 
 # -- printing ----------------------------------------------------------
 
 _PREC = {Implies: 1, Or: 2, Xor: 3, And: 4, Not: 5, Var: 6, Const: 6}
+_INFIX = {And: " & ", Or: " | ", Xor: " ^ "}
 
 
-def to_text(e: BoolExpr) -> str:
-    """Parser-compatible text; parse_expr(to_text(e)) is structurally equal to e."""
+def _render(node: BoolExpr, parts: Sequence[tuple[str, int]]) -> tuple[str, int]:
+    prec = _PREC[type(node)]
 
-    def wrap(child, parent_prec, allow_equal=False) -> str:
-        text = to_text(child)
-        prec = _PREC[type(child)]
-        if prec < parent_prec or (prec == parent_prec and not allow_equal):
+    def wrap(part: tuple[str, int], allow_equal: bool = False) -> str:
+        text, child_prec = part
+        if child_prec < prec or (child_prec == prec and not allow_equal):
             return f"({text})"
         return text
 
-    if isinstance(e, Const):
-        return str(e.value)
-    if isinstance(e, Var):
-        return f"x{e.index}"
-    if isinstance(e, Not):
-        return "!" + wrap(e.child, _PREC[Not], allow_equal=True)
-    if isinstance(e, (And, Or, Xor)):
-        op = {And: " & ", Or: " | ", Xor: " ^ "}[type(e)]
-        return op.join(wrap(c, _PREC[type(e)]) for c in e.children)
-    if isinstance(e, Implies):
+    if isinstance(node, Const):
+        return str(node.value), prec
+    if isinstance(node, Var):
+        return f"x{node.index}", prec
+    if isinstance(node, Not):
+        return "!" + wrap(parts[0], allow_equal=True), prec
+    if isinstance(node, Implies):
         # right-associative: parenthesize a nested lhs, not the rhs
-        return f"{wrap(e.lhs, _PREC[Implies])} => {wrap(e.rhs, _PREC[Implies], allow_equal=True)}"
-    raise TypeError(f"not a BoolExpr node: {e!r}")
+        return f"{wrap(parts[0])} => {wrap(parts[1], allow_equal=True)}", prec
+    return _INFIX[type(node)].join(wrap(p) for p in parts), prec
+
+
+def to_text(e: BoolExpr) -> str:
+    """Parser-compatible text: parse_expr(to_text(e)) == e up to MAX_NESTING parentheses."""
+    return fold(e, _render)[0]
 
 
 # -- infix parser ------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(x\d+|=>|[!&|^()01])")
+_BINARY = ((Or, "|"), (Xor, "^"), (And, "&"))  # loosest first
 
 
 class _Parser:
     def __init__(self, text: str, n_vars: int | None):
         self.text = text
         self.n_vars = n_vars
-        self.pos = 0
         self.tokens: list[tuple[str, int]] = []
         scan = 0
         while scan < len(text):
@@ -269,6 +293,7 @@ class _Parser:
             self.tokens.append((m.group(1), m.start(1)))
             scan = m.end()
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -293,32 +318,47 @@ class _Parser:
         return e
 
     def implies(self) -> BoolExpr:
-        lhs = self.chain(Or, "|", lambda: self.chain(Xor, "^", lambda: self.chain(And, "&", self.unary)))
-        if self.peek() == "=>":
+        parts = [self.chain(0)]
+        while self.peek() == "=>":
             self.take()
-            return Implies(lhs, self.implies())
-        return lhs
+            parts.append(self.chain(0))
+        e = parts.pop()
+        while parts:  # right-associative
+            e = Implies(parts.pop(), e)
+        return e
 
-    def chain(self, node_type, op: str, sub) -> BoolExpr:
-        parts = [sub()]
+    def chain(self, level: int) -> BoolExpr:
+        if level == len(_BINARY):
+            return self.unary()
+        node_type, op = _BINARY[level]
+        parts = [self.chain(level + 1)]
         while self.peek() == op:
             self.take()
-            parts.append(sub())
+            parts.append(self.chain(level + 1))
         return parts[0] if len(parts) == 1 else node_type(tuple(parts))
 
     def unary(self) -> BoolExpr:
-        if self.peek() == "!":
+        negations = 0
+        while self.peek() == "!":
             self.take()
-            return Not(self.unary())
-        return self.atom()
+            negations += 1
+        e = self.atom()
+        for _ in range(negations):
+            e = Not(e)
+        return e
 
     def atom(self) -> BoolExpr:
         if self.peek() is None:
             raise ParseError("unexpected end of input", len(self.text))
         tok, where = self.take()
         if tok == "(":
+            # each level costs a fixed number of interpreter frames
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", where)
+            self.depth += 1
             e = self.implies()
             self.expect(")")
+            self.depth -= 1
             return e
         if tok in ("0", "1"):
             return Const(int(tok))
@@ -351,10 +391,7 @@ class PseudoBooleanObjective:
 
     def __post_init__(self):
         for _, expr in self.clauses:
-            if max_var(expr) > self.n_vars:
-                raise QubitCountError(
-                    f"clause uses x{max_var(expr)} > declared {self.n_vars} variables"
-                )
+            register_size(expr, self.n_vars)
 
     def value(self, x: Assignment) -> float:
         return sum(w * eval_expr(e, x) for w, e in self.clauses)

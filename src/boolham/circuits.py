@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .boolexpr import BoolExpr, max_var
+from .boolexpr import BoolExpr, register_size
 from .compiler import QuboInstance, compile_expr, compile_qubo
 from .errors import ParseError, QubitCountError
 from .zpoly import DiagonalHamiltonian, bit_projector, qubits_of
@@ -177,10 +177,7 @@ def emit_controlled_evolution(
     defaults to the largest variable used by f (constants need it given
     explicitly when a nonempty control register is wanted).
     """
-    k = max_var(f) if n_ctrl is None else n_ctrl
-    if max_var(f) > k:
-        raise QubitCountError(f"predicate uses x{max_var(f)} > control width {k}")
-    hf = compile_expr(f, k)
+    hf = compile_expr(f, register_size(f, n_ctrl))
     return emit_evolution(hf.tensor(ham), t)
 
 
@@ -192,11 +189,7 @@ def emit_bit_query(f: BoolExpr, n: int | None = None) -> Circuit:
     as CRZ-terminated ladders, and a closing H.  Exact including phase;
     f = x1 reduces to CNOT and f = x1 & x2 to the Toffoli gate.
     """
-    used = max_var(f)
-    if n is None:
-        n = used
-    elif used > n:
-        raise QubitCountError(f"formula uses x{used} but register has {n} qubits")
+    n = register_size(f, n)
     hf = compile_expr(f, n)
     ancilla = n + 1
     gates: list[Gate] = [h(ancilla)]

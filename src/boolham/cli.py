@@ -13,10 +13,10 @@ import math
 import sys
 
 from . import circuits, compiler, fourier, verify
-from .boolexpr import max_var, parse_dimacs, parse_expr
+from .boolexpr import parse_dimacs, parse_expr, register_size
 from .errors import CapExceeded, ParseError, VerificationError
 from .pauli import jordan_wigner
-from .zpoly import DiagonalHamiltonian, format_coeff, term_label
+from .zpoly import DiagonalHamiltonian, format_coeff, load_json, term_label
 
 EXIT_PARSE = 1
 EXIT_CAP = 2
@@ -47,7 +47,7 @@ def _load_expression(args) -> tuple:
     """(expr, n) from -e/--expr or a DIMACS file in SAT view."""
     if args.expr is not None:
         e = parse_expr(args.expr, args.n)
-        return e, args.n if args.n is not None else max_var(e)
+        return e, register_size(e, args.n)
     if getattr(args, "dimacs", None) is not None:
         objective, conjunction = parse_dimacs(_read(args.dimacs))
         return conjunction, objective.n_vars
@@ -94,10 +94,7 @@ def _cmd_fourier(args) -> int:
         return 0
     text = _table_text(args.input).strip()
     if text.startswith("["):
-        try:
-            values = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON table: {exc}") from exc
+        values = load_json(text)
         h = fourier.fourier_from_table(
             fourier.TruthTable((len(values) - 1).bit_length(), values)
         )
@@ -165,7 +162,7 @@ def _cmd_verify(args) -> int:
     cap = args.dense_cap if args.dense_cap is not None else DENSE_CAP_DEFAULT
     if args.expr is not None:
         e = parse_expr(args.expr, args.n)
-        n = args.n if args.n is not None else max_var(e)
+        n = register_size(e, args.n)
         report = verify.VerificationReport(
             tuple(verify.expression_checks("input", e, n, dense_cap=cap))
         )

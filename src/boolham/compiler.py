@@ -1,7 +1,7 @@
 """Compile formulas and pseudo-Boolean objectives into Z-polynomials.
 
-Compilation works directly on sparse Z-polynomials via the composition
-rules
+Compilation works directly on sparse Z-polynomials: ``compile_expr`` folds
+the formula with ``boolexpr.compose``, whose composition rules
 
     H_!f     = I - H_f
     H_(f&g)  = H_f H_g
@@ -9,17 +9,17 @@ rules
     H_(f^g)  = H_f + H_g - 2 H_f H_g
     H_(f=>g) = I - H_f + H_f H_g
 
-with base cases H_0 = 0, H_1 = I and H_xj = (I - Z_j)/2, applied pairwise
-and recursively for n-ary nodes.  Truth tables are never built, so the
-cost scales with intermediate sparsity rather than 2^n; a configurable
-guard aborts when an intermediate operator grows past ``size_cap`` terms
-(general formulas can be exponentially dense).
+start from H_0 = 0, H_1 = I and H_xj = (I - Z_j)/2 and are applied pairwise
+for n-ary nodes.  Truth tables are never built, so the cost scales with
+intermediate sparsity rather than 2^n; a configurable guard aborts when an
+intermediate operator grows past ``size_cap`` terms (general formulas can
+be exponentially dense).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -28,18 +28,16 @@ from .boolexpr import (
     And,
     BoolExpr,
     Const,
-    Implies,
-    Not,
-    Or,
     PseudoBooleanObjective,
     Var,
-    Xor,
+    compose,
     eval_expr,
-    max_var,
+    fold,
     parse_expr,
+    register_size,
 )
 from .errors import CapExceeded, ParseError, QubitCountError
-from .zpoly import DiagonalHamiltonian, basis_index, bit_projector
+from .zpoly import DiagonalHamiltonian, basis_index, bit_projector, load_json
 
 DEFAULT_SIZE_CAP = 10**6
 
@@ -56,44 +54,11 @@ def compile_expr(
     e: BoolExpr, n: int | None = None, *, size_cap: int = DEFAULT_SIZE_CAP
 ) -> DiagonalHamiltonian:
     """Hamiltonian representing a Boolean formula: eval(x) = f(x) for all x."""
-    used = max_var(e)
-    if n is None:
-        n = used
-    elif used > n:
-        raise QubitCountError(f"formula uses x{used} but register has {n} qubits")
+    n = register_size(e, n)
     identity = DiagonalHamiltonian.identity(n)
-
-    def rec(node) -> DiagonalHamiltonian:
-        if isinstance(node, Const):
-            return identity if node.value else DiagonalHamiltonian.zero(n)
-        if isinstance(node, Var):
-            return bit_projector(n, node.index)
-        if isinstance(node, Not):
-            return identity - rec(node.child)
-        if isinstance(node, And):
-            acc = rec(node.children[0])
-            for c in node.children[1:]:
-                acc = _guard(acc * rec(c), size_cap)
-            return acc
-        if isinstance(node, Or):
-            acc = rec(node.children[0])
-            for c in node.children[1:]:
-                hc = rec(c)
-                acc = _guard(acc + hc - acc * hc, size_cap)
-            return acc
-        if isinstance(node, Xor):
-            acc = rec(node.children[0])
-            for c in node.children[1:]:
-                hc = rec(c)
-                acc = _guard(acc + hc - 2.0 * (acc * hc), size_cap)
-            return acc
-        if isinstance(node, Implies):
-            hf = rec(node.lhs)
-            hg = rec(node.rhs)
-            return _guard(identity - hf + hf * hg, size_cap)
-        raise TypeError(f"not a BoolExpr node: {node!r}")
-
-    return rec(e)
+    var = partial(bit_projector, n)
+    step = partial(_guard, size_cap=size_cap)
+    return fold(e, lambda node, values: compose(node, values, identity, var, step))
 
 
 def compile_pseudo(
@@ -169,15 +134,22 @@ class QuboInstance:
     def from_json_dict(cls, doc: dict) -> "QuboInstance":
         try:
             n = int(doc["n"])
+            linear, quadratic = list(doc.get("linear", [])), list(doc.get("quadratic", []))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"QUBO JSON needs an integer 'n': {exc}") from exc
+            raise ParseError(f"QUBO JSON needs an integer 'n' and list values: {exc}") from exc
         a = float(doc.get("a", 0.0))
+        if len(linear) > n:
+            raise ParseError(f"QUBO 'linear' has {len(linear)} entries for n={n}")
         lin = np.zeros(n)
-        for j, c in enumerate(doc.get("linear", [])):
+        for j, c in enumerate(linear):
             lin[j] = float(c)
         quad = np.zeros((n, n))
-        for entry in doc.get("quadratic", []):
-            j, k, d = int(entry[0]), int(entry[1]), float(entry[2])
+        for entry in quadratic:
+            try:
+                j, k, d = entry
+                j, k, d = int(j), int(k), float(d)
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"quadratic entry {entry!r} is not [j, k, d]") from exc
             if not (1 <= j <= n and 1 <= k <= n) or j == k:
                 raise ParseError(f"bad quadratic entry {entry!r} for n={n}")
             quad[j - 1, k - 1] += d
@@ -186,11 +158,7 @@ class QuboInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "QuboInstance":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(load_json(text))
 
 
 def compile_qubo(q: QuboInstance) -> DiagonalHamiltonian:
@@ -256,10 +224,7 @@ class PenaltySpec:
         for w, g in self.penalties:
             if w <= 0:
                 raise ValueError(f"penalty weights must be positive, got {w}")
-            if max_var(g) > n:
-                raise QubitCountError(
-                    f"constraint uses x{max_var(g)} but objective has {n} qubits"
-                )
+            register_size(g, n)
 
     @classmethod
     def with_auto_weights(
@@ -287,14 +252,11 @@ def penalty_spec_from_json(text: str) -> PenaltySpec:
     """Penalty spec JSON: objective as an expression string or Hamiltonian
     document, penalties as {"weight": w | null, "expr": "..."} entries
     (null weight means choose automatically)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    doc = load_json(text)
     try:
         n = int(doc["n"])
         raw_objective = doc["objective"]
-        raw_penalties = doc["penalties"]
+        raw_penalties = list(doc["penalties"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"penalty spec JSON missing field: {exc}") from exc
     if isinstance(raw_objective, str):
@@ -306,8 +268,10 @@ def penalty_spec_from_json(text: str) -> PenaltySpec:
     auto_w = auto_penalty_weight(objective)
     penalties = []
     for entry in raw_penalties:
-        g = parse_expr(entry["expr"], n)
-        w = entry.get("weight")
+        try:
+            g, w = parse_expr(entry["expr"], n), entry.get("weight")
+        except (KeyError, TypeError) as exc:  # no 'expr', or not a string
+            raise ParseError(f"penalty entry needs an 'expr' string: {entry!r}") from exc
         penalties.append((auto_w if w is None else float(w), g))
     return PenaltySpec(objective, tuple(penalties))
 
@@ -325,11 +289,7 @@ def ground_state_logic(
     y = f(x) and eigenvalue 1 otherwise, so the ground space is exactly
     span{|x>|f(x)>}.
     """
-    used = max_var(f)
-    if n is None:
-        n = used
-    elif used > n:
-        raise QubitCountError(f"formula uses x{used} but register has {n} qubits")
+    n = register_size(f, n)
     hf = compile_expr(f, n, size_cap=size_cap)
     ancilla = n + 1
     terms = {0: 0.5, 1 << (ancilla - 1): -0.5}  # I (x) x_a

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boolexpr
-from .errors import CapExceeded, ParseError, VerificationError
-from .zpoly import PRUNE_EPS, DiagonalHamiltonian, basis_index
-
-TABLE_CAP = 24
+from .errors import ParseError, VerificationError
+from .zpoly import PRUNE_EPS, DiagonalHamiltonian, basis_index, check_table_cap
 
 MAX_NORM_BOUND = 1.0 / 3.0
 
@@ -58,11 +56,6 @@ class TruthTable:
         )
 
 
-def _check_table_cap(n: int) -> None:
-    if n > TABLE_CAP:
-        raise CapExceeded(f"dense table for n={n} exceeds cap {TABLE_CAP}")
-
-
 def fwht_inplace(a: np.ndarray) -> None:
     """Unnormalized Walsh-Hadamard transform, in place, length 2^n.
 
@@ -93,7 +86,7 @@ def fourier_from_table(
         n = (values.shape[0] - 1).bit_length()
         if values.shape != (1 << n,):
             raise ValueError(f"table length {values.shape} is not a power of two")
-    _check_table_cap(n)
+    check_table_cap(n)
     coeffs = values.copy()
     fwht_inplace(coeffs)
     coeffs /= float(1 << n)
@@ -104,7 +97,7 @@ def fourier_from_table(
 def table_from_fourier(h: DiagonalHamiltonian) -> TruthTable:
     """Exact inverse transform: all 2^n function values of a Z-polynomial."""
     n = h.n_qubits
-    _check_table_cap(n)
+    check_table_cap(n)
     vec = np.zeros(1 << n, dtype=np.float64)
     for mask, coeff in h.items():
         vec[mask] = coeff
@@ -139,10 +132,8 @@ def check_approx(
 
     Returns (max_x |h.eval(x) - f(x)|, within the 1/3 approximation bound).
     """
-    n = h.n_qubits
-    _check_table_cap(n)
     approx = table_from_fourier(h).values
-    exact = boolexpr.truth_table(f, n)
+    exact = boolexpr.truth_table(f, h.n_qubits)
     max_error = float(np.max(np.abs(approx - exact)))
     return max_error, max_error <= MAX_NORM_BOUND + 1e-12
 

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .boolexpr import BoolExpr, Var, max_var, truth_table
+from .boolexpr import BoolExpr, Var, register_size, truth_table
 from .circuits import Circuit, emit_bit_query
 from .compiler import compile_expr
-from .errors import CapExceeded, QubitCountError
+from .errors import CapExceeded
 from .pauli import PauliOperator
 from .zpoly import DiagonalHamiltonian, basis_label
 
@@ -148,9 +148,7 @@ def dense_controlled(
     The control register y occupies qubits 1..k (low bits), the data
     register the qubits above it.
     """
-    k = max_var(f) if n_ctrl is None else n_ctrl
-    if max_var(f) > k:
-        raise QubitCountError(f"predicate uses x{max_var(f)} > control width {k}")
+    k = register_size(f, n_ctrl)
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] & (u.shape[0] - 1):
         raise ValueError(f"data operator must be square power-of-two, got {u.shape}")
@@ -267,10 +265,7 @@ def verify_kickback_suite(
     ancilla b = qubit n+2.  The emitted bit-query circuit supplies the
     constructed G_f; the truth-table permutation matrix is the reference.
     """
-    used = max_var(f)
-    n = used if n is None else n
-    if used > n:
-        raise QubitCountError(f"formula uses x{used} but register has {n} qubits")
+    n = register_size(f, n)
     _check_cap(n + 2, cap)
 
     hf = compile_expr(f, n)

@@ -19,9 +19,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import ParseError, QubitCountError
-from .zpoly import MAX_QUBITS, PRUNE_EPS, DiagonalHamiltonian, format_coeff
-
-_LETTERS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+from .zpoly import (
+    MAX_QUBITS,
+    PAULI_LETTERS,
+    PRUNE_EPS,
+    DiagonalHamiltonian,
+    format_coeff,
+    json_terms,
+    parse_pauli_label,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,7 +55,7 @@ class PauliString:
         if not 1 <= j <= n_qubits:
             raise QubitCountError(f"qubit index {j} outside 1..{n_qubits}")
         try:
-            x, z = _LETTERS[letter]
+            x, z = PAULI_LETTERS[letter]
         except KeyError:
             raise ValueError(f"letter must be one of I X Y Z, got {letter!r}") from None
         bit = 1 << (j - 1)
@@ -58,24 +64,7 @@ class PauliString:
     @classmethod
     def from_label(cls, n_qubits: int, label: str) -> "PauliString":
         """Parse 'X1 Z3' / 'X1Z3' style labels; 'I' is the identity."""
-        label = label.strip()
-        if label in ("I", ""):
-            return cls.identity(n_qubits)
-        x_mask = z_mask = 0
-        for atom in label.replace("X", " X").replace("Y", " Y").replace("Z", " Z").split():
-            letter, digits = atom[0], atom[1:]
-            if letter not in "XYZ" or not digits.isdigit():
-                raise ParseError(f"bad Pauli atom {atom!r} in label {label!r}")
-            j = int(digits)
-            if not 1 <= j <= n_qubits:
-                raise QubitCountError(f"qubit index {j} outside 1..{n_qubits}")
-            bit = 1 << (j - 1)
-            if (x_mask | z_mask) & bit:
-                raise ParseError(f"qubit {j} appears twice in label {label!r}")
-            x, z = _LETTERS[letter]
-            x_mask |= x * bit
-            z_mask |= z * bit
-        return cls(n_qubits, x_mask, z_mask)
+        return cls(n_qubits, *parse_pauli_label(label, n_qubits))
 
     def letter(self, j: int) -> str:
         bit = 1 << (j - 1)
@@ -316,16 +305,14 @@ class PauliOperator:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PauliOperator":
-        try:
-            n = int(doc["n"])
-            entries = doc["terms"]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"operator JSON missing field: {exc}") from exc
+        n, entries = json_terms(doc)
         terms = []
-        for entry in entries:
-            raw = entry["coeff"]
-            coeff = complex(raw[0], raw[1]) if isinstance(raw, list) else complex(raw)
-            terms.append((PauliString.from_label(n, entry["paulis"]), coeff))
+        for label, raw in entries:
+            try:
+                coeff = complex(*raw) if isinstance(raw, list) and len(raw) == 2 else complex(raw)
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"bad operator coefficient {raw!r}") from exc
+            terms.append((PauliString.from_label(n, label), coeff))
         return cls(n, terms)
 
     def __repr__(self) -> str:

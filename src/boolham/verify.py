@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boolexpr, circuits, compiler, fourier, oracle
-from .boolexpr import BoolExpr, Var, parse_expr, truth_table
+from .boolexpr import BoolExpr, Var, parse_expr, register_size, truth_table
 from .compiler import QuboInstance, compile_expr, compile_pseudo, qubo_objective
 from .zpoly import DiagonalHamiltonian, basis_label
 
@@ -210,7 +210,7 @@ def expression_checks(
     Dense-matrix checks run only where they fit under ``dense_cap`` (the
     kickback suite needs two extra ancilla qubits, the bit query one).
     """
-    n = boolexpr.max_var(e) if n is None else n
+    n = register_size(e, n)
     h = compile_expr(e, n)
     table = truth_table(e, n)
     out: list[CheckResult] = []

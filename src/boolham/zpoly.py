@@ -24,12 +24,16 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import ParseError, QubitCountError
+from .errors import CapExceeded, ParseError, QubitCountError
 
 PRUNE_EPS = 1e-12
 MAX_QUBITS = 63
+TABLE_CAP = 24
 
 BasisInput = Union[int, str, Sequence[int]]
+
+# Pauli letter -> (X bit, Z bit); Y = both
+PAULI_LETTERS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
 def mask_of(qubits: Iterable[int]) -> int:
@@ -59,6 +63,51 @@ def term_label(mask: int, sep: str = "") -> str:
     if mask == 0:
         return "I"
     return sep.join(f"Z{j}" for j in qubits_of(mask))
+
+
+def parse_pauli_label(label: str, n_qubits: int) -> tuple[int, int]:
+    """(x_mask, z_mask) of a label like 'X1 Z3' or 'X1Z3'; 'I' is the identity."""
+    if not isinstance(label, str):
+        raise ParseError(f"Pauli label must be a string, got {label!r}")
+    label = label.strip()
+    if label in ("I", ""):
+        return 0, 0
+    x_mask = z_mask = 0
+    for atom in label.replace("X", " X").replace("Y", " Y").replace("Z", " Z").split():
+        letter, digits = atom[0], atom[1:]
+        if letter not in "XYZ" or not digits.isdigit():
+            raise ParseError(f"bad Pauli atom {atom!r} in label {label!r}")
+        j = int(digits)
+        if not 1 <= j <= n_qubits:
+            raise QubitCountError(f"qubit index {j} outside 1..{n_qubits}")
+        bit = 1 << (j - 1)
+        if (x_mask | z_mask) & bit:
+            raise ParseError(f"qubit {j} appears twice in label {label!r}")
+        x, z = PAULI_LETTERS[letter]
+        x_mask |= x * bit
+        z_mask |= z * bit
+    return x_mask, z_mask
+
+
+def load_json(text: str):
+    """json.loads, with malformed text raised as ParseError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+def json_terms(doc: dict) -> tuple[int, list[tuple]]:
+    """(n, [(label, coeff), ...]) of {"n": n, "terms": [{"paulis": ..., "coeff": ...}]}."""
+    try:
+        return int(doc["n"]), [(t["paulis"], t["coeff"]) for t in doc["terms"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"operator JSON needs 'n' and 'paulis'/'coeff' terms: {exc!r}") from exc
+
+
+def check_table_cap(n: int) -> None:
+    if n > TABLE_CAP:
+        raise CapExceeded(f"dense table for n={n} exceeds cap {TABLE_CAP}")
 
 
 def basis_index(x: BasisInput, n_qubits: int) -> int:
@@ -307,45 +356,23 @@ class DiagonalHamiltonian:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DiagonalHamiltonian":
-        try:
-            n = int(doc["n"])
-            entries = doc["terms"]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"Hamiltonian JSON missing field: {exc}") from exc
+        n, entries = json_terms(doc)
         terms = []
-        for entry in entries:
-            label = entry["paulis"].strip()
-            coeff = entry["coeff"]
+        for label, coeff in entries:
+            x_mask, z_mask = parse_pauli_label(label, n)
+            if x_mask:
+                raise ParseError(f"diagonal term label may hold only Z, got {label!r}")
             if not isinstance(coeff, (int, float)):
                 raise ParseError(f"diagonal coefficient must be real, got {coeff!r}")
-            terms.append((_mask_from_label(label), float(coeff)))
+            terms.append((z_mask, float(coeff)))
         return cls(n, terms)
 
     @classmethod
     def from_json(cls, text: str) -> "DiagonalHamiltonian":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(load_json(text))
 
     def __repr__(self) -> str:
         return f"DiagonalHamiltonian({self._n}, {self.to_text()!r})"
-
-
-def _mask_from_label(label: str) -> int:
-    if label in ("I", ""):
-        return 0
-    mask = 0
-    for atom in label.replace("Z", " Z").split():
-        if not atom.startswith("Z"):
-            raise ParseError(f"expected Z<index> in term label, got {atom!r}")
-        try:
-            j = int(atom[1:])
-        except ValueError as exc:
-            raise ParseError(f"bad qubit index in term label {atom!r}") from exc
-        mask |= 1 << (j - 1)
-    return mask
 
 
 def bit_projector(n_qubits: int, j: int) -> DiagonalHamiltonian:

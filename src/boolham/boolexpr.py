@@ -39,9 +39,23 @@ T = TypeVar("T")
 
 
 class BoolExpr:
-    """Base class for formula nodes. Nodes are immutable and hashable."""
+    """Base class for formula nodes. Nodes are immutable and hashable.
+
+    Equality, hashing and repr go through folds, so they work at any depth.
+    """
 
     __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BoolExpr):
+            return NotImplemented
+        return self is other or _structure(self) == _structure(other)
+
+    def __hash__(self) -> int:
+        return hash(_structure(self))
+
+    def __repr__(self) -> str:
+        return f"parse_expr({to_text(self)!r})"
 
     def __and__(self, other: "BoolExpr") -> "BoolExpr":
         return And((self, other))
@@ -59,7 +73,7 @@ class BoolExpr:
         return to_text(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Const(BoolExpr):
     value: int
 
@@ -68,7 +82,7 @@ class Const(BoolExpr):
             raise ValueError(f"constant must be 0 or 1, got {self.value}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Var(BoolExpr):
     index: int  # 1-based
 
@@ -77,7 +91,7 @@ class Var(BoolExpr):
             raise QubitCountError(f"variable index {self.index} must be >= 1")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Not(BoolExpr):
     child: BoolExpr
 
@@ -99,22 +113,22 @@ class _NAry(BoolExpr):
             raise ValueError(f"{type(self).__name__} needs at least two children")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class And(_NAry):
     children: tuple[BoolExpr, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Or(_NAry):
     children: tuple[BoolExpr, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Xor(_NAry):
     children: tuple[BoolExpr, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Implies(BoolExpr):
     lhs: BoolExpr
     rhs: BoolExpr
@@ -192,6 +206,18 @@ def compose(
         else:
             acc = step(acc + g - 2 * (acc * g))
     return acc
+
+
+def _structure(e: BoolExpr) -> tuple:
+    """Flat structural key, one (type, payload) per node in post-order; the
+    payload is a Var's index, a Const's value, or the operand count."""
+    key: list[tuple] = []
+
+    def tag(node: BoolExpr, values: Sequence) -> None:
+        key.append((type(node), getattr(node, "index", getattr(node, "value", len(values)))))
+
+    fold(e, tag)
+    return tuple(key)
 
 
 def max_var(e: BoolExpr) -> int:

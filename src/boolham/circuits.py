@@ -288,37 +288,51 @@ def serialize(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _line_error(text: str, line: str, message: str) -> ParseError:
+    # only the first copy of a stripped line can fail: a copy before it fails first
+    lineno = next(i for i, raw in enumerate(text.splitlines(), start=1) if raw.strip() == line)
+    return ParseError(f"line {lineno}: {message}: {line!r}")
+
+
 def parse_circuit(text: str) -> Circuit:
+    """Read serialize() output back; a malformed line is a ParseError naming it."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("qubits "):
         raise ParseError("circuit text must start with a 'qubits N' line")
+    header, body = lines[0], lines[1:]
     try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"bad qubits line: {lines[0]!r}") from exc
+        _, count = header.split()
+        n = int(count)
+    except ValueError as exc:
+        raise _line_error(text, header, "bad qubits line") from exc
+    if n < 0:
+        raise _line_error(text, header, "negative qubit count")
     phase = 0.0
-    body = lines[1:]
     if body and body[0].startswith("phase "):
         try:
-            phase = float(body[0].split()[1])
-        except (IndexError, ValueError) as exc:
-            raise ParseError(f"bad phase line: {body[0]!r}") from exc
+            _, value = body[0].split()
+            phase = float(value)
+        except ValueError as exc:
+            raise _line_error(text, body[0], "bad phase line") from exc
+        if not math.isfinite(phase):
+            raise _line_error(text, body[0], "phase must be finite")
         body = body[1:]
     gates = []
     for ln in body:
         fields = ln.split()
-        name = fields[0]
-        if name not in _GATE_SHAPE:
-            raise ParseError(f"unknown gate line: {ln!r}")
-        arity, takes_angle = _GATE_SHAPE[name]
-        expected = 1 + arity + (1 if takes_angle else 0)
-        if len(fields) != expected:
-            raise ParseError(f"gate line has wrong arity: {ln!r}")
+        if fields[0] not in _GATE_SHAPE:
+            raise _line_error(text, ln, "unknown gate")
+        arity, takes_angle = _GATE_SHAPE[fields[0]]
+        if len(fields) != 1 + arity + takes_angle:
+            raise _line_error(text, ln, "wrong number of fields")
         try:
-            qubits = tuple(int(q) for q in fields[1 : 1 + arity])
-            angle = float(fields[1 + arity]) if takes_angle else None
-        except ValueError as exc:
-            raise ParseError(f"bad gate line: {ln!r}") from exc
-        gates.append(Gate(name, qubits, angle))
-    return Circuit(n, tuple(gates), phase)
+            qubits = tuple(map(int, fields[1 : 1 + arity]))
+            gates.append(Gate(fields[0], qubits, float(fields[-1]) if takes_angle else None))
+        except ValueError as exc:  # bad numbers, repeated qubits, non-finite angles
+            raise _line_error(text, ln, str(exc)) from exc
+    try:
+        return Circuit(n, tuple(gates), phase)
+    except QubitCountError as exc:  # a gate above the register
+        bad = next(ln for ln, g in zip(body, gates) if max(g.qubits) > n)
+        raise _line_error(text, bad, str(exc)) from exc

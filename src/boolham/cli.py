@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 parse/usage error, 2 cap exceeded, 3 verification
 failure.  Diagnostics go to standard error; all outputs are deterministic
 for a fixed input.  Input paths accept '-' for standard input.
+
+compile, circuit and count read exactly one input source, verify at most
+one.  -n is the register size of an -e formula or a DIMACS file.  A flag
+that could not change the output is a usage error.
 """
 
 from __future__ import annotations
@@ -15,12 +19,17 @@ import sys
 from . import circuits, compiler, fourier, verify
 from .boolexpr import parse_dimacs, parse_expr, register_size
 from .errors import CapExceeded, ParseError, VerificationError
+from .oracle import DENSE_CAP_DEFAULT, DENSE_CAP_MAX
 from .pauli import jordan_wigner
 from .zpoly import DiagonalHamiltonian, format_coeff, load_json, term_label
 
 EXIT_PARSE = 1
 EXIT_CAP = 2
 EXIT_VERIFY = 3
+
+# input flags, in the order usage messages name them, and those -n sizes
+_SOURCES = ("expr", "dimacs", "qubo", "hamiltonian")
+_SIZED = ("expr", "dimacs")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,41 +46,48 @@ def _read(path: str) -> str:
 
 
 def _print_ham(h: DiagonalHamiltonian, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(h.to_json_dict()))
-    else:
-        print(h.to_text())
+    print(json.dumps(h.to_json_dict()) if fmt == "json" else h.to_text())
 
 
-def _load_expression(args) -> tuple:
-    """(expr, n) from -e/--expr or a DIMACS file in SAT view."""
-    if args.expr is not None:
-        e = parse_expr(args.expr, args.n)
-        return e, register_size(e, args.n)
-    if getattr(args, "dimacs", None) is not None:
-        objective, conjunction = parse_dimacs(_read(args.dimacs))
-        return conjunction, objective.n_vars
-    raise ParseError("no input given: use --expr or --dimacs")
+def _source(args, required: bool = True) -> str | None:
+    """The input flag given among those the subcommand defines: exactly one,
+    or at most one when not required.  -n needs a source it can size."""
+    defined = [s for s in _SOURCES if hasattr(args, s)]
+    given = [s for s in defined if getattr(args, s) is not None]
+    if len(given) > 1 or (required and not given):
+        flags = ", ".join(f"--{s}" for s in defined)
+        raise ParseError(f"give {'exactly' if required else 'at most'} one of {flags}")
+    source = given[0] if given else None
+    if args.n is not None and source not in _SIZED:
+        sized = " or ".join(f"--{s}" for s in defined if s in _SIZED)
+        raise ParseError(f"-n applies only to {sized}")
+    return source
 
 
-def _cmd_compile(args) -> int:
-    sources = [s for s in (args.expr, args.dimacs, args.qubo) if s is not None]
-    if len(sources) != 1:
-        raise ParseError("exactly one of --expr, --dimacs, --qubo is required")
-    if args.qubo is not None:
-        h = compiler.compile_qubo(compiler.QuboInstance.from_json(_read(args.qubo)))
-    elif args.dimacs is not None:
+def _hamiltonian(args) -> DiagonalHamiltonian:
+    """The Hamiltonian of the one input given to compile, circuit or count."""
+    source = _source(args)
+    if source == "expr":
+        return compiler.compile_expr(parse_expr(args.expr, args.n), args.n)
+    if source == "dimacs":
         if args.mode is None:
             raise ParseError("--dimacs needs --mode sat|maxsat")
         objective, conjunction = parse_dimacs(_read(args.dimacs))
-        n = args.n if args.n is not None else objective.n_vars
+        n = objective.n_vars if args.n is None else args.n
+        if n < objective.n_vars:
+            raise ParseError(f"-n {n} is below the header's {objective.n_vars} variables")
         if args.mode == "sat":
-            h = compiler.compile_expr(conjunction, n)
-        else:
-            h = compiler.compile_pseudo(objective, n)
-    else:
-        e = parse_expr(args.expr, args.n)
-        h = compiler.compile_expr(e, args.n)
+            return compiler.compile_expr(conjunction, n)
+        return compiler.compile_pseudo(objective, n)
+    if source == "qubo":
+        return compiler.compile_qubo(compiler.QuboInstance.from_json(_read(args.qubo)))
+    return DiagonalHamiltonian.from_json(_read(args.hamiltonian))
+
+
+def _cmd_compile(args) -> int:
+    if args.mode is not None and args.dimacs is None:
+        raise ParseError("--mode applies only to --dimacs")
+    h = _hamiltonian(args)
     if args.prune_eps is not None:
         h = h.pruned(args.prune_eps)
     _print_ham(h, args.format)
@@ -88,6 +104,8 @@ def _table_text(arg: str) -> str:
 
 def _cmd_fourier(args) -> int:
     if args.inverse:
+        if args.prune_eps is not None:
+            raise ParseError("--prune-eps applies only to the forward transform")
         h = DiagonalHamiltonian.from_json(_read(args.input))
         table = fourier.table_from_fourier(h)
         print(json.dumps([float(v) for v in table.values]))
@@ -108,36 +126,26 @@ def _cmd_fourier(args) -> int:
 
 
 def _cmd_circuit(args) -> int:
-    if args.expr is not None:
-        e = parse_expr(args.expr, args.n)
-        h = compiler.compile_expr(e, args.n)
-    elif args.hamiltonian is not None:
-        h = DiagonalHamiltonian.from_json(_read(args.hamiltonian))
-    else:
-        raise ParseError("no input given: use --expr or --hamiltonian")
-    print(circuits.serialize(circuits.emit_evolution(h, args.gamma)), end="")
+    print(circuits.serialize(circuits.emit_evolution(_hamiltonian(args), args.angle)), end="")
     return 0
 
 
 def _cmd_qubo(args) -> int:
-    q = compiler.QuboInstance.from_json(_read(args.input))
-    h = compiler.compile_qubo(q)
+    h = compiler.compile_qubo(compiler.QuboInstance.from_json(_read(args.input)))
     _print_ham(h, args.format)
-    print(circuits.serialize(circuits.emit_evolution(h, args.t)), end="")
+    print(circuits.serialize(circuits.emit_evolution(h, args.angle)), end="")
     return 0
 
 
 def _cmd_count(args) -> int:
-    e, n = _load_expression(args)
-    h = compiler.compile_expr(e, n)
-    print(fourier.count_models(h))
+    print(fourier.count_models(_hamiltonian(args)))
     return 0
 
 
 def _cmd_gslogic(args) -> int:
+    _source(args)
     e = parse_expr(args.expr, args.n)
-    h = compiler.ground_state_logic(e, args.n)
-    _print_ham(h, args.format)
+    _print_ham(compiler.ground_state_logic(e, args.n), args.format)
     return 0
 
 
@@ -157,20 +165,14 @@ def _cmd_jw(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .oracle import DENSE_CAP_DEFAULT
-
-    cap = args.dense_cap if args.dense_cap is not None else DENSE_CAP_DEFAULT
-    if args.expr is not None:
+    source, cap = _source(args, required=False), args.dense_cap
+    if source == "expr":
         e = parse_expr(args.expr, args.n)
-        n = register_size(e, args.n)
-        report = verify.VerificationReport(
-            tuple(verify.expression_checks("input", e, n, dense_cap=cap))
-        )
-    elif args.qubo is not None:
+        checks = verify.expression_checks("input", e, register_size(e, args.n), dense_cap=cap)
+        report = verify.VerificationReport(tuple(checks))
+    elif source == "qubo":
         q = compiler.QuboInstance.from_json(_read(args.qubo))
-        report = verify.VerificationReport(
-            tuple(verify.qubo_checks("input", q, dense_cap=cap))
-        )
+        report = verify.VerificationReport(tuple(verify.qubo_checks("input", q, dense_cap=cap)))
     else:
         report = verify.run_corpus_verification(dense_cap=cap)
     for line in report.lines():
@@ -178,94 +180,83 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else EXIT_VERIFY
 
 
+# options several subcommands take, by dest; each subcommand adds the ones it reads
+_OPTIONS = {
+    "expr": (("-e", "--expr"), dict(help="infix formula, e.g. 'x1 & (x2 | !x3)'")),
+    "dimacs": (("--dimacs",), dict(help="DIMACS CNF/WCNF path ('-' for stdin)")),
+    "qubo": (("--qubo",), dict(help="QUBO JSON path ('-' for stdin)")),
+    "n": (("-n",), dict(type=int, help="register size of -e/--dimacs input "
+                        "(default: largest variable / DIMACS header count)")),
+    "format": (("--format",), dict(choices=("text", "json"), default="text",
+                                   help="Hamiltonian output form")),
+    "prune_eps": (("--prune-eps",), dict(type=float,
+                                         help="re-prune coefficients below this magnitude")),
+}
+
+
+def _subcommand(sub, name: str, func, summary: str, *options: str) -> _Parser:
+    p = sub.add_parser(name, help=summary)
+    for dest in options:
+        flags, kwargs = _OPTIONS[dest]
+        p.add_argument(*flags, **kwargs)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="boolham", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fmt=True):
-        p.add_argument("-n", type=int, default=None, help="register size override")
-        if fmt:
-            p.add_argument(
-                "--format", choices=("text", "json"), default="text",
-                help="Hamiltonian output form",
-            )
-        p.add_argument(
-            "--prune-eps", type=float, default=None,
-            help="re-prune coefficients below this magnitude before printing",
-        )
-
-    p = sub.add_parser("compile", help="expression/DIMACS/QUBO -> Hamiltonian")
-    p.add_argument("-e", "--expr", help="infix formula, e.g. 'x1 & (x2 | !x3)'")
-    p.add_argument("--dimacs", help="DIMACS CNF/WCNF path ('-' for stdin)")
-    p.add_argument("--mode", choices=("sat", "maxsat"), default=None,
+    p = _subcommand(sub, "compile", _cmd_compile, "expression/DIMACS/QUBO -> Hamiltonian",
+                    "expr", "dimacs", "qubo", "n", "format", "prune_eps")
+    p.add_argument("--mode", choices=("sat", "maxsat"),
                    help="DIMACS view: conjunction or weighted clause sum")
-    p.add_argument("--qubo", help="QUBO JSON path ('-' for stdin)")
-    add_common(p)
-    p.set_defaults(func=_cmd_compile)
 
-    p = sub.add_parser("fourier", help="truth table <-> Fourier coefficients")
-    p.add_argument(
-        "input",
-        help="table as bits ('0111') or JSON vector, given inline, as a path, or '-'",
-    )
+    p = _subcommand(sub, "fourier", _cmd_fourier, "truth table <-> Fourier coefficients",
+                    "prune_eps")
+    p.add_argument("input", help="table as bits ('0111') or JSON vector, "
+                   "given inline, as a path, or '-'")
     p.add_argument("--inverse", action="store_true",
                    help="input is a Hamiltonian JSON; print the value table")
-    add_common(p, fmt=False)
-    p.set_defaults(func=_cmd_fourier)
 
-    p = sub.add_parser("circuit", help="Hamiltonian + gamma -> circuit text")
-    p.add_argument("-e", "--expr")
+    p = _subcommand(sub, "circuit", _cmd_circuit, "Hamiltonian + gamma -> circuit text",
+                    "expr", "n")
     p.add_argument("--hamiltonian", help="Hamiltonian JSON path ('-' for stdin)")
-    p.add_argument("--gamma", type=float, required=True)
-    add_common(p, fmt=False)
-    p.set_defaults(func=_cmd_circuit)
+    p.add_argument("--gamma", dest="angle", type=float, required=True)
 
-    p = sub.add_parser("qubo", help="QUBO JSON -> Hamiltonian + circuit")
+    p = _subcommand(sub, "qubo", _cmd_qubo, "QUBO JSON -> Hamiltonian + circuit", "format")
     p.add_argument("input", help="QUBO JSON path ('-' for stdin)")
-    p.add_argument("--t", type=float, default=1.0, help="evolution time")
-    add_common(p)
-    p.set_defaults(func=_cmd_qubo)
+    p.add_argument("--t", dest="angle", type=float, default=1.0, help="evolution time")
 
-    p = sub.add_parser("count", help="model count via the identity coefficient")
-    p.add_argument("-e", "--expr")
-    p.add_argument("--dimacs", help="DIMACS path; counts the conjunction")
-    add_common(p, fmt=False)
-    p.set_defaults(func=_cmd_count)
+    p = _subcommand(sub, "count", _cmd_count, "model count of -e or a DIMACS conjunction",
+                    "expr", "dimacs", "n")
+    p.set_defaults(mode="sat")
 
-    p = sub.add_parser("gslogic", help="ground-state logic Hamiltonian (n+1 qubits)")
-    p.add_argument("-e", "--expr", required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_gslogic)
+    _subcommand(sub, "gslogic", _cmd_gslogic, "ground-state logic Hamiltonian (n+1 qubits)",
+                "expr", "n", "format")
 
-    p = sub.add_parser("penalize", help="augment an objective with penalty terms")
+    p = _subcommand(sub, "penalize", _cmd_penalize, "augment an objective with penalty terms",
+                    "format")
     p.add_argument("input", help="penalty spec JSON path ('-' for stdin)")
-    add_common(p)
-    p.set_defaults(func=_cmd_penalize)
 
-    p = sub.add_parser("jw", help="Jordan-Wigner ladder operator table")
+    p = _subcommand(sub, "jw", _cmd_jw, "Jordan-Wigner ladder operator table")
     p.add_argument("n", type=int, help="number of modes/qubits")
-    p.set_defaults(func=_cmd_jw)
 
-    p = sub.add_parser("verify", help="run the invariant suite and print residuals")
-    p.add_argument("-e", "--expr", help="verify one formula instead of the corpus")
-    p.add_argument("--qubo", help="verify one QUBO JSON instead of the corpus")
+    p = _subcommand(sub, "verify", _cmd_verify,
+                    "invariant suite on the bundled corpus, or on one -e/--qubo input",
+                    "expr", "qubo", "n")
     p.add_argument(
-        "--dense-cap", type=int, default=None,
-        help="qubit cap for the dense-matrix checks (default 12, max 14)",
+        "--dense-cap", type=int, default=DENSE_CAP_DEFAULT,
+        help=f"qubit cap (default {DENSE_CAP_DEFAULT}, max {DENSE_CAP_MAX}): dense checks run "
+        "at n <= min(8, cap), bit queries at n <= min(6, cap-1), kickback at "
+        "n <= min(5, cap-2), so any cap of 8 or more runs the default's checks",
     )
-    add_common(p, fmt=False)
-    p.set_defaults(func=_cmd_verify)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "gamma", None) is not None and not math.isfinite(args.gamma):
-        print("boolham: error: angle must be finite", file=sys.stderr)
-        return EXIT_PARSE
-    if getattr(args, "t", None) is not None and not math.isfinite(args.t):
+    args = build_parser().parse_args(argv)
+    if not math.isfinite(getattr(args, "angle", 0.0)):
         print("boolham: error: angle must be finite", file=sys.stderr)
         return EXIT_PARSE
     try:

@@ -37,7 +37,14 @@ from .boolexpr import (
     register_size,
 )
 from .errors import CapExceeded, ParseError, QubitCountError
-from .zpoly import DiagonalHamiltonian, basis_index, bit_projector, load_json
+from .zpoly import (
+    MAX_QUBITS,
+    DiagonalHamiltonian,
+    basis_index,
+    bit_projector,
+    json_number,
+    load_json,
+)
 
 DEFAULT_SIZE_CAP = 10**6
 
@@ -133,22 +140,24 @@ class QuboInstance:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "QuboInstance":
         try:
-            n = int(doc["n"])
+            n = json_number(doc["n"], "QUBO 'n'", int)
             linear, quadratic = list(doc.get("linear", [])), list(doc.get("quadratic", []))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"QUBO JSON needs an integer 'n' and list values: {exc}") from exc
-        a = float(doc.get("a", 0.0))
+        if not 0 <= n <= MAX_QUBITS:  # before the dense n x n allocation below
+            raise ParseError(f"QUBO 'n' = {n} is outside [0, {MAX_QUBITS}]")
+        a = json_number(doc.get("a", 0.0), "QUBO 'a'")
         if len(linear) > n:
             raise ParseError(f"QUBO 'linear' has {len(linear)} entries for n={n}")
         lin = np.zeros(n)
         for j, c in enumerate(linear):
-            lin[j] = float(c)
+            lin[j] = json_number(c, f"QUBO 'linear' entry {j + 1}")
         quad = np.zeros((n, n))
         for entry in quadratic:
             try:
                 j, k, d = entry
                 j, k, d = int(j), int(k), float(d)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"quadratic entry {entry!r} is not [j, k, d]") from exc
             if not (1 <= j <= n and 1 <= k <= n) or j == k:
                 raise ParseError(f"bad quadratic entry {entry!r} for n={n}")
@@ -254,7 +263,7 @@ def penalty_spec_from_json(text: str) -> PenaltySpec:
     (null weight means choose automatically)."""
     doc = load_json(text)
     try:
-        n = int(doc["n"])
+        n = json_number(doc["n"], "penalty spec 'n'", int)
         raw_objective = doc["objective"]
         raw_penalties = list(doc["penalties"])
     except (KeyError, TypeError) as exc:
@@ -272,7 +281,7 @@ def penalty_spec_from_json(text: str) -> PenaltySpec:
             g, w = parse_expr(entry["expr"], n), entry.get("weight")
         except (KeyError, TypeError) as exc:  # no 'expr', or not a string
             raise ParseError(f"penalty entry needs an 'expr' string: {entry!r}") from exc
-        penalties.append((auto_w if w is None else float(w), g))
+        penalties.append((auto_w if w is None else json_number(w, "penalty weight"), g))
     return PenaltySpec(objective, tuple(penalties))
 
 

@@ -97,10 +97,20 @@ def load_json(text: str):
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
+def json_number(value, what: str, kind: type = float):
+    """kind(value) for a number read from JSON; a value kind() rejects
+    (a list, an object, a non-numeric string) is a ParseError naming ``what``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{what} must be a number, got {value!r}") from exc
+
+
 def json_terms(doc: dict) -> tuple[int, list[tuple]]:
     """(n, [(label, coeff), ...]) of {"n": n, "terms": [{"paulis": ..., "coeff": ...}]}."""
     try:
-        return int(doc["n"]), [(t["paulis"], t["coeff"]) for t in doc["terms"]]
+        n = json_number(doc["n"], "operator 'n'", int)
+        return n, [(t["paulis"], t["coeff"]) for t in doc["terms"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"operator JSON needs 'n' and 'paulis'/'coeff' terms: {exc!r}") from exc
 

@@ -208,3 +208,118 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["compile", "--bogus"])
         assert exc.value.code == 1
+
+
+def one_line_usage_error(capsys, *argv):
+    """argv ends in exit 1 with one stderr line and no stdout, whether the
+    parser or a subcommand rejects it."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code == 1 and captured.out == "" and len(captured.err.splitlines()) == 1
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    paths = {
+        "cnf": tmp_path / "or.cnf",
+        "qubo": tmp_path / "q.json",
+        "ham": tmp_path / "h.json",
+        "spec": tmp_path / "spec.json",
+    }
+    paths["cnf"].write_text("p cnf 2 1\n1 2 0\n")
+    paths["qubo"].write_text('{"n": 2, "a": 0, "linear": [1, 0], "quadratic": []}')
+    paths["ham"].write_text('{"n": 2, "terms": [{"paulis": "Z1", "coeff": 1.0}]}')
+    paths["spec"].write_text('{"n": 1, "objective": "x1", "penalties": []}')
+    return {name: str(path) for name, path in paths.items()}
+
+
+class TestRegisterSize:
+    # -n is the register size for -e and --dimacs alike: x1 | x2 holds on
+    # 3 of the 4 assignments of x1, x2, and on 12 of 16 in a 4-qubit register
+
+    def test_count_dimacs_reads_n(self, inputs, capsys):
+        assert run(capsys, "count", "--dimacs", inputs["cnf"], "-n", "4")[:2] == (0, "12\n")
+        assert run(capsys, "count", "-e", "x1 | x2", "-n", "4")[:2] == (0, "12\n")
+        assert run(capsys, "count", "--dimacs", inputs["cnf"])[:2] == (0, "3\n")
+
+    def test_compile_dimacs_matches_expression(self, inputs, capsys):
+        _, from_expr, _ = run(capsys, "compile", "-e", "x1 | x2", "-n", "3")
+        for mode in ("sat", "maxsat"):
+            code, out, _ = run(
+                capsys, "compile", "--dimacs", inputs["cnf"], "--mode", mode, "-n", "3"
+            )
+            assert code == 0 and out == from_expr
+
+    def test_n_below_the_dimacs_header(self, inputs, capsys):
+        for argv in (["count"], ["compile", "--mode", "maxsat"]):
+            assert one_line_usage_error(capsys, *argv, "--dimacs", inputs["cnf"], "-n", "1")
+
+
+class TestOneInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "-e", "x1", "--qubo", "{qubo}"],
+            ["compile", "--dimacs", "{cnf}", "--mode", "sat", "--qubo", "{qubo}"],
+            ["circuit", "-e", "x1", "--hamiltonian", "{ham}", "--gamma", "1"],
+            ["count", "-e", "x1", "--dimacs", "{cnf}"],
+            ["verify", "-e", "x1", "--qubo", "{qubo}"],
+        ],
+        ids=["compile", "compile-dimacs", "circuit", "count", "verify"],
+    )
+    def test_two_sources_exit_1(self, argv, inputs, capsys):
+        argv = [a.format(**inputs) for a in argv]
+        assert one_line_usage_error(capsys, *argv)
+
+    @pytest.mark.parametrize("command", [["compile"], ["circuit", "--gamma", "1"], ["count"]])
+    def test_no_source_exits_1(self, command, capsys):
+        assert one_line_usage_error(capsys, *command)
+
+    def test_gslogic_needs_an_expression(self, capsys):
+        assert one_line_usage_error(capsys, "gslogic", "-n", "2")
+
+
+class TestFlagsThatWouldBeIgnored:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "--qubo", "{qubo}", "-n", "3"],
+            ["circuit", "--hamiltonian", "{ham}", "--gamma", "1", "-n", "3"],
+            ["verify", "--qubo", "{qubo}", "-n", "3"],
+            ["verify", "-n", "3"],
+            ["compile", "-e", "x1", "--mode", "sat"],
+            ["fourier", "--inverse", "--prune-eps", "0.1", "{ham}"],
+        ],
+        ids=[
+            "n-with-qubo", "n-with-hamiltonian", "verify-n-with-qubo", "verify-n-alone",
+            "mode-without-dimacs", "inverse-prune",
+        ],
+    )
+    def test_exits_1_with_one_line(self, argv, inputs, capsys):
+        argv = [a.format(**inputs) for a in argv]
+        assert one_line_usage_error(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["circuit", "-e", "x1", "--gamma", "1", "--prune-eps", "0.1"],
+            ["qubo", "{qubo}", "--prune-eps", "0.1"],
+            ["count", "-e", "x1", "--prune-eps", "0.1"],
+            ["gslogic", "-e", "x1", "--prune-eps", "0.1"],
+            ["penalize", "{spec}", "--prune-eps", "0.1"],
+            ["verify", "-e", "x1", "--prune-eps", "0.1"],
+            ["fourier", "0111", "-n", "2"],
+            ["qubo", "{qubo}", "-n", "2"],
+            ["penalize", "{spec}", "-n", "2"],
+        ],
+        ids=[
+            "circuit-prune", "qubo-prune", "count-prune", "gslogic-prune", "penalize-prune",
+            "verify-prune", "fourier-n", "qubo-n", "penalize-n",
+        ],
+    )
+    def test_removed_flag_exits_1(self, argv, inputs, capsys):
+        argv = [a.format(**inputs) for a in argv]
+        assert one_line_usage_error(capsys, *argv)

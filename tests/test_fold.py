@@ -35,8 +35,6 @@ def run(capsys, *argv):
 
 
 class TestDeepFormulas:
-    # deep trees are never compared with ==: dataclass __eq__ recurses
-
     def test_not_chain(self):
         e = Var(1)
         for _ in range(DEPTH):
@@ -46,6 +44,13 @@ class TestDeepFormulas:
         assert truth_table(e, 1).tolist() == [0.0, 1.0]
         assert to_text(e) == "!" * DEPTH + "x1"
         assert compile_expr(e) == bit_projector(1, 1)
+        # equality, hashing and repr of an independently built twin
+        twin = Var(1)
+        for _ in range(DEPTH):
+            twin = Not(twin)
+        assert e == twin and hash(e) == hash(twin) and {e: 1}[twin] == 1
+        assert e != Not(twin) and e != Not(Var(2))
+        assert repr(e) == f"parse_expr({to_text(e)!r})"
 
     def test_alternating_and_or_chain(self):
         e = Var(1)

@@ -4,10 +4,14 @@ from the CLI, ParseError or QubitCountError from the library."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from boolham.boolexpr import parse_dimacs, parse_expr
+from boolham.circuits import parse_circuit
 from boolham.cli import main
 from boolham.compiler import QuboInstance, penalty_spec_from_json
-from boolham.errors import ParseError, QubitCountError
+from boolham.errors import BoolhamError, ParseError, QubitCountError
 from boolham.pauli import PauliOperator
 from boolham.zpoly import DiagonalHamiltonian
 
@@ -60,6 +64,37 @@ BAD_DOCUMENTS = {
         DiagonalHamiltonian.from_json_dict,
         {"n": 1, "terms": [{"paulis": "Z1"}]},
     ),
+    "qubo constant a list": (
+        ["qubo"], QuboInstance.from_json_dict, {"n": 1, "a": [1]},
+    ),
+    "qubo linear entry an object": (
+        ["compile", "--qubo"], QuboInstance.from_json_dict, {"n": 1, "linear": [{"x": 1}]},
+    ),
+    "penalty weight a list": (
+        ["penalize"],
+        read_penalty_spec,
+        {"n": 1, "objective": "x1", "penalties": [{"weight": [2], "expr": "x1"}]},
+    ),
+    "qubo constant not numeric": (
+        ["qubo"], QuboInstance.from_json_dict, {"n": 1, "a": "abc"},
+    ),
+    "penalty n not numeric": (
+        ["penalize"], read_penalty_spec, {"n": "abc", "objective": "x1", "penalties": []},
+    ),
+    "penalty weight not numeric": (
+        ["penalize"],
+        read_penalty_spec,
+        {"n": 1, "objective": "x1", "penalties": [{"weight": "heavy", "expr": "x1"}]},
+    ),
+    "qubo quadratic weight not numeric": (
+        ["qubo"], QuboInstance.from_json_dict, {"n": 2, "quadratic": [[1, 2, "abc"]]},
+    ),
+    "qubo n above the qubit limit": (
+        ["qubo"], QuboInstance.from_json_dict, {"n": 10**12},
+    ),
+    "operator n infinite": (
+        ["fourier", "--inverse"], DiagonalHamiltonian.from_json_dict, {"n": float("inf"), "terms": []},
+    ),
 }
 
 
@@ -101,3 +136,74 @@ class TestDiagonalLabels:
             DiagonalHamiltonian.from_json_dict(
                 {"n": 1, "terms": [{"paulis": "Z0", "coeff": 1.0}]}
             )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "qubits 2\ncx 1 1\n",
+        "qubits 2\ncrz 1 1 3\n",
+        "qubits 1\nrz 1 nan\n",
+        "qubits 1\nrz 1 inf\n",
+        "qubits -1\n",
+        "qubits 1 2\n",
+        "qubits 1\nphase nan\n",
+        "qubits 1\nrz 0 1\n",
+        "qubits 1\ncx 1 2\n",
+    ],
+    ids=[
+        "cx repeated qubit", "crz repeated qubit", "nan angle", "infinite angle",
+        "negative qubit count", "extra header field", "nan phase", "qubit zero",
+        "qubit above count",
+    ],
+)
+def test_malformed_circuit_names_the_line(text):
+    with pytest.raises(ParseError, match=f"line {len(text.splitlines())}"):
+        parse_circuit(text)
+
+
+# -- token soup: parsers raise only the package's own errors ----------------
+
+FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=400)
+
+
+def soup(heads, tokens, prefixes=("",)):
+    """A prefix, then lines of one head token and up to four more tokens."""
+    line = st.tuples(st.sampled_from(heads), st.lists(st.sampled_from(tokens), max_size=4))
+    lines = st.lists(line.map(lambda t: " ".join((t[0], *t[1]))), max_size=6)
+    return st.tuples(st.sampled_from(prefixes), lines.map("\n".join)).map("".join)
+
+
+def raises_only_package_errors(parse, text):
+    try:
+        parse(text)
+    except BoolhamError:
+        pass
+
+
+NUMBERS = ["-1", "0", "1", "2", "0.5", "nan", "x1"]
+EXPRESSION = ["x0", "x1", "x2", "x99999999999999999999", "x", "!", "&", "|", "^", "=>",
+              "=", "(", ")", "0", "1", "2", "@"]
+
+
+@FUZZ
+@given(soup(
+    ["qubits", "phase", "cx 1", "rz 1", "h", "x", "crz 2 1", "ccrz 3 1", "#", "foo"], NUMBERS,
+    prefixes=("", "qubits 3\n", "qubits 3\nphase 0.5\n"),
+))
+def test_circuit_soup(text):
+    raises_only_package_errors(parse_circuit, text)
+
+
+@FUZZ
+@given(soup(EXPRESSION, EXPRESSION))
+def test_expression_soup(text):
+    raises_only_package_errors(parse_expr, text)
+
+
+@FUZZ
+@given(soup(
+    ["p", "c", *NUMBERS], ["cnf", "wcnf", *NUMBERS], prefixes=("", "p cnf 3 2\n", "p wcnf 3 2\n")
+))
+def test_dimacs_soup(text):
+    raises_only_package_errors(parse_dimacs, text)

@@ -156,6 +156,8 @@ def _cmd_penalize(args) -> int:
 
 
 def _cmd_jw(args) -> int:
+    if args.n < 1:
+        raise ParseError(f"jw needs at least 1 mode, got {args.n}")
     for j in range(1, args.n + 1):
         a = jordan_wigner(args.n, j, "lowering")
         adag = jordan_wigner(args.n, j, "raising")
@@ -166,6 +168,8 @@ def _cmd_jw(args) -> int:
 
 def _cmd_verify(args) -> int:
     source, cap = _source(args, required=False), args.dense_cap
+    if cap < 1:
+        raise ParseError(f"--dense-cap must be at least 1, got {cap}")
     if source == "expr":
         e = parse_expr(args.expr, args.n)
         checks = verify.expression_checks("input", e, register_size(e, args.n), dense_cap=cap)
@@ -240,14 +244,14 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="penalty spec JSON path ('-' for stdin)")
 
     p = _subcommand(sub, "jw", _cmd_jw, "Jordan-Wigner ladder operator table")
-    p.add_argument("n", type=int, help="number of modes/qubits")
+    p.add_argument("n", type=int, help="number of modes/qubits (at least 1)")
 
     p = _subcommand(sub, "verify", _cmd_verify,
                     "invariant suite on the bundled corpus, or on one -e/--qubo input",
                     "expr", "qubo", "n")
     p.add_argument(
         "--dense-cap", type=int, default=DENSE_CAP_DEFAULT,
-        help=f"qubit cap (default {DENSE_CAP_DEFAULT}, max {DENSE_CAP_MAX}): dense checks run "
+        help=f"qubit cap (default {DENSE_CAP_DEFAULT}, min 1, max {DENSE_CAP_MAX}): dense checks run "
         "at n <= min(8, cap), bit queries at n <= min(6, cap-1), kickback at "
         "n <= min(5, cap-2), so any cap of 8 or more runs the default's checks",
     )

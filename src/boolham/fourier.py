@@ -17,7 +17,7 @@ import numpy as np
 
 from . import boolexpr
 from .errors import ParseError, VerificationError
-from .zpoly import PRUNE_EPS, DiagonalHamiltonian, basis_index, check_table_cap
+from .zpoly import PRUNE_EPS, TABLE_CAP, DiagonalHamiltonian, basis_index, check_table_cap
 
 MAX_NORM_BOUND = 1.0 / 3.0
 
@@ -65,13 +65,15 @@ def fwht_inplace(a: np.ndarray) -> None:
     m = a.shape[0]
     if m & (m - 1) or m == 0:
         raise ValueError(f"length must be a power of two, got {m}")
+    half = np.empty(m // 2, dtype=a.dtype)  # the top halves, reused by every pass
     h = 1
     while h < m:
         blocks = a.reshape(-1, 2, h)
-        top = blocks[:, 0, :].copy()
+        top = half.reshape(-1, h)
+        np.copyto(top, blocks[:, 0, :])
         bottom = blocks[:, 1, :]
-        blocks[:, 0, :] = top + bottom
-        blocks[:, 1, :] = top - bottom
+        np.add(top, bottom, out=blocks[:, 0, :])
+        np.subtract(top, bottom, out=bottom)
         h *= 2
 
 
@@ -113,10 +115,16 @@ def projector_defect(h: DiagonalHamiltonian) -> float:
 def count_models(h: DiagonalHamiltonian, *, tol: float = 1e-6) -> int:
     """Number of satisfying assignments, read off the identity coefficient.
 
-    Only valid for operators representing 0/1-valued functions; validated
-    via the projector property h*h = h before rounding.
+    Only valid for operators representing 0/1-valued functions, checked
+    before rounding: up to TABLE_CAP qubits on the value table,
+    max_x |v(x)^2 - v(x)| (one transform, and never smaller than the
+    coefficient defect of h*h - h); above it through projector_defect.
     """
-    defect = projector_defect(h)
+    if h.n_qubits <= TABLE_CAP:
+        values = table_from_fourier(h).values
+        defect = float(np.max(np.abs(values * values - values)))
+    else:
+        defect = projector_defect(h)
     if defect > tol:
         raise VerificationError(
             f"operator is not a projector (defect {defect:.3g}); "

@@ -324,11 +324,17 @@ def verify_kickback_suite(
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues in ascending order; labels align with values for diagonal
-    operators and are None for dense inputs."""
+    """Eigenvalues in ascending order.
+
+    For a diagonal operator ``table`` is its unsorted 2^n value table
+    (entry x = eval(x)).  A state's place among the labels is its place in
+    a stable sort of the table: by value, ties by index.  Labels are built
+    only for the states a query returns.  Dense inputs have no table and
+    no labels.
+    """
 
     values: np.ndarray
-    labels: tuple[str, ...] | None = None
+    table: np.ndarray | None = None
 
     @property
     def min_value(self) -> float:
@@ -338,31 +344,37 @@ class Spectrum:
     def max_value(self) -> float:
         return float(self.values[-1])
 
+    @property
+    def labels(self) -> tuple[str, ...] | None:
+        """Every basis-state label, aligned with ``values``; None for dense inputs."""
+        if self.table is None:
+            return None
+        return self._labels(np.arange(self.table.size))
+
     def ground_states(self, tol: float = 1e-9) -> tuple[str, ...]:
-        if self.labels is None:
-            raise ValueError("dense spectra carry no basis-state labels")
-        lowest = self.min_value
-        return tuple(
-            lbl for v, lbl in zip(self.values, self.labels) if v <= lowest + tol
-        )
+        return self._labels(np.flatnonzero(self._diagonal() <= self.min_value + tol))
 
     def top_states(self, tol: float = 1e-9) -> tuple[str, ...]:
-        if self.labels is None:
+        return self._labels(np.flatnonzero(self._diagonal() >= self.max_value - tol))
+
+    def _diagonal(self) -> np.ndarray:
+        if self.table is None:
             raise ValueError("dense spectra carry no basis-state labels")
-        highest = self.max_value
-        return tuple(
-            lbl for v, lbl in zip(self.values, self.labels) if v >= highest - tol
-        )
+        return self.table
+
+    def _labels(self, states: np.ndarray) -> tuple[str, ...]:
+        # a stable sort of an increasing index subset keeps the full sort's order
+        order = states[np.argsort(self.table[states], kind="stable")]
+        n = (self.table.size - 1).bit_length()
+        return tuple(basis_label(int(x), n) for x in order)
 
 
 def spectrum(op, cap: int | None = None) -> Spectrum:
-    """Exhaustive spectrum: diagonal operators enumerate basis states
+    """Exhaustive spectrum: diagonal operators read their value table
     (n <= 24 via the transform), dense Hermitian matrices use eigvalsh."""
     if isinstance(op, DiagonalHamiltonian):
-        values = fourier.table_from_fourier(op).values
-        order = np.argsort(values, kind="stable")
-        labels = tuple(basis_label(int(i), op.n_qubits) for i in order)
-        return Spectrum(values[order], labels)
+        table = fourier.table_from_fourier(op).values
+        return Spectrum(np.sort(table), table)
     m = np.asarray(op)
     _check_cap((m.shape[0] - 1).bit_length(), cap)
-    return Spectrum(np.linalg.eigvalsh(m), None)
+    return Spectrum(np.linalg.eigvalsh(m))

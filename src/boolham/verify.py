@@ -9,6 +9,7 @@ reference against the compiled/emitted object and records a residual.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +17,13 @@ import numpy as np
 from . import boolexpr, circuits, compiler, fourier, oracle
 from .boolexpr import BoolExpr, Var, parse_expr, register_size, truth_table
 from .compiler import QuboInstance, compile_expr, compile_pseudo, qubo_objective
-from .zpoly import DiagonalHamiltonian, basis_label
+from .zpoly import TABLE_CAP, DiagonalHamiltonian, basis_label
 
 TOL = 1e-9
 GOLDEN_TOL = 1e-12
+# assignments the QUBO "eval matches polynomial" check samples above TABLE_CAP
+QUBO_SAMPLE_SIZE = 256
+QUBO_SAMPLE_SEED = 20180419
 
 
 @dataclass(frozen=True)
@@ -321,6 +325,9 @@ def expression_checks(
 def qubo_checks(
     name: str, q: QuboInstance, dense_cap: int = oracle.DENSE_CAP_DEFAULT
 ) -> list[CheckResult]:
+    """Closed form vs clause composition, values against the QUBO (every
+    assignment up to TABLE_CAP, a fixed sample above it), rotation counts,
+    and the evolution circuit where it fits under ``dense_cap``."""
     out: list[CheckResult] = []
     closed = compiler.compile_qubo(q)
     via_clauses = compile_pseudo(qubo_objective(q), q.n_vars)
@@ -328,8 +335,15 @@ def qubo_checks(
         CheckResult(f"{name}: closed form vs composition", closed.max_coeff_diff(via_clauses), TOL)
     )
 
-    values = fourier.table_from_fourier(closed).values
-    direct = np.array([q.value(x) for x in range(1 << q.n_vars)])
+    n = q.n_vars
+    if n <= TABLE_CAP:
+        xs = range(1 << n)
+        values = fourier.table_from_fourier(closed).values
+    else:  # no table: a fixed sample that includes all-zeros and all-ones
+        rnd = random.Random(QUBO_SAMPLE_SEED)
+        xs = [0, (1 << n) - 1, *(rnd.getrandbits(n) for _ in range(QUBO_SAMPLE_SIZE - 2))]
+        values = np.array([closed.eval(x) for x in xs])
+    direct = np.array([q.value(x) for x in xs])
     out.append(CheckResult(f"{name}: eval matches polynomial", float(np.max(np.abs(values - direct))), TOL))
 
     profile = circuits.evolution_term_profile(closed)

@@ -323,3 +323,29 @@ class TestFlagsThatWouldBeIgnored:
     def test_removed_flag_exits_1(self, argv, inputs, capsys):
         argv = [a.format(**inputs) for a in argv]
         assert one_line_usage_error(capsys, *argv)
+
+
+class TestBounds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "-e", "x1 & x2", "--dense-cap", "-5"],
+            ["verify", "--dense-cap", "0"],
+            ["jw", "-3"],
+            ["jw", "0"],
+        ],
+        ids=["dense-cap-negative", "dense-cap-zero", "jw-negative", "jw-zero"],
+    )
+    def test_exits_1_with_one_line(self, argv, capsys):
+        assert one_line_usage_error(capsys, *argv)
+
+    def test_verify_qubo_above_the_table_cap(self, tmp_path, capsys):
+        # 30 variables: no value table, so eval is checked on a sample
+        q = tmp_path / "q30.json"
+        linear = [(-1) ** j * (j + 1) / 4 for j in range(30)]
+        quadratic = [[j, j + 1, 0.5] for j in range(1, 30)]
+        q.write_text(json.dumps({"n": 30, "a": 1, "linear": linear, "quadratic": quadratic}))
+        code, out, _ = run(capsys, "verify", "--qubo", str(q))
+        lines = out.splitlines()
+        assert code == 0 and lines[-1] == "3 checks, 0 failures: PASS"
+        assert any("eval matches polynomial" in line for line in lines)

@@ -130,6 +130,13 @@ class TestCountModels:
         with pytest.raises(VerificationError):
             count_models(h)
 
+    def test_above_the_table_cap(self):
+        # no value table at n = 30: the projector check runs on coefficients
+        h = compile_expr(parse_expr("x1 & x2"), 30)
+        assert count_models(h) == 1 << 28
+        with pytest.raises(VerificationError):
+            count_models(h + DiagonalHamiltonian(30, {0: 0.25}))
+
 
 class TestMaxNormChecker:
     AND_APPROX = DiagonalHamiltonian(

@@ -1,12 +1,15 @@
 """The paper's identities on random inputs: the transform, circuit text,
-gate lowering and evolution circuits, checked against the dense oracle."""
+gate lowering, evolution circuits, spectra and model counts, checked
+against the dense oracle or the truth table."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from boolham.boolexpr import truth_table
 from boolham.circuits import (
     emit_bit_query,
     emit_evolution,
@@ -14,10 +17,12 @@ from boolham.circuits import (
     parse_circuit,
     serialize,
 )
-from boolham.fourier import fwht_inplace
-from boolham.oracle import expm_zham, simulate_circuit
-from boolham.zpoly import DiagonalHamiltonian
-from test_fold import PROPERTY, formulas
+from boolham.compiler import compile_expr
+from boolham.errors import VerificationError
+from boolham.fourier import count_models, fwht_inplace
+from boolham.oracle import expm_zham, simulate_circuit, spectrum, zham_diagonal
+from boolham.zpoly import DiagonalHamiltonian, basis_label
+from test_fold import PROPERTY, formula_and_size, formulas
 
 coeffs = st.floats(-2.0, 2.0, allow_nan=False)
 angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
@@ -68,3 +73,42 @@ def test_bit_query_text_round_trip_and_lowering(case):
 @given(hamiltonians(8), angles)
 def test_evolution_circuit_matches_expm(h, gamma):
     assert maxdiff(simulate_circuit(emit_evolution(h, gamma)), expm_zham(h, gamma)) <= 1e-9
+
+
+# half-integer coefficients keep every value exact, so values tie often
+half_integers = st.integers(-4, 4).map(lambda k: k / 2)
+tied_hamiltonians = st.integers(0, 10).flatmap(
+    lambda n: st.dictionaries(st.integers(0, (1 << n) - 1), half_integers, max_size=6).map(
+        lambda terms: DiagonalHamiltonian(n, terms)
+    )
+)
+
+
+@PROPERTY
+@given(tied_hamiltonians, st.sampled_from([1e-9, 0.5, 1.0]))
+def test_spectrum_matches_a_full_stable_sort(h, tol):
+    diag = zham_diagonal(h)
+    order = np.argsort(diag, kind="stable")
+    values = diag[order]
+    labels = tuple(basis_label(int(x), h.n_qubits) for x in order)
+    spec = spectrum(h)
+    assert spec.values.tobytes() == values.tobytes()
+    assert spec.labels == labels
+    lowest, highest = values[0], values[-1]
+    assert spec.ground_states(tol) == tuple(
+        lbl for v, lbl in zip(values, labels) if v <= lowest + tol
+    )
+    assert spec.top_states(tol) == tuple(
+        lbl for v, lbl in zip(values, labels) if v >= highest - tol
+    )
+
+
+@PROPERTY
+@given(formula_and_size)
+def test_count_models_matches_the_truth_table(case):
+    e, n = case
+    h = compile_expr(e, n)
+    assert count_models(h) == int(truth_table(e, n).sum())
+    # shifted by 1/4, every value lies off {0, 1}
+    with pytest.raises(VerificationError, match="not a projector"):
+        count_models(h + DiagonalHamiltonian(n, {0: 0.25}))

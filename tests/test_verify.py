@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from boolham import compiler
 from boolham.boolexpr import max_var
 from boolham.verify import (
     CheckResult,
@@ -14,6 +15,7 @@ from boolham.verify import (
     basic_clause_cases,
     three_variable_cases,
 )
+from boolham.zpoly import DiagonalHamiltonian
 
 
 def test_golden_tables_have_expected_shape():
@@ -66,3 +68,16 @@ def test_report_flags_failures():
     assert not report.passed
     assert len(report.failures) == 1
     assert "FAIL" in report.lines()[-1]
+
+
+def test_qubo_eval_is_sampled_above_the_table_cap(rng, monkeypatch):
+    q = random_qubo(rng, 30)
+    checks = qubo_checks("q", q)
+    assert len(checks) == 3 and all(c.passed for c in checks)
+    # a wrong closed form is caught on the sample: an extra identity term of 1 shifts every value
+    exact = compiler.compile_qubo(q)
+    monkeypatch.setattr(
+        compiler, "compile_qubo", lambda _: exact + DiagonalHamiltonian(30, {0: 1.0})
+    )
+    evals = [c for c in qubo_checks("q", q) if c.name == "q: eval matches polynomial"]
+    assert len(evals) == 1 and abs(evals[0].residual - 1.0) < 1e-9

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .boolexpr import BoolExpr, register_size
 from .compiler import QuboInstance, compile_expr, compile_qubo
@@ -117,20 +118,19 @@ class Circuit:
 # -- emitters ------------------------------------------------------------
 
 
-def _ladder_term(gates: list[Gate], qubits: tuple[int, ...], angle: float) -> None:
-    """CNOT ladder down the term, rotation on the largest qubit, reverse ladder."""
-    for a, b in zip(qubits, qubits[1:]):
-        gates.append(cx(a, b))
-    gates.append(rz(qubits[-1], angle))
-    for a, b in reversed(list(zip(qubits, qubits[1:]))):
-        gates.append(cx(a, b))
+def _ladder_term(gates: list[Gate], qubits: tuple[int, ...], rotation: Gate) -> None:
+    """CNOT ladder down the term, the rotation on its largest qubit, reverse ladder."""
+    ladder = [cx(a, b) for a, b in zip(qubits, qubits[1:])]
+    gates.extend(ladder)
+    gates.append(rotation)
+    gates.extend(reversed(ladder))  # gates are immutable, so both halves share them
 
 
 def emit_evolution(ham: DiagonalHamiltonian, gamma: float) -> Circuit:
     """Circuit for exp(-i gamma H) from a diagonal Z-polynomial.
 
     Exact as an operator (global phase included).  Per term: identity ->
-    phase shift, single qubit -> one RZ, larger -> CNOT ladder + RZ.
+    phase shift, otherwise a CNOT ladder + RZ (a bare RZ for one qubit).
     """
     gates: list[Gate] = []
     phase = 0.0
@@ -139,10 +139,7 @@ def emit_evolution(ham: DiagonalHamiltonian, gamma: float) -> Circuit:
             phase -= gamma * w
             continue
         qs = qubits_of(mask)
-        if len(qs) == 1:
-            gates.append(rz(qs[0], 2.0 * gamma * w))
-        else:
-            _ladder_term(gates, qs, 2.0 * gamma * w)
+        _ladder_term(gates, qs, rz(qs[-1], 2.0 * gamma * w))
     return Circuit(ham.n_qubits, tuple(gates), phase)
 
 
@@ -201,11 +198,7 @@ def emit_bit_query(f: BoolExpr, n: int | None = None) -> Circuit:
             phase -= math.pi * w / 2.0
             continue
         qs = qubits_of(mask)
-        for a, b in zip(qs, qs[1:]):
-            gates.append(cx(a, b))
-        gates.append(crz(ancilla, qs[-1], 2.0 * math.pi * w))
-        for a, b in reversed(list(zip(qs, qs[1:]))):
-            gates.append(cx(a, b))
+        _ladder_term(gates, qs, crz(ancilla, qs[-1], 2.0 * math.pi * w))
     gates.append(h(ancilla))
     return Circuit(ancilla, tuple(gates), phase)
 
@@ -233,35 +226,25 @@ def controlled_phase_poly(
 # -- lowering -------------------------------------------------------------
 
 
-def lower_basic(c: Circuit) -> Circuit:
-    """Rewrite CRZ/CCRZ into CNOT + RZ (exact, no phase corrections needed)."""
-    out: list[Gate] = []
-    for g in c.gates:
+def _lowered(gates) -> Iterator[Gate]:
+    for g in gates:
         if g.name == "crz":
             ctrl, tgt = g.qubits
             half = g.angle / 2.0
-            out.extend([rz(tgt, half), cx(ctrl, tgt), rz(tgt, -half), cx(ctrl, tgt)])
+            yield from (rz(tgt, half), cx(ctrl, tgt), rz(tgt, -half), cx(ctrl, tgt))
         elif g.name == "ccrz":
             c1, c2, tgt = g.qubits
             half = g.angle / 2.0
-            for sub in (
-                crz(c2, tgt, half),
-                cx(c1, c2),
-                crz(c2, tgt, -half),
-                cx(c1, c2),
-                crz(c1, tgt, half),
-            ):
-                if sub.name == "crz":
-                    sc, st = sub.qubits
-                    quarter = sub.angle / 2.0
-                    out.extend(
-                        [rz(st, quarter), cx(sc, st), rz(st, -quarter), cx(sc, st)]
-                    )
-                else:
-                    out.append(sub)
+            yield from _lowered((
+                crz(c2, tgt, half), cx(c1, c2), crz(c2, tgt, -half), cx(c1, c2), crz(c1, tgt, half)
+            ))
         else:
-            out.append(g)
-    return Circuit(c.n_qubits, tuple(out), c.global_phase)
+            yield g
+
+
+def lower_basic(c: Circuit) -> Circuit:
+    """Rewrite CRZ/CCRZ into CNOT + RZ (exact, no phase corrections needed)."""
+    return Circuit(c.n_qubits, tuple(_lowered(c.gates)), c.global_phase)
 
 
 # -- text serialization ----------------------------------------------------

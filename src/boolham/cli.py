@@ -21,7 +21,7 @@ from .boolexpr import parse_dimacs, parse_expr, register_size
 from .errors import CapExceeded, ParseError, VerificationError
 from .oracle import DENSE_CAP_DEFAULT, DENSE_CAP_MAX
 from .pauli import jordan_wigner
-from .zpoly import DiagonalHamiltonian, format_coeff, load_json, term_label
+from .zpoly import DiagonalHamiltonian, format_coeff, term_label
 
 EXIT_PARSE = 1
 EXIT_CAP = 2
@@ -111,13 +111,8 @@ def _cmd_fourier(args) -> int:
         print(json.dumps([float(v) for v in table.values]))
         return 0
     text = _table_text(args.input).strip()
-    if text.startswith("["):
-        values = load_json(text)
-        h = fourier.fourier_from_table(
-            fourier.TruthTable((len(values) - 1).bit_length(), values)
-        )
-    else:
-        h = fourier.fourier_from_table(fourier.TruthTable.from_bits(text))
+    read = fourier.TruthTable.from_json if text.startswith("[") else fourier.TruthTable.from_bits
+    h = fourier.fourier_from_table(read(text))
     if args.prune_eps is not None:
         h = h.pruned(args.prune_eps)
     for mask, coeff in h.items():

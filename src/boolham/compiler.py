@@ -11,13 +11,15 @@ the formula with ``boolexpr.compose``, whose composition rules
 
 start from H_0 = 0, H_1 = I and H_xj = (I - Z_j)/2 and are applied pairwise
 for n-ary nodes.  Truth tables are never built, so the cost scales with
-intermediate sparsity rather than 2^n; a configurable guard aborts when an
-intermediate operator grows past ``size_cap`` terms (general formulas can
-be exponentially dense).
+intermediate sparsity rather than 2^n; a guard aborts when an intermediate
+operator grows past ``SIZE_CAP`` terms (general formulas can be
+exponentially dense).  Weighted clause sums (``compile_pseudo``,
+``augment_penalties``) add every clause into one term table and prune once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable
@@ -31,7 +33,6 @@ from .boolexpr import (
     PseudoBooleanObjective,
     Var,
     compose,
-    eval_expr,
     fold,
     parse_expr,
     register_size,
@@ -46,43 +47,50 @@ from .zpoly import (
     load_json,
 )
 
-DEFAULT_SIZE_CAP = 10**6
+SIZE_CAP = 10**6
 
 
-def _guard(h: DiagonalHamiltonian, size_cap: int) -> DiagonalHamiltonian:
-    if h.size > size_cap:
-        raise CapExceeded(
-            f"intermediate operator has {h.size} terms, exceeding cap {size_cap}"
-        )
-    return h
+def _guard(size: int, value=None):
+    """value, unless an intermediate of ``size`` terms is past SIZE_CAP."""
+    if size > SIZE_CAP:
+        raise CapExceeded(f"intermediate operator has {size} terms, exceeding cap {SIZE_CAP}")
+    return value
 
 
-def compile_expr(
-    e: BoolExpr, n: int | None = None, *, size_cap: int = DEFAULT_SIZE_CAP
-) -> DiagonalHamiltonian:
-    """Hamiltonian representing a Boolean formula: eval(x) = f(x) for all x."""
-    n = register_size(e, n)
+def _fold(e: BoolExpr, n: int) -> DiagonalHamiltonian:
+    """H_e on n qubits by the composition rules; e must use no variable above n."""
     identity = DiagonalHamiltonian.identity(n)
     var = partial(bit_projector, n)
-    step = partial(_guard, size_cap=size_cap)
+    step = lambda h: _guard(h.size, h)
     return fold(e, lambda node, values: compose(node, values, identity, var, step))
 
 
-def compile_pseudo(
-    obj: PseudoBooleanObjective,
-    n: int | None = None,
-    *,
-    size_cap: int = DEFAULT_SIZE_CAP,
+def _clause_sum(
+    base: DiagonalHamiltonian, clauses: Iterable[tuple[float, BoolExpr]]
 ) -> DiagonalHamiltonian:
+    """base + sum_j w_j H_fj in one term table, pruned once.  The clauses'
+    containers checked their variables when built, so they skip register_size."""
+    n = base.n_qubits
+    acc = dict(base.items())
+    for w, expr in clauses:
+        for mask, c in _fold(expr, n).items():
+            acc[mask] = acc.get(mask, 0.0) + w * c
+        _guard(len(acc))
+    return DiagonalHamiltonian(n, acc)
+
+
+def compile_expr(e: BoolExpr, n: int | None = None) -> DiagonalHamiltonian:
+    """Hamiltonian representing a Boolean formula: eval(x) = f(x) for all x."""
+    return _fold(e, register_size(e, n))
+
+
+def compile_pseudo(obj: PseudoBooleanObjective, n: int | None = None) -> DiagonalHamiltonian:
     """Weighted sum of clause Hamiltonians: eval(x) = sum_j w_j f_j(x)."""
     if n is None:
         n = obj.n_vars
     elif n < obj.n_vars:
         raise QubitCountError(f"objective declares {obj.n_vars} variables > n={n}")
-    total = DiagonalHamiltonian.zero(n)
-    for weight, expr in obj.clauses:
-        total = _guard(total + weight * compile_expr(expr, n, size_cap=size_cap), size_cap)
-    return total
+    return _clause_sum(DiagonalHamiltonian.zero(n), obj.clauses)
 
 
 # -- QUBO ----------------------------------------------------------------
@@ -159,6 +167,8 @@ class QuboInstance:
                 j, k, d = int(j), int(k), float(d)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"quadratic entry {entry!r} is not [j, k, d]") from exc
+            if not math.isfinite(d):
+                raise ParseError(f"quadratic entry {entry!r} must be finite")
             if not (1 <= j <= n and 1 <= k <= n) or j == k:
                 raise ParseError(f"bad quadratic entry {entry!r} for n={n}")
             quad[j - 1, k - 1] += d
@@ -231,8 +241,8 @@ class PenaltySpec:
     def __post_init__(self):
         n = self.objective.n_qubits
         for w, g in self.penalties:
-            if w <= 0:
-                raise ValueError(f"penalty weights must be positive, got {w}")
+            if not (w > 0 and math.isfinite(w)):
+                raise ValueError(f"penalty weights must be positive and finite, got {w}")
             register_size(g, n)
 
     @classmethod
@@ -242,19 +252,10 @@ class PenaltySpec:
         w = auto_penalty_weight(objective)
         return cls(objective, tuple((w, g) for g in constraints))
 
-    def is_feasible(self, x) -> bool:
-        return all(eval_expr(g, x) == 0 for _, g in self.penalties)
 
-
-def augment_penalties(
-    spec: PenaltySpec, *, size_cap: int = DEFAULT_SIZE_CAP
-) -> DiagonalHamiltonian:
+def augment_penalties(spec: PenaltySpec) -> DiagonalHamiltonian:
     """H_p = H_f + sum_j w_j H_gj."""
-    n = spec.objective.n_qubits
-    total = spec.objective
-    for w, g in spec.penalties:
-        total = _guard(total + w * compile_expr(g, n, size_cap=size_cap), size_cap)
-    return total
+    return _clause_sum(spec.objective, spec.penalties)
 
 
 def penalty_spec_from_json(text: str) -> PenaltySpec:
@@ -282,15 +283,16 @@ def penalty_spec_from_json(text: str) -> PenaltySpec:
         except (KeyError, TypeError) as exc:  # no 'expr', or not a string
             raise ParseError(f"penalty entry needs an 'expr' string: {entry!r}") from exc
         penalties.append((auto_w if w is None else json_number(w, "penalty weight"), g))
-    return PenaltySpec(objective, tuple(penalties))
+    try:
+        return PenaltySpec(objective, tuple(penalties))
+    except ValueError as exc:  # a weight that is not positive
+        raise ParseError(str(exc)) from exc
 
 
 # -- ground-state logic ----------------------------------------------------
 
 
-def ground_state_logic(
-    f: BoolExpr, n: int | None = None, *, size_cap: int = DEFAULT_SIZE_CAP
-) -> DiagonalHamiltonian:
+def ground_state_logic(f: BoolExpr, n: int | None = None) -> DiagonalHamiltonian:
     """Encode input-output pairs of f in the zero-eigenvalue subspace.
 
     Returns the (n+1)-qubit operator H = I (x) x_a + H_f (x) Z_a with the
@@ -298,11 +300,6 @@ def ground_state_logic(
     y = f(x) and eigenvalue 1 otherwise, so the ground space is exactly
     span{|x>|f(x)>}.
     """
-    n = register_size(f, n)
-    hf = compile_expr(f, n, size_cap=size_cap)
-    ancilla = n + 1
-    terms = {0: 0.5, 1 << (ancilla - 1): -0.5}  # I (x) x_a
-    for mask, coeff in hf.items():  # H_f (x) Z_a
-        amask = mask | (1 << (ancilla - 1))
-        terms[amask] = terms.get(amask, 0.0) + coeff
-    return DiagonalHamiltonian(ancilla, terms)
+    hf = compile_expr(f, n)
+    ancilla = hf.n_qubits + 1
+    return bit_projector(ancilla, ancilla) + hf.tensor(DiagonalHamiltonian(1, {1: 1.0}))

@@ -17,9 +17,18 @@ import numpy as np
 
 from . import boolexpr
 from .errors import ParseError, VerificationError
-from .zpoly import PRUNE_EPS, TABLE_CAP, DiagonalHamiltonian, basis_index, check_table_cap
+from .zpoly import (
+    PRUNE_EPS,
+    TABLE_CAP,
+    DiagonalHamiltonian,
+    basis_index,
+    check_table_cap,
+    json_number,
+    load_json,
+)
 
 MAX_NORM_BOUND = 1.0 / 3.0
+PROJECTOR_TOL = 1e-6  # largest defect count_models accepts before rounding
 
 
 @dataclass(frozen=True)
@@ -46,6 +55,18 @@ class TruthTable:
         if len(bits) != 1 << n or any(ch not in "01" for ch in bits):
             raise ParseError(f"truth table string must be 2^n bits of 0/1: {bits!r}")
         return cls(n, np.array([float(ch) for ch in bits]))
+
+    @classmethod
+    def from_json(cls, text: str) -> "TruthTable":
+        """Table from a JSON vector of 2^n finite numbers, index 0 first."""
+        doc = load_json(text)
+        if not isinstance(doc, list):
+            raise ParseError(f"truth table JSON must be a list, got {type(doc).__name__}")
+        values = [json_number(v, f"table entry {i}") for i, v in enumerate(doc)]
+        n = (len(values) - 1).bit_length()
+        if len(values) != 1 << n:
+            raise ParseError(f"truth table vector must have 2^n entries, got {len(values)}")
+        return cls(n, np.array(values))
 
     def value(self, x) -> float:
         return float(self.values[basis_index(x, self.n)])
@@ -77,9 +98,7 @@ def fwht_inplace(a: np.ndarray) -> None:
         h *= 2
 
 
-def fourier_from_table(
-    table: TruthTable | np.ndarray, *, eps: float = PRUNE_EPS
-) -> DiagonalHamiltonian:
+def fourier_from_table(table: TruthTable | np.ndarray) -> DiagonalHamiltonian:
     """Fourier coefficients of a real table as a sparse Z-polynomial."""
     if isinstance(table, TruthTable):
         n, values = table.n, table.values
@@ -92,8 +111,8 @@ def fourier_from_table(
     coeffs = values.copy()
     fwht_inplace(coeffs)
     coeffs /= float(1 << n)
-    (masks,) = np.nonzero(np.abs(coeffs) >= eps)
-    return DiagonalHamiltonian(n, ((int(m), float(coeffs[m])) for m in masks), eps=eps)
+    (masks,) = np.nonzero(np.abs(coeffs) >= PRUNE_EPS)
+    return DiagonalHamiltonian(n, ((int(m), float(coeffs[m])) for m in masks))
 
 
 def table_from_fourier(h: DiagonalHamiltonian) -> TruthTable:
@@ -112,7 +131,7 @@ def projector_defect(h: DiagonalHamiltonian) -> float:
     return (h * h).max_coeff_diff(h)
 
 
-def count_models(h: DiagonalHamiltonian, *, tol: float = 1e-6) -> int:
+def count_models(h: DiagonalHamiltonian) -> int:
     """Number of satisfying assignments, read off the identity coefficient.
 
     Only valid for operators representing 0/1-valued functions, checked
@@ -125,7 +144,7 @@ def count_models(h: DiagonalHamiltonian, *, tol: float = 1e-6) -> int:
         defect = float(np.max(np.abs(values * values - values)))
     else:
         defect = projector_defect(h)
-    if defect > tol:
+    if defect > PROJECTOR_TOL:
         raise VerificationError(
             f"operator is not a projector (defect {defect:.3g}); "
             "model counting needs a Boolean-compiled Hamiltonian"

@@ -29,6 +29,7 @@ from .zpoly import DiagonalHamiltonian, basis_label
 
 DENSE_CAP_DEFAULT = 12
 DENSE_CAP_MAX = 14
+KICKBACK_TIMES = (1.0, math.pi)  # evolution times of the kickback sandwich checks
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -256,7 +257,6 @@ class KickbackReport:
 def verify_kickback_suite(
     f: BoolExpr,
     n: int | None = None,
-    t_values: tuple[float, ...] = (1.0, math.pi),
     cap: int | None = None,
 ) -> KickbackReport:
     """Demonstrate the bit-query / phase-query equivalences densely.
@@ -298,7 +298,7 @@ def verify_kickback_suite(
     b_bits = ((idx_full >> np.uint64(n + 1)) & 1).astype(np.float64)
     r3 = 0.0
     r4 = 0.0
-    for t in t_values:
+    for t in KICKBACK_TIMES:
         target_ax = dense_controlled(
             Var(1), np.diag(np.exp(-1j * t * zham_diagonal(hf))), n_ctrl=1, cap=cap
         )

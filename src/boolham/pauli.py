@@ -14,6 +14,7 @@ Qubit numbering and mask conventions follow zpoly: bit j-1 <-> qubit j.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
@@ -310,8 +311,10 @@ class PauliOperator:
         for label, raw in entries:
             try:
                 coeff = complex(*raw) if isinstance(raw, list) and len(raw) == 2 else complex(raw)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"bad operator coefficient {raw!r}") from exc
+            if not cmath.isfinite(coeff):
+                raise ParseError(f"operator coefficient must be finite, got {raw!r}")
             terms.append((PauliString.from_label(n, label), coeff))
         return cls(n, terms)
 

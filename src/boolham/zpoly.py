@@ -22,6 +22,7 @@ immutable after construction; every operation returns a fresh object.
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import CapExceeded, ParseError, QubitCountError
@@ -90,20 +91,26 @@ def parse_pauli_label(label: str, n_qubits: int) -> tuple[int, int]:
 
 
 def load_json(text: str):
-    """json.loads, with malformed text raised as ParseError."""
+    """json.loads, with malformed or too deeply nested text raised as ParseError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nests too deeply") from exc
 
 
 def json_number(value, what: str, kind: type = float):
     """kind(value) for a number read from JSON; a value kind() rejects
-    (a list, an object, a non-numeric string) is a ParseError naming ``what``."""
+    (a list, an object, a non-numeric string) or a NaN/infinite float is a
+    ParseError naming ``what``."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what} must be a number, got {value!r}") from exc
+    if isinstance(number, float) and not math.isfinite(number):
+        raise ParseError(f"{what} must be finite, got {value!r}")
+    return number
 
 
 def json_terms(doc: dict) -> tuple[int, list[tuple]]:
@@ -194,14 +201,6 @@ class DiagonalHamiltonian:
     @classmethod
     def identity(cls, n_qubits: int) -> "DiagonalHamiltonian":
         return cls(n_qubits, {0: 1.0})
-
-    @classmethod
-    def z_product(cls, n_qubits: int, qubits: Iterable[int], coeff: float = 1.0):
-        """coeff * Z_{q1} Z_{q2} ... for 1-based qubit indices."""
-        mask = mask_of(qubits)
-        if mask >> n_qubits:
-            raise QubitCountError(f"qubit index exceeds register size {n_qubits}")
-        return cls(n_qubits, {mask: coeff})
 
     # -- inspection ---------------------------------------------------
 
@@ -374,7 +373,7 @@ class DiagonalHamiltonian:
                 raise ParseError(f"diagonal term label may hold only Z, got {label!r}")
             if not isinstance(coeff, (int, float)):
                 raise ParseError(f"diagonal coefficient must be real, got {coeff!r}")
-            terms.append((z_mask, float(coeff)))
+            terms.append((z_mask, json_number(coeff, f"coefficient of {label!r}")))
         return cls(n, terms)
 
     @classmethod

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from boolham import compiler
 from boolham.boolexpr import (
     And,
     Const,
@@ -96,17 +97,28 @@ class TestCompileExpr:
         with pytest.raises(QubitCountError):
             compile_expr(parse_expr("x3"), 2)
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
         wide_xor = parse_expr(" | ".join(f"x{j}" for j in range(1, 13)))
+        monkeypatch.setattr(compiler, "SIZE_CAP", 100)
         with pytest.raises(CapExceeded):
-            compile_expr(wide_xor, size_cap=100)
+            compile_expr(wide_xor)
 
     def test_constants(self):
         assert compile_expr(Const(0), 2).size == 0
         assert compile_expr(Const(1), 2) == DiagonalHamiltonian.identity(2)
 
 
+PAIRS = tuple(
+    (1.0, And((Var(j), Var(k)))) for j in range(1, 13) for k in range(j + 1, 13)
+)  # each clause has 4 terms; their sum has 1 + 12 + 66 = 79
+
+
 class TestCompilePseudo:
+    def test_sum_size_guard(self, monkeypatch):
+        monkeypatch.setattr(compiler, "SIZE_CAP", 50)
+        with pytest.raises(CapExceeded):
+            compile_pseudo(PseudoBooleanObjective(12, PAIRS))
+
     def test_complementary_pair_sums_to_identity(self):
         obj = PseudoBooleanObjective(1, ((1.0, Var(1)), (1.0, Not(Var(1)))))
         assert compile_pseudo(obj) == DiagonalHamiltonian.identity(1)
@@ -233,6 +245,16 @@ class TestPenalties:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             PenaltySpec(DiagonalHamiltonian.zero(1), ((0.0, Var(1)),))
+
+    @pytest.mark.parametrize("w", [float("nan"), float("inf")])
+    def test_nonfinite_weight_rejected(self, w):
+        with pytest.raises(ValueError):
+            PenaltySpec(DiagonalHamiltonian.zero(1), ((w, Var(1)),))
+
+    def test_sum_size_guard(self, monkeypatch):
+        monkeypatch.setattr(compiler, "SIZE_CAP", 50)
+        with pytest.raises(CapExceeded):
+            augment_penalties(PenaltySpec(DiagonalHamiltonian.zero(12), PAIRS))
 
     def test_auto_weight_separates_spectra(self, rng):
         for _ in range(10):

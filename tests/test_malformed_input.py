@@ -2,6 +2,7 @@
 from the CLI, ParseError or QubitCountError from the library."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 from boolham.boolexpr import parse_dimacs, parse_expr
 from boolham.circuits import parse_circuit
 from boolham.cli import main
-from boolham.compiler import QuboInstance, penalty_spec_from_json
+from boolham.compiler import QuboInstance, augment_penalties, compile_qubo, penalty_spec_from_json
 from boolham.errors import BoolhamError, ParseError, QubitCountError
+from boolham.fourier import TruthTable, fourier_from_table
 from boolham.pauli import PauliOperator
 from boolham.zpoly import DiagonalHamiltonian
 
@@ -95,6 +97,37 @@ BAD_DOCUMENTS = {
     "operator n infinite": (
         ["fourier", "--inverse"], DiagonalHamiltonian.from_json_dict, {"n": float("inf"), "terms": []},
     ),
+    "operator coefficient NaN": (
+        ["circuit", "--gamma", "1", "--hamiltonian"],
+        DiagonalHamiltonian.from_json_dict,
+        {"n": 1, "terms": [{"paulis": "Z1", "coeff": float("nan")}]},
+    ),
+    "operator coefficient infinite": (
+        ["fourier", "--inverse"],
+        DiagonalHamiltonian.from_json_dict,
+        {"n": 1, "terms": [{"paulis": "Z1", "coeff": float("inf")}]},
+    ),
+    "penalty weight NaN": (
+        ["penalize"],
+        read_penalty_spec,
+        {"n": 2, "objective": "x1 | x2", "penalties": [{"weight": float("nan"), "expr": "x1"}]},
+    ),
+    "penalty weight infinite": (
+        ["penalize"],
+        read_penalty_spec,
+        {"n": 2, "objective": "x1 | x2", "penalties": [{"weight": float("inf"), "expr": "x1"}]},
+    ),
+    "penalty weight negative": (
+        ["penalize"],
+        read_penalty_spec,
+        {"n": 1, "objective": "x1", "penalties": [{"weight": -1, "expr": "x1"}]},
+    ),
+    "qubo quadratic weight NaN": (
+        ["qubo"], QuboInstance.from_json_dict, {"n": 2, "quadratic": [[1, 2, float("nan")]]},
+    ),
+    "qubo linear entry infinite": (
+        ["compile", "--qubo"], QuboInstance.from_json_dict, {"n": 2, "linear": [1, float("-inf")]},
+    ),
 }
 
 
@@ -113,6 +146,44 @@ def test_malformed_json_raises_parse_error(case):
     _, read, doc = BAD_DOCUMENTS[case]
     with pytest.raises(ParseError):
         read(doc)
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "--qubo"],
+        ["qubo"],
+        ["penalize"],
+        ["fourier", "--inverse"],
+        ["circuit", "--gamma", "1", "--hamiltonian"],
+        ["verify", "--qubo"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_deeply_nested_json_exits_1_with_one_line(argv, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("boolham: parse error:")
+
+
+@pytest.mark.parametrize("vector", ["[1, null]", "[1, {}]", "[1e400, 0]", "[1, NaN]", "[1, 2, 3]"])
+def test_fourier_vector_entries_are_finite_numbers(vector, capsys):
+    code, out, err = run(capsys, "fourier", vector)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("boolham: parse error:")
+
+
+@pytest.mark.parametrize(
+    "coeff", [float("nan"), float("inf"), [1.0, float("nan")]], ids=["nan", "inf", "nan imaginary"]
+)
+def test_pauli_operator_coefficient_is_finite(coeff):
+    with pytest.raises(ParseError):
+        PauliOperator.from_json_dict({"n": 1, "terms": [{"paulis": "X1", "coeff": coeff}]})
 
 
 @pytest.mark.parametrize(
@@ -207,3 +278,87 @@ def test_expression_soup(text):
 ))
 def test_dimacs_soup(text):
     raises_only_package_errors(parse_dimacs, text)
+
+
+# -- JSON documents: readers raise only the package's own errors, and an
+# -- accepted document gives finite coefficients ------------------------------
+
+JSON_FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+
+# finite numbers stay below 1e6 in magnitude: sums of a few such entries
+# cannot overflow, so a non-finite output can only come from the input
+NUMBER = st.one_of(
+    st.integers(-3, 70),
+    st.floats(-1e6, 1e6),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 10**400, 10**12, True]),
+)
+JUNK = st.sampled_from([None, "", "x1", "2", [], {}, [1, 2], {"n": 1}])
+VALUE = st.one_of(NUMBER, JUNK)
+LABELS = st.sampled_from(["I", "Z1", "Z2", "Z1 Z2", "Z1Z3", "X1", "Z0", "Z1 Z1", "", "Q", 5])
+EXPRS = st.sampled_from(["x1", "x1 & x2", "!x2 | x3", "x1 ^ x2", "x4", "x1 &", "", 5])
+
+
+def documents(fields: dict):
+    """An object with every field of ``fields``; an object with any subset of
+    them, each plausible or junk; or not an object at all."""
+    loose = {k: st.one_of(v, VALUE) for k, v in fields.items()}
+    return st.one_of(
+        st.fixed_dictionaries(fields), st.fixed_dictionaries({}, optional=loose), JUNK
+    )
+
+
+TERMS = st.lists(documents({"paulis": LABELS, "coeff": NUMBER}), max_size=4)
+HAMILTONIAN = documents({"n": st.integers(1, 4), "terms": TERMS})
+QUBO = documents({
+    "n": st.integers(1, 4),
+    "a": NUMBER,
+    "linear": st.lists(NUMBER, max_size=5),
+    "quadratic": st.lists(st.lists(NUMBER, max_size=4), max_size=4),
+})
+PENALTY_SPEC = documents({
+    "n": st.integers(1, 4),
+    "objective": st.one_of(EXPRS, HAMILTONIAN),
+    "penalties": st.lists(
+        documents({"expr": EXPRS, "weight": st.one_of(st.none(), NUMBER)}), max_size=3
+    ),
+})
+
+
+def accepted(read, doc):
+    """read(json text of doc), or None when it raises one of the package's errors."""
+    try:
+        return read(json.dumps(doc))
+    except BoolhamError:
+        return None
+
+
+def all_finite(h) -> bool:
+    return all(math.isfinite(c) for _, c in h.items())
+
+
+@JSON_FUZZ
+@given(HAMILTONIAN)
+def test_hamiltonian_documents(doc):
+    h = accepted(DiagonalHamiltonian.from_json, doc)
+    assert h is None or all_finite(h)
+
+
+@JSON_FUZZ
+@given(QUBO)
+def test_qubo_documents(doc):
+    q = accepted(QuboInstance.from_json, doc)
+    assert q is None or all_finite(compile_qubo(q))
+
+
+@JSON_FUZZ
+@given(PENALTY_SPEC)
+def test_penalty_spec_documents(doc):
+    spec = accepted(penalty_spec_from_json, doc)
+    assert spec is None or all_finite(augment_penalties(spec))
+
+
+@JSON_FUZZ
+@given(st.one_of(st.lists(VALUE, max_size=9), VALUE))
+def test_fourier_vectors(doc):
+    table = accepted(TruthTable.from_json, doc)
+    assert table is None or all_finite(fourier_from_table(table))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boolham.boolexpr import truth_table
+from boolham.boolexpr import PseudoBooleanObjective, eval_expr, truth_table
 from boolham.circuits import (
     emit_bit_query,
     emit_evolution,
@@ -17,7 +17,7 @@ from boolham.circuits import (
     parse_circuit,
     serialize,
 )
-from boolham.compiler import compile_expr
+from boolham.compiler import PenaltySpec, augment_penalties, compile_expr, compile_pseudo
 from boolham.errors import VerificationError
 from boolham.fourier import count_models, fwht_inplace
 from boolham.oracle import expm_zham, simulate_circuit, spectrum, zham_diagonal
@@ -112,3 +112,47 @@ def test_count_models_matches_the_truth_table(case):
     # shifted by 1/4, every value lies off {0, 1}
     with pytest.raises(VerificationError, match="not a projector"):
         count_models(h + DiagonalHamiltonian(n, {0: 0.25}))
+
+
+# weights that are not multiples of 1/64, so clause sums carry rounding
+# error and the 1e-12 match with the per-clause running sum means something
+non_dyadic = st.floats(-5.0, 5.0, allow_nan=False).filter(lambda w: (w * 64) % 1 != 0)
+
+
+def weighted_clauses(weights):
+    """(n, [(w, f), ...]) with n <= 8 and up to six weighted formulas."""
+    return st.integers(1, 8).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.tuples(weights, formulas(n)), max_size=6))
+    )
+
+
+@PROPERTY
+@given(weighted_clauses(non_dyadic))
+def test_compile_pseudo_is_the_running_sum(case):
+    n, clauses = case
+    obj = PseudoBooleanObjective(n, tuple(clauses))
+    h = compile_pseudo(obj)
+    running = DiagonalHamiltonian.zero(n)
+    for w, e in clauses:
+        running = running + w * compile_expr(e, n)
+    assert h.max_coeff_diff(running) <= 1e-12
+    for x in range(1 << n):
+        assert abs(h.eval(x) - obj.value(x)) <= 1e-9
+
+
+@PROPERTY
+@given(
+    weighted_clauses(non_dyadic.map(abs)),
+    st.lists(coeffs, min_size=256, max_size=256),
+)
+def test_augment_penalties_is_the_running_sum(case, objective_coeffs):
+    n, penalties = case
+    objective = DiagonalHamiltonian(n, dict(enumerate(objective_coeffs[: 1 << n])))
+    h = augment_penalties(PenaltySpec(objective, tuple(penalties)))
+    running = objective
+    for w, g in penalties:
+        running = running + w * compile_expr(g, n)
+    assert h.max_coeff_diff(running) <= 1e-12
+    for x in range(1 << n):
+        value = objective.eval(x) + sum(w * eval_expr(g, x) for w, g in penalties)
+        assert abs(h.eval(x) - value) <= 1e-9

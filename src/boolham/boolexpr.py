@@ -23,6 +23,7 @@ x_1 as its least significant bit; sequences list (x_1, x_2, ...).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar, Union
@@ -482,6 +483,8 @@ def parse_dimacs(text: str) -> tuple[PseudoBooleanObjective, BoolExpr]:
                 current_weight = float(fields[0])
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: bad clause weight {fields[0]!r}") from exc
+            if not math.isfinite(current_weight):
+                raise ParseError(f"line {lineno}: clause weight {fields[0]!r} must be finite")
             start = 1
         for tok in fields[start:]:
             try:

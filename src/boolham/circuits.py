@@ -22,7 +22,7 @@ from typing import Iterator
 from .boolexpr import BoolExpr, register_size
 from .compiler import QuboInstance, compile_expr, compile_qubo
 from .errors import ParseError, QubitCountError
-from .zpoly import DiagonalHamiltonian, bit_projector, qubits_of
+from .zpoly import DiagonalHamiltonian, qubits_of
 
 # gate name -> number of qubit arguments, takes an angle
 _GATE_SHAPE = {
@@ -206,21 +206,6 @@ def emit_bit_query(f: BoolExpr, n: int | None = None) -> Circuit:
 def emit_phase_query(f: BoolExpr, n: int | None = None) -> Circuit:
     """Grover-style phase query exp(-i pi H_f) = diag((-1)^f(x))."""
     return emit_evolution(compile_expr(f, n), math.pi)
-
-
-def controlled_phase_poly(
-    ham: DiagonalHamiltonian, n_total: int, control: int
-) -> DiagonalHamiltonian:
-    """The Z-polynomial x_control * H on a larger register.
-
-    Simulating it for time t yields Lambda_{x_control}(exp(-i t H)).
-    """
-    if control <= ham.n_qubits or control > n_total:
-        raise QubitCountError(
-            f"control qubit {control} must lie outside the data register "
-            f"1..{ham.n_qubits} and within 1..{n_total}"
-        )
-    return ham.embedded(n_total) * bit_projector(n_total, control)
 
 
 # -- lowering -------------------------------------------------------------

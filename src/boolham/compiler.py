@@ -45,6 +45,7 @@ from .zpoly import (
     bit_projector,
     json_number,
     load_json,
+    require_finite,
 )
 
 SIZE_CAP = 10**6
@@ -76,6 +77,7 @@ def _clause_sum(
         for mask, c in _fold(expr, n).items():
             acc[mask] = acc.get(mask, 0.0) + w * c
         _guard(len(acc))
+    require_finite(acc.values(), "weighted clause sums")
     return DiagonalHamiltonian(n, acc)
 
 
@@ -187,16 +189,18 @@ def compile_qubo(q: QuboInstance) -> DiagonalHamiltonian:
     with c = 1/2 sum_j c_j, d = 1/4 sum_{j<k} d_jk, d_j = 1/2 sum_{k != j} d_jk.
     """
     n = q.n_vars
-    c_bar = 0.5 * float(np.sum(q.linear))
-    d_bar = 0.25 * float(np.sum(np.triu(q.quadratic, k=1)))
-    d_row = 0.5 * q.quadratic.sum(axis=1)
-    terms: dict[int, float] = {0: q.constant + c_bar + d_bar}
-    for j in range(n):
-        terms[1 << j] = terms.get(1 << j, 0.0) - 0.5 * (q.linear[j] + d_row[j])
+    with np.errstate(over="ignore", invalid="ignore"):  # sums are checked below
+        c_bar = 0.5 * float(np.sum(q.linear))
+        d_bar = 0.25 * float(np.sum(np.triu(q.quadratic, k=1)))
+        d_row = 0.5 * q.quadratic.sum(axis=1)
+        terms: dict[int, float] = {0: q.constant + c_bar + d_bar}
+        for j in range(n):
+            terms[1 << j] = terms.get(1 << j, 0.0) - 0.5 * (q.linear[j] + d_row[j])
     for j in range(n):
         for k in range(j + 1, n):
             if q.quadratic[j, k] != 0.0:
                 terms[(1 << j) | (1 << k)] = 0.25 * q.quadratic[j, k]
+    require_finite(terms.values(), "QUBO coefficients")
     return DiagonalHamiltonian(n, terms)
 
 

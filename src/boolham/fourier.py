@@ -109,8 +109,11 @@ def fourier_from_table(table: TruthTable | np.ndarray) -> DiagonalHamiltonian:
             raise ValueError(f"table length {values.shape} is not a power of two")
     check_table_cap(n)
     coeffs = values.copy()
-    fwht_inplace(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        fwht_inplace(coeffs)
     coeffs /= float(1 << n)
+    if not np.isfinite(coeffs).all():
+        raise ParseError("Fourier coefficients overflow the float range")
     (masks,) = np.nonzero(np.abs(coeffs) >= PRUNE_EPS)
     return DiagonalHamiltonian(n, ((int(m), float(coeffs[m])) for m in masks))
 

@@ -76,12 +76,6 @@ def dense_of_pauli(p: PauliOperator, cap: int | None = None) -> np.ndarray:
     return out
 
 
-def dense_of_expr(f: BoolExpr, n: int, cap: int | None = None) -> np.ndarray:
-    """Diagonal projector realization of a Boolean function (truth-table path)."""
-    _check_cap(n, cap)
-    return np.diag(truth_table(f, n)).astype(complex)
-
-
 # -- circuit simulation ----------------------------------------------------
 
 

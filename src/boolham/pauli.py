@@ -10,24 +10,26 @@ friends).  Operators fold each string's phase into a complex coefficient,
 keeping the stored keys canonical (phase 0).
 
 Qubit numbering and mask conventions follow zpoly: bit j-1 <-> qubit j.
+``PauliOperator`` shares its sum, scaling, comparison and text forms with
+``zpoly.DiagonalHamiltonian`` through their base ``zpoly.PauliSum``.
 """
 
 from __future__ import annotations
 
 import cmath
-import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import ParseError, QubitCountError
 from .zpoly import (
-    MAX_QUBITS,
     PAULI_LETTERS,
     PRUNE_EPS,
     DiagonalHamiltonian,
+    PauliSum,
+    check_register,
     format_coeff,
-    json_terms,
     parse_pauli_label,
+    qubit_bit,
 )
 
 
@@ -39,8 +41,7 @@ class PauliString:
     phase_pow: int = 0  # power of i multiplying the I/X/Y/Z tensor product
 
     def __post_init__(self):
-        if not 0 <= self.n_qubits <= MAX_QUBITS:
-            raise QubitCountError(f"qubit count {self.n_qubits} outside [0, {MAX_QUBITS}]")
+        check_register(self.n_qubits)
         limit = 1 << self.n_qubits
         if not (0 <= self.x_mask < limit and 0 <= self.z_mask < limit):
             raise QubitCountError("mask sets bits beyond the register size")
@@ -53,13 +54,11 @@ class PauliString:
     @classmethod
     def single(cls, n_qubits: int, letter: str, j: int) -> "PauliString":
         """One X/Y/Z on 1-based qubit j, identity elsewhere."""
-        if not 1 <= j <= n_qubits:
-            raise QubitCountError(f"qubit index {j} outside 1..{n_qubits}")
+        bit = qubit_bit(j, n_qubits)
         try:
             x, z = PAULI_LETTERS[letter]
         except KeyError:
             raise ValueError(f"letter must be one of I X Y Z, got {letter!r}") from None
-        bit = 1 << (j - 1)
         return cls(n_qubits, x * bit, z * bit)
 
     @classmethod
@@ -131,29 +130,17 @@ def _sort_key(s: PauliString) -> tuple[int, int]:
     return (s.z_mask, s.x_mask)
 
 
-def _format_complex(c: complex) -> str:
-    if c.imag == 0.0:
-        return format_coeff(c.real)
-    if c.real == 0.0:
-        return f"{format_coeff(c.imag)}i"
-    sign = "+" if c.imag >= 0 else "-"
-    return f"({format_coeff(c.real)}{sign}{format_coeff(abs(c.imag))}i)"
-
-
-class PauliOperator:
+class PauliOperator(PauliSum):
     """Immutable complex-weighted sum of canonical-phase Pauli strings."""
 
-    __slots__ = ("_n", "_terms")
+    __slots__ = ()
 
     def __init__(
         self,
         n_qubits: int,
         terms: Union[Mapping[PauliString, complex], Iterable[tuple[PauliString, complex]]] = (),
-        *,
-        eps: float = PRUNE_EPS,
     ):
-        if not 0 <= n_qubits <= MAX_QUBITS:
-            raise QubitCountError(f"qubit count {n_qubits} outside [0, {MAX_QUBITS}]")
+        check_register(n_qubits)
         acc: dict[PauliString, complex] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for string, coeff in items:
@@ -165,14 +152,10 @@ class PauliOperator:
             acc[key] = acc.get(key, 0j) + complex(coeff) * string.phase
         self._n = n_qubits
         self._terms = {
-            s: acc[s] for s in sorted(acc, key=_sort_key) if abs(acc[s]) >= eps
+            s: acc[s] for s in sorted(acc, key=_sort_key) if abs(acc[s]) >= PRUNE_EPS
         }
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "PauliOperator":
-        return cls(n_qubits)
 
     @classmethod
     def identity(cls, n_qubits: int) -> "PauliOperator":
@@ -191,45 +174,13 @@ class PauliOperator:
 
     # -- inspection ---------------------------------------------------
 
-    @property
-    def n_qubits(self) -> int:
-        return self._n
-
-    @property
-    def size(self) -> int:
-        return len(self._terms)
-
     def coeff(self, string: PauliString) -> complex:
         return self._terms.get(string.canonical(), 0j) * string.phase.conjugate()
-
-    def items(self) -> Iterator[tuple[PauliString, complex]]:
-        return iter(self._terms.items())
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return all(abs(c.imag) <= tol for c in self._terms.values())
 
     # -- arithmetic ---------------------------------------------------
-
-    def _require_same_register(self, other: "PauliOperator") -> None:
-        if self._n != other._n:
-            raise QubitCountError(f"qubit-count mismatch: {self._n} vs {other._n}")
-
-    def __add__(self, other: "PauliOperator") -> "PauliOperator":
-        if not isinstance(other, PauliOperator):
-            return NotImplemented
-        self._require_same_register(other)
-        acc = dict(self._terms)
-        for s, c in other._terms.items():
-            acc[s] = acc.get(s, 0j) + c
-        return PauliOperator(self._n, acc)
-
-    def __sub__(self, other: "PauliOperator") -> "PauliOperator":
-        if not isinstance(other, PauliOperator):
-            return NotImplemented
-        return self + (-1.0) * other
-
-    def __neg__(self) -> "PauliOperator":
-        return (-1.0) * self
 
     def __mul__(self, other):
         if isinstance(other, PauliOperator):
@@ -250,49 +201,24 @@ class PauliOperator:
             return self.scaled(complex(other))
         return NotImplemented
 
-    def scaled(self, w: complex) -> "PauliOperator":
-        return PauliOperator(self._n, {s: w * c for s, c in self._terms.items()})
-
     def adjoint(self) -> "PauliOperator":
         # canonical strings are Hermitian, so only coefficients conjugate
         return PauliOperator(
             self._n, {s: c.conjugate() for s, c in self._terms.items()}
         )
 
-    # -- comparison ---------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PauliOperator):
-            return NotImplemented
-        return self._n == other._n and self._terms == other._terms
-
-    def allclose(self, other: "PauliOperator", tol: float = 1e-9) -> bool:
-        if self._n != other._n:
-            return False
-        for s in self._terms.keys() | other._terms.keys():
-            if abs(self._terms.get(s, 0j) - other._terms.get(s, 0j)) > tol:
-                return False
-        return True
-
     # -- serialization ------------------------------------------------
 
-    def to_text(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for i, (s, c) in enumerate(self._terms.items()):
-            # pull a real sign out front when possible, like the diagonal form
-            if c.imag == 0.0 and c.real < 0:
-                sign, mag = "-", format_coeff(-c.real)
-            elif c.real == 0.0 and c.imag < 0:
-                sign, mag = "-", f"{format_coeff(-c.imag)}i"
-            else:
-                sign, mag = "+", _format_complex(c)
-            if i == 0:
-                parts.append(f"{'-' if sign == '-' else ''}{mag} {s.label(sep='')}")
-            else:
-                parts.append(f"{sign} {mag} {s.label(sep='')}")
-        return " ".join(parts)
+    def _term_text(self, s: PauliString, c: complex) -> tuple[bool, str, str]:
+        # a real or imaginary coefficient puts its sign out front, like the
+        # diagonal form; a general one is printed whole, in parentheses
+        label = s.label(sep="")
+        if c.imag == 0.0:
+            return c.real < 0, format_coeff(abs(c.real)), label
+        if c.real == 0.0:
+            return c.imag < 0, f"{format_coeff(abs(c.imag))}i", label
+        sign = "+" if c.imag >= 0 else "-"
+        return False, f"({format_coeff(c.real)}{sign}{format_coeff(abs(c.imag))}i)", label
 
     def to_json_dict(self) -> dict:
         entries = []
@@ -301,25 +227,15 @@ class PauliOperator:
             entries.append({"paulis": s.label(), "coeff": coeff})
         return {"n": self._n, "terms": entries}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "PauliOperator":
-        n, entries = json_terms(doc)
-        terms = []
-        for label, raw in entries:
-            try:
-                coeff = complex(*raw) if isinstance(raw, list) and len(raw) == 2 else complex(raw)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ParseError(f"bad operator coefficient {raw!r}") from exc
-            if not cmath.isfinite(coeff):
-                raise ParseError(f"operator coefficient must be finite, got {raw!r}")
-            terms.append((PauliString.from_label(n, label), coeff))
-        return cls(n, terms)
-
-    def __repr__(self) -> str:
-        return f"PauliOperator({self._n}, {self.to_text()!r})"
+    @staticmethod
+    def _json_term(n: int, label, raw) -> tuple[PauliString, complex]:
+        try:
+            coeff = complex(*raw) if isinstance(raw, list) and len(raw) == 2 else complex(raw)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"bad operator coefficient {raw!r}") from exc
+        if not cmath.isfinite(coeff):
+            raise ParseError(f"operator coefficient must be finite, got {raw!r}")
+        return PauliString.from_label(n, label), coeff
 
 
 def anticommutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
@@ -351,10 +267,8 @@ def jordan_wigner(n_qubits: int, j: int, kind: str = "lowering") -> PauliOperato
     """
     if kind not in ("lowering", "raising"):
         raise ValueError(f"kind must be 'lowering' or 'raising', got {kind!r}")
-    if not 1 <= j <= n_qubits:
-        raise QubitCountError(f"qubit index {j} outside 1..{n_qubits}")
-    prefix = (1 << (j - 1)) - 1  # Z on qubits 1..j-1
-    bit = 1 << (j - 1)
+    bit = qubit_bit(j, n_qubits)
+    prefix = bit - 1  # Z on qubits 1..j-1
     y_coeff = 0.5j if kind == "lowering" else -0.5j
     return PauliOperator(
         n_qubits,

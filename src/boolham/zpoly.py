@@ -17,10 +17,15 @@ Conventions used throughout the package:
 Arithmetic applies Z^2 = I (term masks combine by XOR) and prunes
 coefficients below PRUNE_EPS after every operation.  All values are
 immutable after construction; every operation returns a fresh object.
+
+``PauliSum`` is the shared base of ``DiagonalHamiltonian`` (here, keyed by
+term mask) and ``pauli.PauliOperator`` (keyed by Pauli string): it holds
+their sum, difference, scaling, comparison and text/JSON forms once.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -35,6 +40,26 @@ BasisInput = Union[int, str, Sequence[int]]
 
 # Pauli letter -> (X bit, Z bit); Y = both
 PAULI_LETTERS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+
+def check_register(n_qubits: int) -> None:
+    if not 0 <= n_qubits <= MAX_QUBITS:
+        raise QubitCountError(f"qubit count {n_qubits} outside [0, {MAX_QUBITS}]")
+
+
+def qubit_bit(j: int, n_qubits: int) -> int:
+    """Mask bit of 1-based qubit j, which must lie in 1..n_qubits."""
+    if not 1 <= j <= n_qubits:
+        raise QubitCountError(f"qubit index {j} outside 1..{n_qubits}")
+    return 1 << (j - 1)
+
+
+def require_finite(coeffs: Iterable, what: str) -> None:
+    """ParseError unless every real or complex coefficient is finite: sums of
+    finite inputs can overflow to inf, and inf - inf is NaN, which pruning
+    would drop unseen."""
+    if not all(map(cmath.isfinite, coeffs)):
+        raise ParseError(f"{what} overflow the float range")
 
 
 def mask_of(qubits: Iterable[int]) -> int:
@@ -79,9 +104,7 @@ def parse_pauli_label(label: str, n_qubits: int) -> tuple[int, int]:
         if letter not in "XYZ" or not digits.isdigit():
             raise ParseError(f"bad Pauli atom {atom!r} in label {label!r}")
         j = int(digits)
-        if not 1 <= j <= n_qubits:
-            raise QubitCountError(f"qubit index {j} outside 1..{n_qubits}")
-        bit = 1 << (j - 1)
+        bit = qubit_bit(j, n_qubits)
         if (x_mask | z_mask) & bit:
             raise ParseError(f"qubit {j} appears twice in label {label!r}")
         x, z = PAULI_LETTERS[letter]
@@ -102,14 +125,16 @@ def load_json(text: str):
 
 def json_number(value, what: str, kind: type = float):
     """kind(value) for a number read from JSON; a value kind() rejects
-    (a list, an object, a non-numeric string) or a NaN/infinite float is a
-    ParseError naming ``what``."""
+    (a list, an object, a non-numeric string), a NaN/infinite float, or a
+    fractional float read as an int is a ParseError naming ``what``."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what} must be a number, got {value!r}") from exc
     if isinstance(number, float) and not math.isfinite(number):
         raise ParseError(f"{what} must be finite, got {value!r}")
+    if isinstance(value, float) and number != value:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
     return number
 
 
@@ -162,7 +187,103 @@ def format_coeff(c: float) -> str:
     return f"{c:.12g}"
 
 
-class DiagonalHamiltonian:
+class PauliSum:
+    """Immutable sparse sum of Pauli terms: ``_terms`` maps each term key to a
+    coefficient, in key order, none below the pruning epsilon.  Subclasses
+    build it in ``__init__(n_qubits, terms)`` and give ``to_json_dict``,
+    ``_term_text(key, coeff) -> (negative, magnitude, label)`` and
+    ``_json_term(n, label, coeff) -> (key, coeff)``."""
+
+    __slots__ = ("_n", "_terms")
+
+    @classmethod
+    def zero(cls, n_qubits: int):
+        return cls(n_qubits)
+
+    @property
+    def n_qubits(self) -> int:
+        return self._n
+
+    @property
+    def size(self) -> int:
+        """Number of stored nonzero terms (the sparsity of the operator)."""
+        return len(self._terms)
+
+    def items(self) -> Iterator[tuple]:
+        """(key, coefficient) pairs in the stored key order."""
+        return iter(self._terms.items())
+
+    def _require_same_register(self, other: "PauliSum") -> None:
+        if self._n != other._n:
+            raise QubitCountError(f"qubit-count mismatch: {self._n} vs {other._n}")
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._require_same_register(other)
+        acc = dict(self._terms)
+        for key, coeff in other._terms.items():
+            acc[key] = acc.get(key, 0) + coeff
+        return type(self)(self._n, acc)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-1.0) * other
+
+    def __neg__(self):
+        return (-1.0) * self
+
+    def scaled(self, w):
+        return type(self)(self._n, {key: w * c for key, c in self._terms.items()})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._n == other._n and self._terms == other._terms
+
+    def allclose(self, other: "PauliSum", tol: float = 1e-9) -> bool:
+        """Term-for-term comparison within an absolute coefficient tolerance."""
+        if self._n != other._n:
+            return False
+        for key in self._terms.keys() | other._terms.keys():
+            if abs(self._terms.get(key, 0) - other._terms.get(key, 0)) > tol:
+                return False
+        return True
+
+    def to_text(self) -> str:
+        """Readable form, e.g. '0.75 I - 0.25 Z1 - 0.25 Z2 - 0.25 Z1Z2'."""
+        if not self._terms:
+            return "0"
+        parts = []
+        for key, coeff in self._terms.items():
+            negative, magnitude, label = self._term_text(key, coeff)
+            if parts:
+                parts.append(f"{'-' if negative else '+'} {magnitude} {label}")
+            else:
+                parts.append(f"{'-' if negative else ''}{magnitude} {label}")
+        return " ".join(parts)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
+
+    @classmethod
+    def from_json_dict(cls, doc: dict):
+        n, entries = json_terms(doc)
+        op = cls(n, [cls._json_term(n, label, coeff) for label, coeff in entries])
+        # repeated labels add up: a finite running sum can reach inf, never NaN
+        require_finite(op._terms.values(), "summed coefficients")
+        return op
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_json_dict(load_json(text))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._n}, {self.to_text()!r})"
+
+
+class DiagonalHamiltonian(PauliSum):
     """Immutable sparse sum of Z-products with real coefficients.
 
     ``terms`` maps term masks to 64-bit float coefficients; no stored
@@ -170,7 +291,7 @@ class DiagonalHamiltonian:
     is always in ascending mask order.
     """
 
-    __slots__ = ("_n", "_terms")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -179,8 +300,7 @@ class DiagonalHamiltonian:
         *,
         eps: float = PRUNE_EPS,
     ):
-        if not 0 <= n_qubits <= MAX_QUBITS:
-            raise QubitCountError(f"qubit count {n_qubits} outside [0, {MAX_QUBITS}]")
+        check_register(n_qubits)
         acc: dict[int, float] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for mask, coeff in items:
@@ -192,26 +312,11 @@ class DiagonalHamiltonian:
         self._n = n_qubits
         self._terms = {m: acc[m] for m in sorted(acc) if abs(acc[m]) >= eps}
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "DiagonalHamiltonian":
-        return cls(n_qubits)
-
     @classmethod
     def identity(cls, n_qubits: int) -> "DiagonalHamiltonian":
         return cls(n_qubits, {0: 1.0})
 
     # -- inspection ---------------------------------------------------
-
-    @property
-    def n_qubits(self) -> int:
-        return self._n
-
-    @property
-    def size(self) -> int:
-        """Number of stored nonzero terms (the sparsity of the function)."""
-        return len(self._terms)
 
     @property
     def degree(self) -> int:
@@ -226,10 +331,6 @@ class DiagonalHamiltonian:
 
     def coeff(self, mask: int) -> float:
         return self._terms.get(mask, 0.0)
-
-    def items(self) -> Iterator[tuple[int, float]]:
-        """(mask, coefficient) pairs in ascending mask order."""
-        return iter(self._terms.items())
 
     def coeff_one_norm(self) -> float:
         """Sum of |coefficients|; an upper bound on max_x |eval(x)|."""
@@ -246,29 +347,6 @@ class DiagonalHamiltonian:
         return total
 
     # -- arithmetic ---------------------------------------------------
-
-    def _require_same_register(self, other: "DiagonalHamiltonian") -> None:
-        if self._n != other._n:
-            raise QubitCountError(
-                f"qubit-count mismatch: {self._n} vs {other._n}"
-            )
-
-    def __add__(self, other: "DiagonalHamiltonian") -> "DiagonalHamiltonian":
-        if not isinstance(other, DiagonalHamiltonian):
-            return NotImplemented
-        self._require_same_register(other)
-        acc = dict(self._terms)
-        for mask, coeff in other._terms.items():
-            acc[mask] = acc.get(mask, 0.0) + coeff
-        return DiagonalHamiltonian(self._n, acc)
-
-    def __sub__(self, other: "DiagonalHamiltonian") -> "DiagonalHamiltonian":
-        if not isinstance(other, DiagonalHamiltonian):
-            return NotImplemented
-        return self + (-1.0) * other
-
-    def __neg__(self) -> "DiagonalHamiltonian":
-        return (-1.0) * self
 
     def __mul__(self, other):
         if isinstance(other, DiagonalHamiltonian):
@@ -287,9 +365,6 @@ class DiagonalHamiltonian:
         if isinstance(other, (int, float)):
             return self.scaled(float(other))
         return NotImplemented
-
-    def scaled(self, w: float) -> "DiagonalHamiltonian":
-        return DiagonalHamiltonian(self._n, {m: w * c for m, c in self._terms.items()})
 
     def tensor(self, other: "DiagonalHamiltonian") -> "DiagonalHamiltonian":
         """Tensor product; self keeps qubits 1..n, other is shifted up by n."""
@@ -313,22 +388,6 @@ class DiagonalHamiltonian:
     def pruned(self, eps: float) -> "DiagonalHamiltonian":
         return DiagonalHamiltonian(self._n, self._terms, eps=eps)
 
-    # -- comparison ---------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiagonalHamiltonian):
-            return NotImplemented
-        return self._n == other._n and self._terms == other._terms
-
-    def allclose(self, other: "DiagonalHamiltonian", tol: float = 1e-9) -> bool:
-        """Term-for-term comparison within an absolute coefficient tolerance."""
-        if self._n != other._n:
-            return False
-        for mask in self._terms.keys() | other._terms.keys():
-            if abs(self.coeff(mask) - other.coeff(mask)) > tol:
-                return False
-        return True
-
     def max_coeff_diff(self, other: "DiagonalHamiltonian") -> float:
         self._require_same_register(other)
         masks = self._terms.keys() | other._terms.keys()
@@ -336,20 +395,8 @@ class DiagonalHamiltonian:
 
     # -- serialization ------------------------------------------------
 
-    def to_text(self) -> str:
-        """Readable form, e.g. '0.75 I - 0.25 Z1 - 0.25 Z2 - 0.25 Z1Z2'."""
-        if not self._terms:
-            return "0"
-        parts = []
-        for i, (mask, coeff) in enumerate(self._terms.items()):
-            mag = format_coeff(abs(coeff))
-            if i == 0:
-                sign = "-" if coeff < 0 else ""
-                parts.append(f"{sign}{mag} {term_label(mask)}")
-            else:
-                sign = "-" if coeff < 0 else "+"
-                parts.append(f"{sign} {mag} {term_label(mask)}")
-        return " ".join(parts)
+    def _term_text(self, mask: int, coeff: float) -> tuple[bool, str, str]:
+        return coeff < 0, format_coeff(abs(coeff)), term_label(mask)
 
     def to_json_dict(self) -> dict:
         return {
@@ -360,32 +407,16 @@ class DiagonalHamiltonian:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "DiagonalHamiltonian":
-        n, entries = json_terms(doc)
-        terms = []
-        for label, coeff in entries:
-            x_mask, z_mask = parse_pauli_label(label, n)
-            if x_mask:
-                raise ParseError(f"diagonal term label may hold only Z, got {label!r}")
-            if not isinstance(coeff, (int, float)):
-                raise ParseError(f"diagonal coefficient must be real, got {coeff!r}")
-            terms.append((z_mask, json_number(coeff, f"coefficient of {label!r}")))
-        return cls(n, terms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiagonalHamiltonian":
-        return cls.from_json_dict(load_json(text))
-
-    def __repr__(self) -> str:
-        return f"DiagonalHamiltonian({self._n}, {self.to_text()!r})"
+    @staticmethod
+    def _json_term(n: int, label, coeff) -> tuple[int, float]:
+        x_mask, z_mask = parse_pauli_label(label, n)
+        if x_mask:
+            raise ParseError(f"diagonal term label may hold only Z, got {label!r}")
+        if not isinstance(coeff, (int, float)):
+            raise ParseError(f"diagonal coefficient must be real, got {coeff!r}")
+        return z_mask, json_number(coeff, f"coefficient of {label!r}")
 
 
 def bit_projector(n_qubits: int, j: int) -> DiagonalHamiltonian:
     """The multiplication operator for bit j: (I - Z_j)/2, eigenvalue x_j."""
-    if not 1 <= j <= n_qubits:
-        raise QubitCountError(f"qubit index {j} outside 1..{n_qubits}")
-    return DiagonalHamiltonian(n_qubits, {0: 0.5, 1 << (j - 1): -0.5})
+    return DiagonalHamiltonian(n_qubits, {0: 0.5, qubit_bit(j, n_qubits): -0.5})

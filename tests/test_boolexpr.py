@@ -214,6 +214,12 @@ class TestDimacs:
         with pytest.raises(ParseError):
             parse_dimacs("p cnf 2 2\n1 0\n")
 
+    @pytest.mark.parametrize("weight", ["nan", "1e400", "-inf"])
+    def test_wcnf_weight_must_be_finite(self, weight):
+        # float() reads these; a NaN weight used to drop its clause unseen
+        with pytest.raises(ParseError, match="line 3"):
+            parse_dimacs(f"p wcnf 2 2\n1 1 0\n{weight} 1 2 0\n")
+
 
 class TestPseudoBooleanObjective:
     def test_value(self):

@@ -206,29 +206,6 @@ class TestEmitControlledEvolution:
             assert maxdiff(u, target) < 1e-9
 
 
-class TestControlledPhasePoly:
-    def test_control_on_last_qubit(self, rng):
-        from boolham.circuits import controlled_phase_poly
-
-        ham = random_zham(rng, 2, 3)
-        t = 0.6
-        poly = controlled_phase_poly(ham, 3, control=3)
-        u = simulate_circuit(emit_evolution(poly, t))
-        # control is the top qubit: identity block, then exp(-itH)
-        block = np.diag(np.exp(-1j * t * zham_diagonal(ham)))
-        expected = np.zeros((8, 8), dtype=complex)
-        expected[:4, :4] = np.eye(4)
-        expected[4:, 4:] = block
-        assert maxdiff(u, expected) < 1e-12
-
-    def test_control_must_be_outside_data_register(self):
-        from boolham.circuits import controlled_phase_poly
-
-        ham = DiagonalHamiltonian(2, {1: 1.0})
-        with pytest.raises(QubitCountError):
-            controlled_phase_poly(ham, 3, control=2)
-
-
 class TestPhaseQuery:
     def test_diag_signs(self, rng):
         from boolham.boolexpr import truth_table

@@ -339,6 +339,26 @@ class TestBounds:
     def test_exits_1_with_one_line(self, argv, capsys):
         assert one_line_usage_error(capsys, *argv)
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["compile", "--qubo"], '{"n": 2, "linear": [1e308, 1e308]}'),
+            (["fourier"], "[1e308, 1e308]"),
+            (["penalize"], json.dumps(
+                {"n": 1, "objective": "x1", "penalties": [{"weight": 1e308, "expr": "x1"}] * 4}
+            )),
+            (["compile", "--mode", "maxsat", "--dimacs"], "p wcnf 1 1\nnan 1 0\n"),
+            (["compile", "--mode", "maxsat", "--dimacs"], "p wcnf 1 1\n1e400 1 0\n"),
+        ],
+        ids=["qubo-sum", "fourier-sum", "penalty-sum", "wcnf-nan-weight", "wcnf-huge-weight"],
+    )
+    def test_non_finite_coefficients_exit_1(self, argv, text, tmp_path, capsys):
+        # finite inputs whose sums overflow used to print inf; a NaN weight
+        # dropped its clause
+        path = tmp_path / "input"
+        path.write_text(text)
+        assert one_line_usage_error(capsys, *argv, str(path))
+
     def test_verify_qubo_above_the_table_cap(self, tmp_path, capsys):
         # 30 variables: no value table, so eval is checked on a sample
         q = tmp_path / "q30.json"

@@ -128,6 +128,17 @@ BAD_DOCUMENTS = {
     "qubo linear entry infinite": (
         ["compile", "--qubo"], QuboInstance.from_json_dict, {"n": 2, "linear": [1, float("-inf")]},
     ),
+    "qubo n fractional": (
+        ["compile", "--qubo"], QuboInstance.from_json_dict, {"n": 2.5, "linear": [1, 2]},
+    ),
+    "penalty n fractional": (
+        ["penalize"], read_penalty_spec, {"n": 1.5, "objective": "x1", "penalties": []},
+    ),
+    "operator n fractional": (
+        ["fourier", "--inverse"],
+        DiagonalHamiltonian.from_json_dict,
+        {"n": 1.5, "terms": [{"paulis": "Z1", "coeff": 1.0}]},
+    ),
 }
 
 
@@ -285,11 +296,10 @@ def test_dimacs_soup(text):
 
 JSON_FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=300)
 
-# finite numbers stay below 1e6 in magnitude: sums of a few such entries
-# cannot overflow, so a non-finite output can only come from the input
+# finite numbers span the whole float range
 NUMBER = st.one_of(
     st.integers(-3, 70),
-    st.floats(-1e6, 1e6),
+    st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([float("nan"), float("inf"), float("-inf"), 10**400, 10**12, True]),
 )
 JUNK = st.sampled_from([None, "", "x1", "2", [], {}, [1, 2], {"n": 1}])

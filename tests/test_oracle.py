@@ -17,7 +17,6 @@ from boolham.oracle import (
     Z2,
     bit_query_matrix,
     dense_controlled,
-    dense_of_expr,
     dense_of_pauli,
     dense_of_zham,
     expm_hermitian,
@@ -68,14 +67,6 @@ class TestDenseRealizations:
         ham = random_zham(rng, 6, 10)
         trace = np.trace(dense_of_zham(ham)).real
         assert trace / 64 == pytest.approx(ham.identity_coeff, abs=1e-9)
-
-    def test_boolean_dense_is_projector_with_truth_table(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(1, 7))
-            e = random_expr(rng, n, 3)
-            d = dense_of_zham(compile_expr(e, n))
-            assert maxdiff(d, dense_of_expr(e, n)) < 1e-9
-            assert maxdiff(d @ d, d) < 1e-9
 
     def test_pauli_coefficient_extraction(self, rng):
         from boolham.pauli import PauliString

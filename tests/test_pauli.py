@@ -155,6 +155,18 @@ class TestPauliOperator:
         assert spin_lowering(1, 1).to_text() == "0.5 X1 + 0.5i Y1"
         assert spin_raising(1, 1).to_text() == "0.5 X1 - 0.5i Y1"
 
+    def test_does_not_mix_with_diagonal_operators(self):
+        # the two operator types share their arithmetic but not their terms:
+        # a diagonal operator enters a Pauli sum through from_diagonal
+        h = bit_projector(2, 1)
+        p = PauliOperator.from_diagonal(h)
+        for a, b in ((h, p), (p, h)):
+            with pytest.raises(TypeError):
+                a + b
+            with pytest.raises(TypeError):
+                a - b
+            assert not a == b and a != b
+
 
 class TestSpinOperators:
     def test_lowering_action_on_basis(self):

@@ -21,6 +21,7 @@ from boolham.compiler import PenaltySpec, augment_penalties, compile_expr, compi
 from boolham.errors import VerificationError
 from boolham.fourier import count_models, fwht_inplace
 from boolham.oracle import expm_zham, simulate_circuit, spectrum, zham_diagonal
+from boolham.pauli import PauliOperator
 from boolham.zpoly import DiagonalHamiltonian, basis_label
 from test_fold import PROPERTY, formula_and_size, formulas
 
@@ -37,6 +38,16 @@ def hamiltonians(max_n: int):
     )
 
 
+def hamiltonian_pairs(max_n: int):
+    """Two diagonal Z-polynomials on the same 1..max_n qubits."""
+    terms = lambda n: st.dictionaries(st.integers(0, (1 << n) - 1), coeffs, max_size=8)
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(terms(n), terms(n)).map(
+            lambda pair: tuple(DiagonalHamiltonian(n, t) for t in pair)
+        )
+    )
+
+
 def maxdiff(a, b) -> float:
     return float(np.max(np.abs(a - b)))
 
@@ -49,6 +60,19 @@ def test_fwht_round_trip(values):
     fwht_inplace(a)
     fwht_inplace(a)
     assert maxdiff(a / len(values), np.array(values)) <= 1e-12
+
+
+@PROPERTY
+@given(hamiltonian_pairs(6), coeffs)
+def test_pauli_form_commutes_with_the_shared_arithmetic(pair, w):
+    a, b = pair
+    pauli = PauliOperator.from_diagonal
+    assert pauli(a + b) == pauli(a) + pauli(b)
+    assert pauli(a - b) == pauli(a) - pauli(b)
+    assert pauli(-a) == -pauli(a)
+    assert pauli(a.scaled(w)) == pauli(a).scaled(w)
+    assert pauli(a).allclose(pauli(b)) == a.allclose(b)
+    assert pauli(a).allclose(pauli(a + b.scaled(1e-12)))
 
 
 @PROPERTY

@@ -150,16 +150,34 @@ def _operands(node: BoolExpr) -> tuple[BoolExpr, ...]:
     raise TypeError(f"not a BoolExpr node: {node!r}")
 
 
-def fold(e: BoolExpr, combine: Callable[[BoolExpr, Sequence[T]], T]) -> T:
+def fold(
+    e: BoolExpr, combine: Callable[[BoolExpr, Sequence[T]], T], pairwise: bool = False
+) -> T:
     """Post-order fold: combine(node, values of its operands, in order) at
-    every node, operands first.  Iterative, so depth costs memory only."""
+    every node, operands first.  Iterative, so depth costs memory only.
+
+    With ``pairwise``, an And/Or/Xor node takes its operands as they finish:
+    acc = combine(node, (acc, value)) for each operand after the first, and
+    the last acc is the node's value.  For ``compose`` that is the same
+    arithmetic in the same order, with one pending operand per node instead
+    of all of them.
+    """
     order: list[tuple[BoolExpr, int]] = []
-    pending = [e]
+    pending: list = [e]  # nodes to expand, and (node, 2) pairwise steps
     while pending:
         node = pending.pop()
+        if type(node) is tuple:
+            order.append(node)
+            continue
         operands = _operands(node)
-        order.append((node, len(operands)))
-        pending.extend(operands)
+        if pairwise and isinstance(node, _NAry):
+            pending.append(operands[0])
+            for operand in operands[1:]:
+                pending.append(operand)
+                pending.append((node, 2))
+        else:
+            order.append((node, len(operands)))
+            pending.extend(operands)
     # reversed pre-order with the last operand expanded first is a
     # left-to-right post-order: each node's operand values end the stack
     values: list = []
@@ -263,7 +281,8 @@ def truth_table(e: BoolExpr, n: int) -> np.ndarray:
     idx = np.arange(1 << n, dtype=np.uint32)
     one = np.ones(1 << n, dtype=np.uint8)
     var = lambda j: ((idx >> np.uint32(j - 1)) & 1).astype(np.uint8)
-    return fold(e, lambda node, values: compose(node, values, one, var)).astype(np.float64)
+    table = fold(e, lambda node, values: compose(node, values, one, var), pairwise=True)
+    return table.astype(np.float64)
 
 
 # -- printing ----------------------------------------------------------

@@ -115,7 +115,7 @@ def fourier_from_table(table: TruthTable | np.ndarray) -> DiagonalHamiltonian:
     if not np.isfinite(coeffs).all():
         raise ParseError("Fourier coefficients overflow the float range")
     (masks,) = np.nonzero(np.abs(coeffs) >= PRUNE_EPS)
-    return DiagonalHamiltonian(n, ((int(m), float(coeffs[m])) for m in masks))
+    return DiagonalHamiltonian(n, zip(masks.tolist(), coeffs[masks].tolist()))
 
 
 def table_from_fourier(h: DiagonalHamiltonian) -> TruthTable:
@@ -125,7 +125,10 @@ def table_from_fourier(h: DiagonalHamiltonian) -> TruthTable:
     vec = np.zeros(1 << n, dtype=np.float64)
     for mask, coeff in h.items():
         vec[mask] = coeff
-    fwht_inplace(vec)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        fwht_inplace(vec)
+    if not np.isfinite(vec).all():
+        raise ParseError("function values overflow the float range")
     return TruthTable(n, vec)
 
 
@@ -142,9 +145,15 @@ def count_models(h: DiagonalHamiltonian) -> int:
     max_x |v(x)^2 - v(x)| (one transform, and never smaller than the
     coefficient defect of h*h - h); above it through projector_defect.
     """
-    if h.n_qubits <= TABLE_CAP:
-        values = table_from_fourier(h).values
-        defect = float(np.max(np.abs(values * values - values)))
+    values = table_from_fourier(h).values if h.n_qubits <= TABLE_CAP else None
+    return _count_models(h, values)
+
+
+def _count_models(h: DiagonalHamiltonian, values: np.ndarray | None) -> int:
+    """count_models with h's value table given, or None above TABLE_CAP."""
+    if values is not None:
+        with np.errstate(over="ignore"):  # an infinite defect is rejected below
+            defect = float(np.max(np.abs(values * values - values)))
     else:
         defect = projector_defect(h)
     if defect > PROJECTOR_TOL:

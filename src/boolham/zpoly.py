@@ -141,10 +141,11 @@ def json_number(value, what: str, kind: type = float):
 def json_terms(doc: dict) -> tuple[int, list[tuple]]:
     """(n, [(label, coeff), ...]) of {"n": n, "terms": [{"paulis": ..., "coeff": ...}]}."""
     try:
-        n = json_number(doc["n"], "operator 'n'", int)
-        return n, [(t["paulis"], t["coeff"]) for t in doc["terms"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        raw_n = doc["n"]
+        terms = [(t["paulis"], t["coeff"]) for t in doc["terms"]]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"operator JSON needs 'n' and 'paulis'/'coeff' terms: {exc!r}") from exc
+    return json_number(raw_n, "operator 'n'", int), terms
 
 
 def check_table_cap(n: int) -> None:

@@ -359,6 +359,30 @@ class TestBounds:
         path.write_text(text)
         assert one_line_usage_error(capsys, *argv, str(path))
 
+    def test_overflowing_inverse_transform_exits_1(self, tmp_path, capsys):
+        # each coefficient is finite, their sum at x = 0 is not
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"n": 1, "terms": [
+            {"paulis": "I", "coeff": 1e308}, {"paulis": "Z1", "coeff": 1e308}]}))
+        code, out, err = run(capsys, "fourier", "--inverse", str(path))
+        assert code == 1 and out == ""
+        assert err == "boolham: parse error: function values overflow the float range\n"
+
+    @pytest.mark.parametrize(
+        "argv, doc, what",
+        [
+            (["compile", "--qubo"], {"n": 2.5, "linear": [1, 2]}, "QUBO 'n'"),
+            (["fourier", "--inverse"], {"n": 2.5, "terms": []}, "operator 'n'"),
+        ],
+        ids=["qubo", "operator"],
+    )
+    def test_fractional_size_is_named_once(self, argv, doc, what, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 1 and out == ""
+        assert err == f"boolham: parse error: {what} must be an integer, got 2.5\n"
+
     def test_verify_qubo_above_the_table_cap(self, tmp_path, capsys):
         # 30 variables: no value table, so eval is checked on a sample
         q = tmp_path / "q30.json"

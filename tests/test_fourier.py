@@ -5,7 +5,7 @@ import pytest
 
 from boolham.boolexpr import parse_expr, truth_table
 from boolham.compiler import compile_expr
-from boolham.errors import CapExceeded, VerificationError
+from boolham.errors import CapExceeded, ParseError, VerificationError
 from boolham.fourier import (
     TruthTable,
     approx_report,
@@ -15,6 +15,7 @@ from boolham.fourier import (
     fwht_inplace,
     table_from_fourier,
 )
+from boolham.oracle import spectrum
 from boolham.verify import random_expr
 from boolham.zpoly import DiagonalHamiltonian
 from conftest import brute_fourier
@@ -99,6 +100,13 @@ class TestTableFromFourier:
     def test_or_values(self):
         or2 = DiagonalHamiltonian(2, {0: 0.75, 1: -0.25, 2: -0.25, 3: -0.25})
         assert table_from_fourier(or2).values.tolist() == [0.0, 1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("read", [table_from_fourier, count_models, spectrum])
+    def test_values_past_the_float_range_are_a_parse_error(self, read):
+        # finite coefficients whose sum at x = 0 overflows; NaN from inf - inf too
+        for terms in ({0: 1e308, 1: 1e308}, {0: 1e308, 1: 1e308, 2: 1e308, 3: 1e308}):
+            with pytest.raises(ParseError, match="overflow the float range"):
+                read(DiagonalHamiltonian(len(terms) // 2, terms))
 
 
 class TestParseval:

@@ -1,0 +1,167 @@
+"""compile_expr's switch from the sparse fold to the value table: the output
+is the fold's to the bit, sparse inputs never build a table, and the size
+cap keeps its meaning."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boolham import compiler
+from boolham.boolexpr import And, Const, Implies, Not, Or, Var, Xor, conjunction, parse_expr
+from boolham.compiler import compile_expr, compile_pseudo
+from boolham.errors import CapExceeded
+from boolham.verify import expression_checks
+from boolham.zpoly import DiagonalHamiltonian
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+
+def never_switching(e, n):
+    return list(compiler._fold(e, n).items())
+
+
+def switches(e, n) -> bool:
+    try:
+        compiler._fold(e, n, compiler._switch_size(n))
+    except compiler._Dense:
+        return True
+    return False
+
+
+def no_tables(monkeypatch):
+    def refuse(e, n):
+        raise AssertionError(f"value table built for n={n}")
+
+    monkeypatch.setattr(compiler, "truth_table", refuse)
+
+
+def wide_formulas(n: int):
+    # an n-ary node over n to 3n small clauses, so intermediates pass T(n)
+    literal = st.integers(1, n).flatmap(lambda j: st.sampled_from([Var(j), Not(Var(j))]))
+    node = st.sampled_from([And, Or, Xor])
+    clause = st.tuples(node, st.lists(literal, min_size=2, max_size=4))
+    clause = clause.map(lambda c: c[0](tuple(c[1])))
+    top = st.tuples(node, st.lists(clause, min_size=max(n, 2), max_size=3 * n))
+    top = top.map(lambda t: t[0](tuple(t[1])))
+    return st.one_of(top, top.map(Not), st.tuples(top, top).map(lambda pair: Implies(*pair)))
+
+
+def planted_3cnf(rng: np.random.Generator, n: int, m: int):
+    """m random 3-clauses that a hidden assignment satisfies."""
+    hidden = rng.integers(0, 2, n)
+    clauses = []
+    while len(clauses) < m:
+        lits = [(int(v) + 1, bool(rng.random() < 0.5)) for v in rng.choice(n, 3, replace=False)]
+        if any(hidden[v - 1] == positive for v, positive in lits):
+            clauses.append(Or(tuple(Var(v) if positive else Not(Var(v)) for v, positive in lits)))
+    return conjunction(clauses)
+
+
+@PROPERTY
+@given(st.sampled_from(range(1, 11)).flatmap(lambda n: st.tuples(wide_formulas(n), st.just(n))))
+def test_output_is_the_folds_to_the_bit(case):
+    e, n = case
+    assert list(compile_expr(e, n).items()) == never_switching(e, n)
+
+
+def test_the_property_draws_cross_the_switch_size():
+    # the draws above exercise the table path, not only the fold
+    drawn = []
+
+    @settings(PROPERTY, max_examples=50)
+    @given(st.sampled_from(range(7, 11)).flatmap(lambda n: st.tuples(wide_formulas(n), st.just(n))))
+    def collect(case):
+        drawn.append(case)
+
+    collect()
+    assert sum(switches(e, n) for e, n in drawn) >= len(drawn) // 4
+
+
+@pytest.mark.parametrize("n", range(10, 15))
+def test_planted_3cnf_matches_the_fold(n):
+    rng = np.random.default_rng([2018, n])
+    for ratio in (2.0, 4.3):
+        e = planted_3cnf(rng, n, round(ratio * n))
+        assert switches(e, n)
+        assert list(compile_expr(e, n).items()) == never_switching(e, n)
+
+
+def test_switch_range():
+    assert [n for n in range(30) if compiler._switch_size(n) is not None] == list(range(7, 20))
+    assert compiler._switch_size(10) == 101
+    assert compiler._switch_size(0) is None
+
+
+class TestSparseInputsStayOnTheFold:
+    def test_sparse_clause_at_24_qubits(self, monkeypatch):
+        no_tables(monkeypatch)
+        h = compile_expr(parse_expr("x1 | !x7 | x24"), 24)
+        assert h.size == 8 and h.identity_coeff == 7 / 8
+
+    def test_small_registers(self, monkeypatch):
+        no_tables(monkeypatch)
+        parity = Xor(tuple(Var(j) for j in range(1, 7)))
+        assert compile_expr(parity, 6).size == 2
+        assert compile_expr(Or(tuple(Var(j) for j in range(1, 7))), 6).size == 64
+
+    def test_clause_sums_never_switch(self, monkeypatch):
+        # one clause dense enough to switch in compile_expr
+        dense = Or(tuple(Var(j) for j in range(1, 11)))
+        assert switches(dense, 10)
+        expected = compile_expr(dense, 10).scaled(2.0)
+        no_tables(monkeypatch)
+        assert compile_pseudo(compiler.PseudoBooleanObjective(10, ((2.0, dense),))) == expected
+
+
+class TestEmptyRegister:
+    @pytest.mark.parametrize(
+        "e, value",
+        [(Const(0), 0), (Const(1), 1), (Not(Const(0)), 1), (And((Const(1), Const(0))), 0),
+         (Xor((Const(1), Const(1), Const(1))), 1), (Implies(Const(1), Const(0)), 0)],
+    )
+    def test_constants(self, e, value):
+        h = compile_expr(e, 0)
+        assert h.n_qubits == 0
+        assert h == (DiagonalHamiltonian.identity(0) if value else DiagonalHamiltonian.zero(0))
+
+    def test_register_size_of_a_constant(self):
+        assert compile_expr(Const(1)) == DiagonalHamiltonian.identity(0)
+
+
+class TestCap:
+    def test_output_above_the_cap_still_raises(self, monkeypatch):
+        # 2^12 > 4000: no switch at n = 12, and OR's 4096 terms pass the cap
+        wide_or = Or(tuple(Var(j) for j in range(1, 13)))
+        assert compile_expr(wide_or, 12).size == 4096
+        monkeypatch.setattr(compiler, "SIZE_CAP", 4000)
+        assert compiler._switch_size(12) is None and compiler._switch_size(11) is not None
+        with pytest.raises(CapExceeded):
+            compile_expr(wide_or, 12)
+
+    def test_switched_outputs_fit_under_the_cap(self, monkeypatch):
+        monkeypatch.setattr(compiler, "SIZE_CAP", 4000)
+        wide_or = Or(tuple(Var(j) for j in range(1, 12)))
+        assert switches(wide_or, 11)
+        assert compile_expr(wide_or, 11).size == 2048
+
+
+def test_verify_checks_the_fold_against_the_table():
+    e = Or(tuple(Var(j) for j in range(1, 9)))
+    assert switches(e, 8)
+    checks = {c.name: c for c in expression_checks("or8", e, 8)}
+    assert checks["or8: transform paths agree"].passed
+    assert checks["or8: model count"].passed
+
+
+def test_verify_names_a_fold_that_disagrees(monkeypatch):
+    e = Or(tuple(Var(j) for j in range(1, 9)))
+    # only the never-switching fold is broken; compile_expr takes the table
+    good = compiler._fold
+
+    def broken(e, n, switch=None):
+        return good(e, n).scaled(0.5) if switch is None else good(e, n, switch)
+
+    monkeypatch.setattr(compiler, "_fold", broken)
+    failed = [c.name for c in expression_checks("or8", e, 8) if not c.passed]
+    assert failed == ["or8: transform paths agree"]

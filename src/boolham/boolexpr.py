@@ -23,6 +23,7 @@ x_1 as its least significant bit; sequences list (x_1, x_2, ...).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -280,7 +281,8 @@ def truth_table(e: BoolExpr, n: int) -> np.ndarray:
     register_size(e, n)
     idx = np.arange(1 << n, dtype=np.uint32)
     one = np.ones(1 << n, dtype=np.uint8)
-    var = lambda j: ((idx >> np.uint32(j - 1)) & 1).astype(np.uint8)
+    # compose never writes into its operands, so all uses of x_j share one column
+    var = functools.cache(lambda j: ((idx >> np.uint32(j - 1)) & 1).astype(np.uint8))
     table = fold(e, lambda node, values: compose(node, values, one, var), pairwise=True)
     return table.astype(np.float64)
 

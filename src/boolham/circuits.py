@@ -11,6 +11,14 @@ RZ convention: RZ(theta) = exp(-i Z theta / 2).  Multi-controlled
 rotations (CRZ, CCRZ) are first-class gates here; lower_basic() rewrites
 them into CNOT + RZ when a basic gate set is required.  No cancellation
 or optimization passes are applied.
+
+Gates are checked where they enter the program: the public Gate and
+Circuit constructors and parse_circuit check names, arities, distinct
+1-based qubits, angles and the register bound.  The emitters and
+lower_basic build gates that are valid by construction (their qubits come
+from operator masks, which DiagonalHamiltonian keeps inside the register),
+so they check only that each rotation angle is finite.  Within one call
+they make each distinct CX gate once and share it across every ladder.
 """
 
 from __future__ import annotations
@@ -52,10 +60,14 @@ class Gate:
         if any(q < 1 for q in self.qubits):
             raise QubitCountError(f"qubit indices are 1-based: {self.qubits}")
         if takes_angle:
-            if self.angle is None or not math.isfinite(self.angle):
-                raise ValueError(f"{self.name} needs a finite angle, got {self.angle}")
+            _require_finite_angle(self.name, self.angle)
         elif self.angle is not None:
             raise ValueError(f"{self.name} takes no angle")
+
+
+def _require_finite_angle(name: str, angle: float | None) -> None:
+    if angle is None or not math.isfinite(angle):
+        raise ValueError(f"{name} needs a finite angle, got {angle}")
 
 
 def cx(control: int, target: int) -> Gate:
@@ -90,12 +102,7 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            if max(g.qubits) > self.n_qubits:
-                raise QubitCountError(
-                    f"gate {g.name} touches qubit {max(g.qubits)} "
-                    f"on a {self.n_qubits}-qubit circuit"
-                )
+        _require_in_register(self.n_qubits, self.gates)
 
     def gate_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -115,15 +122,63 @@ class Circuit:
         return len(self.gates)
 
 
+def _require_in_register(n_qubits: int, gates) -> None:
+    for g in gates:
+        if max(g.qubits) > n_qubits:
+            raise QubitCountError(
+                f"gate {g.name} touches qubit {max(g.qubits)} on a {n_qubits}-qubit circuit"
+            )
+
+
+# -- trusted construction ----------------------------------------------------
+# For gates and circuits that are valid by construction: the fields are set
+# through the slot descriptors, skipping __post_init__.
+
+_set_name, _set_qubits, _set_angle = (Gate.name.__set__, Gate.qubits.__set__, Gate.angle.__set__)
+_set_n, _set_gates, _set_phase = (
+    Circuit.n_qubits.__set__, Circuit.gates.__set__, Circuit.global_phase.__set__
+)
+
+
+def _gate(name: str, qubits: tuple[int, ...], angle: float | None = None) -> Gate:
+    g = object.__new__(Gate)
+    _set_name(g, name)
+    _set_qubits(g, qubits)
+    _set_angle(g, angle)
+    return g
+
+
+def _rotation(name: str, qubits: tuple[int, ...], angle: float) -> Gate:
+    _require_finite_angle(name, angle)
+    return _gate(name, qubits, angle)
+
+
+def _circuit(n_qubits: int, gates, global_phase: float) -> Circuit:
+    """A Circuit whose gates are known to lie inside the register."""
+    c = object.__new__(Circuit)
+    _set_n(c, n_qubits)
+    _set_gates(c, tuple(gates))
+    _set_phase(c, global_phase)
+    return c
+
+
+class _CxGates(dict):
+    """(control, target) -> its CX gate, made on first use; one per emitter call."""
+
+    def __missing__(self, pair: tuple[int, int]) -> Gate:
+        g = self[pair] = _gate("cx", pair)
+        return g
+
+
 # -- emitters ------------------------------------------------------------
 
 
-def _ladder_term(gates: list[Gate], qubits: tuple[int, ...], rotation: Gate) -> None:
+def _ladder_term(gates: list[Gate], cxs: _CxGates, qubits: tuple[int, ...], rotation: Gate) -> None:
     """CNOT ladder down the term, the rotation on its largest qubit, reverse ladder."""
-    ladder = [cx(a, b) for a, b in zip(qubits, qubits[1:])]
+    ladder = list(map(cxs.__getitem__, zip(qubits, qubits[1:])))
     gates.extend(ladder)
     gates.append(rotation)
-    gates.extend(reversed(ladder))  # gates are immutable, so both halves share them
+    gates.extend(reversed(ladder))  # gates are immutable, so every use shares one object
 
 
 def emit_evolution(ham: DiagonalHamiltonian, gamma: float) -> Circuit:
@@ -133,14 +188,15 @@ def emit_evolution(ham: DiagonalHamiltonian, gamma: float) -> Circuit:
     phase shift, otherwise a CNOT ladder + RZ (a bare RZ for one qubit).
     """
     gates: list[Gate] = []
+    cxs = _CxGates()
     phase = 0.0
     for mask, w in ham.items():
         if mask == 0:
             phase -= gamma * w
             continue
         qs = qubits_of(mask)
-        _ladder_term(gates, qs, rz(qs[-1], 2.0 * gamma * w))
-    return Circuit(ham.n_qubits, tuple(gates), phase)
+        _ladder_term(gates, cxs, qs, _rotation("rz", qs[-1:], 2.0 * gamma * w))
+    return _circuit(ham.n_qubits, gates, phase)
 
 
 def emit_qubo_evolution(q: QuboInstance, t: float) -> Circuit:
@@ -189,18 +245,20 @@ def emit_bit_query(f: BoolExpr, n: int | None = None) -> Circuit:
     n = register_size(f, n)
     hf = compile_expr(f, n)
     ancilla = n + 1
-    gates: list[Gate] = [h(ancilla)]
+    hadamard = _gate("h", (ancilla,))
+    gates: list[Gate] = [hadamard]
+    cxs = _CxGates()
     phase = 0.0
     for mask, w in hf.items():
         if mask == 0:
             # exp(-i pi w x_a) = e^(-i pi w / 2) RZ_a(-pi w)
-            gates.append(rz(ancilla, -math.pi * w))
+            gates.append(_rotation("rz", (ancilla,), -math.pi * w))
             phase -= math.pi * w / 2.0
             continue
         qs = qubits_of(mask)
-        _ladder_term(gates, qs, crz(ancilla, qs[-1], 2.0 * math.pi * w))
-    gates.append(h(ancilla))
-    return Circuit(ancilla, tuple(gates), phase)
+        _ladder_term(gates, cxs, qs, _rotation("crz", (ancilla, qs[-1]), 2.0 * math.pi * w))
+    gates.append(hadamard)
+    return _circuit(ancilla, gates, phase)
 
 
 def emit_phase_query(f: BoolExpr, n: int | None = None) -> Circuit:
@@ -211,25 +269,33 @@ def emit_phase_query(f: BoolExpr, n: int | None = None) -> Circuit:
 # -- lowering -------------------------------------------------------------
 
 
-def _lowered(gates) -> Iterator[Gate]:
+def _lowered(gates, cxs: _CxGates) -> Iterator[Gate]:
     for g in gates:
         if g.name == "crz":
             ctrl, tgt = g.qubits
             half = g.angle / 2.0
-            yield from (rz(tgt, half), cx(ctrl, tgt), rz(tgt, -half), cx(ctrl, tgt))
+            cnot = cxs[ctrl, tgt]
+            yield from (
+                _rotation("rz", (tgt,), half), cnot, _rotation("rz", (tgt,), -half), cnot
+            )
         elif g.name == "ccrz":
             c1, c2, tgt = g.qubits
             half = g.angle / 2.0
+            cnot = cxs[c1, c2]
             yield from _lowered((
-                crz(c2, tgt, half), cx(c1, c2), crz(c2, tgt, -half), cx(c1, c2), crz(c1, tgt, half)
-            ))
+                _rotation("crz", (c2, tgt), half),
+                cnot,
+                _rotation("crz", (c2, tgt), -half),
+                cnot,
+                _rotation("crz", (c1, tgt), half),
+            ), cxs)
         else:
             yield g
 
 
 def lower_basic(c: Circuit) -> Circuit:
     """Rewrite CRZ/CCRZ into CNOT + RZ (exact, no phase corrections needed)."""
-    return Circuit(c.n_qubits, tuple(_lowered(c.gates)), c.global_phase)
+    return _circuit(c.n_qubits, _lowered(c.gates, _CxGates()), c.global_phase)
 
 
 # -- text serialization ----------------------------------------------------
@@ -248,11 +314,15 @@ def _format_angle(a: float) -> str:
 def serialize(c: Circuit) -> str:
     """Line-oriented text form: 'qubits N', 'phase <radians>', one gate per line."""
     lines = [f"qubits {c.n_qubits}", f"phase {_format_angle(c.global_phase)}"]
+    text_of: dict[int, str] = {}  # id of a gate object -> its line; c keeps every gate alive
     for g in c.gates:
-        parts = [g.name, *map(str, g.qubits)]
-        if g.angle is not None:
-            parts.append(_format_angle(g.angle))
-        lines.append(" ".join(parts))
+        line = text_of.get(id(g))
+        if line is None:
+            parts = [g.name, *map(str, g.qubits)]
+            if g.angle is not None:
+                parts.append(_format_angle(g.angle))
+            line = text_of[id(g)] = " ".join(parts)
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -286,21 +356,27 @@ def parse_circuit(text: str) -> Circuit:
         if not math.isfinite(phase):
             raise _line_error(text, body[0], "phase must be finite")
         body = body[1:]
-    gates = []
+    parsed: dict[str, Gate] = {}  # one checked gate per distinct line, in first-seen order
     for ln in body:
-        fields = ln.split()
-        if fields[0] not in _GATE_SHAPE:
-            raise _line_error(text, ln, "unknown gate")
-        arity, takes_angle = _GATE_SHAPE[fields[0]]
-        if len(fields) != 1 + arity + takes_angle:
-            raise _line_error(text, ln, "wrong number of fields")
-        try:
-            qubits = tuple(map(int, fields[1 : 1 + arity]))
-            gates.append(Gate(fields[0], qubits, float(fields[-1]) if takes_angle else None))
-        except ValueError as exc:  # bad numbers, repeated qubits, non-finite angles
-            raise _line_error(text, ln, str(exc)) from exc
+        if ln not in parsed:
+            parsed[ln] = _parse_gate(text, ln)
     try:
-        return Circuit(n, tuple(gates), phase)
+        _require_in_register(n, parsed.values())
     except QubitCountError as exc:  # a gate above the register
-        bad = next(ln for ln, g in zip(body, gates) if max(g.qubits) > n)
+        bad = next(ln for ln, g in parsed.items() if max(g.qubits) > n)
         raise _line_error(text, bad, str(exc)) from exc
+    return _circuit(n, map(parsed.__getitem__, body), phase)
+
+
+def _parse_gate(text: str, ln: str) -> Gate:
+    fields = ln.split()
+    if fields[0] not in _GATE_SHAPE:
+        raise _line_error(text, ln, "unknown gate")
+    arity, takes_angle = _GATE_SHAPE[fields[0]]
+    if len(fields) != 1 + arity + takes_angle:
+        raise _line_error(text, ln, "wrong number of fields")
+    try:
+        qubits = tuple(map(int, fields[1 : 1 + arity]))
+        return Gate(fields[0], qubits, float(fields[-1]) if takes_angle else None)
+    except ValueError as exc:  # bad numbers, repeated qubits, non-finite angles
+        raise _line_error(text, ln, str(exc)) from exc

@@ -114,8 +114,9 @@ def fourier_from_table(table: TruthTable | np.ndarray) -> DiagonalHamiltonian:
     coeffs /= float(1 << n)
     if not np.isfinite(coeffs).all():
         raise ParseError("Fourier coefficients overflow the float range")
+    # ascending, distinct, inside the register and none below PRUNE_EPS
     (masks,) = np.nonzero(np.abs(coeffs) >= PRUNE_EPS)
-    return DiagonalHamiltonian(n, zip(masks.tolist(), coeffs[masks].tolist()))
+    return DiagonalHamiltonian._from_checked(n, dict(zip(masks.tolist(), coeffs[masks].tolist())))
 
 
 def table_from_fourier(h: DiagonalHamiltonian) -> TruthTable:

@@ -75,12 +75,10 @@ def mask_of(qubits: Iterable[int]) -> int:
 def qubits_of(mask: int) -> tuple[int, ...]:
     """Sorted 1-based qubit indices of a term mask."""
     out = []
-    j = 1
     while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
+        low = mask & -mask  # lowest set bit
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 
@@ -312,6 +310,15 @@ class DiagonalHamiltonian(PauliSum):
             acc[mask] = acc.get(mask, 0.0) + float(coeff)
         self._n = n_qubits
         self._terms = {m: acc[m] for m in sorted(acc) if abs(acc[m]) >= eps}
+
+    @classmethod
+    def _from_checked(cls, n_qubits: int, terms: dict[int, float]) -> "DiagonalHamiltonian":
+        """Skips __init__ for ``terms`` that already hold its result: masks
+        ascending and inside the register, no coefficient below PRUNE_EPS."""
+        op = object.__new__(cls)
+        op._n = n_qubits
+        op._terms = terms
+        return op
 
     @classmethod
     def identity(cls, n_qubits: int) -> "DiagonalHamiltonian":

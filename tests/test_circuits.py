@@ -252,6 +252,13 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse_circuit("qubits 2\nphase 0\ncx 1\n")
 
+    @pytest.mark.parametrize("bad", ["cx 2 3", "rz 2 nan", "cx 1 1", "crz 1 2"])
+    def test_bad_line_after_repeated_lines_names_its_first_line(self, bad):
+        # lines 3-1002 repeat two valid gates; the bad line is line 1003 and 1005
+        text = "qubits 2\nphase 0\n" + "cx 1 2\nrz 2 0.5\n" * 500 + f"{bad}\ncx 1 2\n {bad}\n"
+        with pytest.raises(ParseError, match=f"^line 1003: .*: {bad!r}$"):
+            parse_circuit(text)
+
 
 class TestLowering:
     def test_crz_lowering_exact(self, rng):

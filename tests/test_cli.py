@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from boolham.circuits import parse_circuit
+from boolham.circuits import emit_evolution, parse_circuit
 from boolham.cli import main
 from boolham.verify import CheckResult, VerificationReport
+from boolham.zpoly import DiagonalHamiltonian
 
 
 def run(capsys, *argv):
@@ -358,6 +359,17 @@ class TestBounds:
         path = tmp_path / "input"
         path.write_text(text)
         assert one_line_usage_error(capsys, *argv, str(path))
+
+    def test_overflowing_rotation_angle_exits_1(self, tmp_path, capsys):
+        # 2 * gamma * w passes the float range although gamma and w are finite
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"n": 2, "terms": [
+            {"paulis": "Z1", "coeff": 1e10}, {"paulis": "Z1 Z2", "coeff": 0.5}]}))
+        code, out, err = run(capsys, "circuit", "--hamiltonian", str(path), "--gamma", "1e300")
+        assert code == 1 and out == ""
+        assert err == "boolham: error: rz needs a finite angle, got inf\n"
+        with pytest.raises(ValueError, match="^rz needs a finite angle, got inf$"):
+            emit_evolution(DiagonalHamiltonian.from_json(path.read_text()), 1e300)
 
     def test_overflowing_inverse_transform_exits_1(self, tmp_path, capsys):
         # each coefficient is finite, their sum at x = 0 is not

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from boolham.boolexpr import PseudoBooleanObjective, eval_expr, truth_table
 from boolham.circuits import (
+    Circuit,
+    Gate,
     emit_bit_query,
     emit_evolution,
     lower_basic,
@@ -22,6 +24,7 @@ from boolham.errors import VerificationError
 from boolham.fourier import count_models, fwht_inplace
 from boolham.oracle import expm_zham, simulate_circuit, spectrum, zham_diagonal
 from boolham.pauli import PauliOperator
+from boolham.verify import bundled_corpus
 from boolham.zpoly import DiagonalHamiltonian, basis_label
 from test_fold import PROPERTY, formula_and_size, formulas
 
@@ -91,6 +94,51 @@ def test_bit_query_text_round_trip_and_lowering(case):
     lowered = lower_basic(circ)
     assert {g.name for g in lowered.gates} <= {"cx", "rz", "h", "x"}
     assert maxdiff(simulate_circuit(lowered), simulate_circuit(circ)) <= 1e-9
+
+
+def assert_passes_the_public_checks(circ):
+    """The emitters build gates without Gate/Circuit's checks: making every
+    gate again through them must give the same circuit and the same text."""
+    gates = [Gate(g.name, g.qubits, g.angle) for g in circ.gates]
+    again = Circuit(circ.n_qubits, gates, circ.global_phase)
+    assert again == circ
+    assert serialize(again) == serialize(circ)
+
+
+CORPUS_FORMULAS = [(e, n) for _, e, n in bundled_corpus()[0]]
+
+
+@PROPERTY
+@given(hamiltonians(12), angles)
+def test_evolution_gates_pass_the_public_checks(h, gamma):
+    assert_passes_the_public_checks(emit_evolution(h, gamma))
+
+
+@PROPERTY
+@given(st.sampled_from(CORPUS_FORMULAS), angles)
+def test_corpus_circuit_gates_pass_the_public_checks(case, gamma):
+    e, n = case
+    assert_passes_the_public_checks(emit_evolution(compile_expr(e, n), gamma))
+    query = emit_bit_query(e, n)
+    assert_passes_the_public_checks(query)
+    assert_passes_the_public_checks(lower_basic(query))
+
+
+def rotation_circuits(n: int):
+    qubit_lists = lambda k: st.permutations(range(1, n + 1)).map(lambda qs: tuple(qs[:k]))
+    gate = st.one_of(
+        st.tuples(qubit_lists(2), angles).map(lambda a: Gate("crz", *a)),
+        st.tuples(qubit_lists(3), angles).map(lambda a: Gate("ccrz", *a)),
+        qubit_lists(2).map(lambda qs: Gate("cx", qs)),
+        st.tuples(qubit_lists(1), angles).map(lambda a: Gate("rz", *a)),
+    )
+    return st.lists(gate, max_size=12).map(lambda gates: Circuit(n, gates, 0.25))
+
+
+@PROPERTY
+@given(st.integers(3, 5).flatmap(rotation_circuits))
+def test_lowered_gates_pass_the_public_checks(circ):
+    assert_passes_the_public_checks(lower_basic(circ))
 
 
 @PROPERTY

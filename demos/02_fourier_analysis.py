@@ -9,13 +9,13 @@ the same unique operator, which makes a sharp cross-check.
 import numpy as np
 
 import boolham as bh
-from boolham.fourier import approx_report
+from boolham.fourier import approx_report, parse_table
 
 print("== Table -> coefficients -> table ==")
-table = bh.TruthTable.from_bits("0111")  # OR on two bits
+table = parse_table("0111")  # OR on two bits, as a float64 array
 h = bh.fourier_from_table(table)
 print("OR from its table :", h.to_text())
-print("back to the table :", bh.table_from_fourier(h).values)
+print("back to the table :", bh.table_from_fourier(h))
 
 print()
 print("== Transform path vs composition path ==")

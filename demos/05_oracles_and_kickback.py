@@ -9,7 +9,8 @@ four equivalences as explicit matrices.
 import numpy as np
 
 import boolham as bh
-from boolham.oracle import maxdiff, simulate_circuit, verify_kickback_suite
+from boolham.oracle import maxdiff, simulate_circuit
+from boolham.verify import verify_kickback_suite
 
 print("== Small bit queries are familiar gates ==")
 g1 = simulate_circuit(bh.emit_bit_query(bh.Var(1), 1))

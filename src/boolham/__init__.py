@@ -55,7 +55,6 @@ from .errors import (
     VerificationError,
 )
 from .fourier import (
-    TruthTable,
     check_approx,
     count_models,
     fourier_from_table,
@@ -69,7 +68,6 @@ from .oracle import (
     dense_of_zham,
     simulate_circuit,
     spectrum,
-    verify_kickback_suite,
 )
 from .pauli import (
     PauliOperator,
@@ -79,6 +77,7 @@ from .pauli import (
     spin_lowering,
     spin_raising,
 )
+from .verify import verify_kickback_suite
 from .zpoly import DiagonalHamiltonian, bit_projector
 
 __version__ = "0.1.0"
@@ -103,7 +102,6 @@ __all__ = [
     "QuboInstance",
     "QubitCountError",
     "Spectrum",
-    "TruthTable",
     "Var",
     "VerificationError",
     "Xor",

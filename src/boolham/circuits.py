@@ -14,11 +14,14 @@ or optimization passes are applied.
 
 Gates are checked where they enter the program: the public Gate and
 Circuit constructors and parse_circuit check names, arities, distinct
-1-based qubits, angles and the register bound.  The emitters and
-lower_basic build gates that are valid by construction (their qubits come
-from operator masks, which DiagonalHamiltonian keeps inside the register),
-so they check only that each rotation angle is finite.  Within one call
-they make each distinct CX gate once and share it across every ladder.
+1-based integer qubits, angles, the register size and bound, and a finite
+global phase, so every circuit they accept serializes to text that
+parse_circuit reads back equal.  The emitters and lower_basic build gates
+that are valid by construction (their qubits come from operator masks,
+which DiagonalHamiltonian keeps inside the register), so they check only
+that each rotation angle and emit_evolution's global phase are finite.
+Within one call they make each distinct CX gate once and share it across
+every ladder.
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ class Gate:
     def __post_init__(self):
         if self.name not in _GATE_SHAPE:
             raise ValueError(f"unknown gate {self.name!r}")
+        qubits = tuple(self.qubits)
+        if any(type(q) is not int for q in qubits):  # not isinstance: bool is an int
+            raise ValueError(f"{self.name} qubit indices must be integers: {qubits}")
+        object.__setattr__(self, "qubits", qubits)
         arity, takes_angle = _GATE_SHAPE[self.name]
         if len(self.qubits) != arity:
             raise ValueError(f"{self.name} takes {arity} qubits, got {self.qubits}")
@@ -101,6 +108,9 @@ class Circuit:
     global_phase: float = 0.0
 
     def __post_init__(self):
+        if type(self.n_qubits) is not int or self.n_qubits < 0:
+            raise ValueError(f"qubit count must be a non-negative integer, got {self.n_qubits!r}")
+        _require_finite_phase(self.global_phase)
         object.__setattr__(self, "gates", tuple(self.gates))
         _require_in_register(self.n_qubits, self.gates)
 
@@ -120,6 +130,11 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.gates)
+
+
+def _require_finite_phase(phase: float) -> None:
+    if not math.isfinite(phase):
+        raise ValueError(f"global phase must be finite, got {phase}")
 
 
 def _require_in_register(n_qubits: int, gates) -> None:
@@ -196,6 +211,7 @@ def emit_evolution(ham: DiagonalHamiltonian, gamma: float) -> Circuit:
             continue
         qs = qubits_of(mask)
         _ladder_term(gates, cxs, qs, _rotation("rz", qs[-1:], 2.0 * gamma * w))
+    _require_finite_phase(phase)  # gamma * w can pass the float range
     return _circuit(ham.n_qubits, gates, phase)
 
 

@@ -107,12 +107,9 @@ def _cmd_fourier(args) -> int:
         if args.prune_eps is not None:
             raise ParseError("--prune-eps applies only to the forward transform")
         h = DiagonalHamiltonian.from_json(_read(args.input))
-        table = fourier.table_from_fourier(h)
-        print(json.dumps([float(v) for v in table.values]))
+        print(json.dumps(fourier.table_from_fourier(h).tolist()))
         return 0
-    text = _table_text(args.input).strip()
-    read = fourier.TruthTable.from_json if text.startswith("[") else fourier.TruthTable.from_bits
-    h = fourier.fourier_from_table(read(text))
+    h = fourier.fourier_from_table(fourier.parse_table(_table_text(args.input)))
     if args.prune_eps is not None:
         h = h.pruned(args.prune_eps)
     for mask, coeff in h.items():
@@ -165,6 +162,8 @@ def _cmd_verify(args) -> int:
     source, cap = _source(args, required=False), args.dense_cap
     if cap < 1:
         raise ParseError(f"--dense-cap must be at least 1, got {cap}")
+    if cap > DENSE_CAP_MAX:
+        raise ParseError(f"--dense-cap must be at most {DENSE_CAP_MAX}, got {cap}")
     if source == "expr":
         e = parse_expr(args.expr, args.n)
         checks = verify.expression_checks("input", e, register_size(e, args.n), dense_cap=cap)

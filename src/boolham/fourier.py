@@ -6,12 +6,12 @@ with S.x = popcount(S & x).  The fast Walsh-Hadamard transform computes all
 table -> coefficients direction, so applying the raw transform twice
 returns 2^n times the input.
 
-Dense tables are capped at n = 24 (128 MiB of float64 values).
+A value table is a float64 array of the 2^n values, indexed by the
+assignment x with x_1 as its least significant bit.  Dense tables are
+capped at n = 24 (128 MiB of float64 values).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .zpoly import (
     PRUNE_EPS,
     TABLE_CAP,
     DiagonalHamiltonian,
-    basis_index,
     check_table_cap,
     json_number,
     load_json,
@@ -31,50 +30,23 @@ MAX_NORM_BOUND = 1.0 / 3.0
 PROJECTOR_TOL = 1e-6  # largest defect count_models accepts before rounding
 
 
-@dataclass(frozen=True)
-class TruthTable:
-    """All 2^n values of a real function, indexed by assignment (x_1 = LSB)."""
-
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=np.float64)
-        )
-        if self.values.shape != (1 << self.n,):
-            raise ValueError(
-                f"table for n={self.n} must have length {1 << self.n}, "
-                f"got shape {self.values.shape}"
-            )
-
-    @classmethod
-    def from_bits(cls, bits: str) -> "TruthTable":
-        """Table from a binary string, index 0 first (e.g. '0111' is OR on 2 bits)."""
-        n = (len(bits) - 1).bit_length()
-        if len(bits) != 1 << n or any(ch not in "01" for ch in bits):
-            raise ParseError(f"truth table string must be 2^n bits of 0/1: {bits!r}")
-        return cls(n, np.array([float(ch) for ch in bits]))
-
-    @classmethod
-    def from_json(cls, text: str) -> "TruthTable":
-        """Table from a JSON vector of 2^n finite numbers, index 0 first."""
-        doc = load_json(text)
-        if not isinstance(doc, list):
-            raise ParseError(f"truth table JSON must be a list, got {type(doc).__name__}")
-        values = [json_number(v, f"table entry {i}") for i, v in enumerate(doc)]
-        n = (len(values) - 1).bit_length()
-        if len(values) != 1 << n:
-            raise ParseError(f"truth table vector must have 2^n entries, got {len(values)}")
-        return cls(n, np.array(values))
-
-    def value(self, x) -> float:
-        return float(self.values[basis_index(x, self.n)])
-
-    def allclose(self, other: "TruthTable", tol: float = 1e-12) -> bool:
-        return self.n == other.n and bool(
-            np.max(np.abs(self.values - other.values)) <= tol
-        )
+def parse_table(text: str) -> np.ndarray:
+    """Value table from text, index 0 first: a JSON vector of 2^n finite
+    numbers, or a string of 2^n bits ('0111' is OR on 2 bits)."""
+    text = text.strip()
+    if not text.startswith("["):
+        n = (len(text) - 1).bit_length()
+        if len(text) != 1 << n or any(ch not in "01" for ch in text):
+            raise ParseError(f"truth table string must be 2^n bits of 0/1: {text!r}")
+        return np.array([float(ch) for ch in text])
+    doc = load_json(text)
+    if not isinstance(doc, list):
+        raise ParseError(f"truth table JSON must be a list, got {type(doc).__name__}")
+    values = [json_number(v, f"table entry {i}") for i, v in enumerate(doc)]
+    n = (len(values) - 1).bit_length()
+    if len(values) != 1 << n:
+        raise ParseError(f"truth table vector must have 2^n entries, got {len(values)}")
+    return np.array(values, dtype=np.float64)
 
 
 def fwht_inplace(a: np.ndarray) -> None:
@@ -98,15 +70,12 @@ def fwht_inplace(a: np.ndarray) -> None:
         h *= 2
 
 
-def fourier_from_table(table: TruthTable | np.ndarray) -> DiagonalHamiltonian:
+def fourier_from_table(table: np.ndarray) -> DiagonalHamiltonian:
     """Fourier coefficients of a real table as a sparse Z-polynomial."""
-    if isinstance(table, TruthTable):
-        n, values = table.n, table.values
-    else:
-        values = np.asarray(table, dtype=np.float64)
-        n = (values.shape[0] - 1).bit_length()
-        if values.shape != (1 << n,):
-            raise ValueError(f"table length {values.shape} is not a power of two")
+    values = np.asarray(table, dtype=np.float64)
+    n = (values.shape[0] - 1).bit_length()
+    if values.shape != (1 << n,):
+        raise ValueError(f"table length {values.shape} is not a power of two")
     check_table_cap(n)
     coeffs = values.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -119,7 +88,7 @@ def fourier_from_table(table: TruthTable | np.ndarray) -> DiagonalHamiltonian:
     return DiagonalHamiltonian._from_checked(n, dict(zip(masks.tolist(), coeffs[masks].tolist())))
 
 
-def table_from_fourier(h: DiagonalHamiltonian) -> TruthTable:
+def table_from_fourier(h: DiagonalHamiltonian) -> np.ndarray:
     """Exact inverse transform: all 2^n function values of a Z-polynomial."""
     n = h.n_qubits
     check_table_cap(n)
@@ -130,7 +99,7 @@ def table_from_fourier(h: DiagonalHamiltonian) -> TruthTable:
         fwht_inplace(vec)
     if not np.isfinite(vec).all():
         raise ParseError("function values overflow the float range")
-    return TruthTable(n, vec)
+    return vec
 
 
 def projector_defect(h: DiagonalHamiltonian) -> float:
@@ -146,7 +115,7 @@ def count_models(h: DiagonalHamiltonian) -> int:
     max_x |v(x)^2 - v(x)| (one transform, and never smaller than the
     coefficient defect of h*h - h); above it through projector_defect.
     """
-    values = table_from_fourier(h).values if h.n_qubits <= TABLE_CAP else None
+    values = table_from_fourier(h) if h.n_qubits <= TABLE_CAP else None
     return _count_models(h, values)
 
 
@@ -172,14 +141,14 @@ def check_approx(
 
     Returns (max_x |h.eval(x) - f(x)|, within the 1/3 approximation bound).
     """
-    approx = table_from_fourier(h).values
+    approx = table_from_fourier(h)
     exact = boolexpr.truth_table(f, h.n_qubits)
     max_error = float(np.max(np.abs(approx - exact)))
     return max_error, max_error <= MAX_NORM_BOUND + 1e-12
 
 
 def approx_report(h: DiagonalHamiltonian, f: boolexpr.BoolExpr) -> str:
-    """One-line report used by the verification CLI and golden tests."""
+    """check_approx as one line: the max error and whether it is within 1/3."""
     max_error, ok = check_approx(h, f)
     verdict = "OK" if ok else "FAIL"
     return f"max_error {max_error:.12g} bound 1/3 {verdict}"

@@ -9,7 +9,11 @@ position j counting from the right.
 The dense register cap defaults to 12 qubits (a complex matrix is about
 256 MiB at n = 12) and is hard-limited to 14.  Matrix exponentials of
 diagonal operators are computed entrywise; Hermitian non-diagonal
-operators go through an eigendecomposition.
+operators go through an eigendecomposition.  Spectra are of diagonal
+operators only and read the value table, so they reach n = 24.
+
+The checks built from these matrices, the oracle-query equivalence
+(kickback) suite among them, live in ``verify``.
 """
 
 from __future__ import annotations
@@ -20,16 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .boolexpr import BoolExpr, Var, register_size, truth_table
-from .circuits import Circuit, emit_bit_query
-from .compiler import compile_expr
+from .boolexpr import BoolExpr, register_size, truth_table
+from .circuits import Circuit
 from .errors import CapExceeded
 from .pauli import PauliOperator
 from .zpoly import DiagonalHamiltonian, basis_label
 
 DENSE_CAP_DEFAULT = 12
 DENSE_CAP_MAX = 14
-KICKBACK_TIMES = (1.0, math.pi)  # evolution times of the kickback sandwich checks
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -192,7 +194,7 @@ def maxdiff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
-# -- oracle-query equivalence suite ------------------------------------------
+# -- oracle-query reference ---------------------------------------------------
 
 
 def bit_query_matrix(f: BoolExpr, n: int, cap: int | None = None) -> np.ndarray:
@@ -209,126 +211,21 @@ def bit_query_matrix(f: BoolExpr, n: int, cap: int | None = None) -> np.ndarray:
     return out
 
 
-def _embed_h(n_total: int, qubit: int) -> np.ndarray:
-    m = np.eye(1, dtype=complex)
-    for j in range(n_total, 0, -1):
-        m = np.kron(m, H2 if j == qubit else I2)
-    return m
-
-
-@dataclass(frozen=True)
-class KickbackReport:
-    """Residuals of the four oracle-equivalence checks, max entry norm."""
-
-    n_qubits: int
-    phase_from_bit: float  # G_f on |-> realizes (-1)^f on the data register
-    bit_from_controlled_phase: float  # H_a Lambda_{x_a}(e^{-i pi H_f}) H_a = G_f
-    controlled_phase_from_bit: float  # two G_f + doubly controlled phase sandwich
-    controlled_phase_composite: float  # same, with G_f itself expanded via (2)
-    tolerance: float = 1e-9
-
-    @property
-    def residuals(self) -> dict[str, float]:
-        return {
-            "phase_from_bit": self.phase_from_bit,
-            "bit_from_controlled_phase": self.bit_from_controlled_phase,
-            "controlled_phase_from_bit": self.controlled_phase_from_bit,
-            "controlled_phase_composite": self.controlled_phase_composite,
-        }
-
-    @property
-    def passed(self) -> bool:
-        return all(r <= self.tolerance for r in self.residuals.values())
-
-    def lines(self) -> list[str]:
-        return [
-            f"{name:<28} residual {value:.3e} "
-            f"{'ok' if value <= self.tolerance else 'FAIL'}"
-            for name, value in self.residuals.items()
-        ]
-
-
-def verify_kickback_suite(
-    f: BoolExpr,
-    n: int | None = None,
-    cap: int | None = None,
-) -> KickbackReport:
-    """Demonstrate the bit-query / phase-query equivalences densely.
-
-    Register layout: control a = qubit 1, data x = qubits 2..n+1, function
-    ancilla b = qubit n+2.  The emitted bit-query circuit supplies the
-    constructed G_f; the truth-table permutation matrix is the reference.
-    """
-    n = register_size(f, n)
-    _check_cap(n + 2, cap)
-
-    hf = compile_expr(f, n)
-    fsigns = 1.0 - 2.0 * truth_table(f, n)  # (-1)^f(x)
-    dim_x = 1 << n
-
-    g_circuit = simulate_circuit(emit_bit_query(f, n), cap)  # data 1..n, ancilla n+1
-    g_reference = bit_query_matrix(f, n, cap)
-
-    # (1) phase kickback: G_f |x>|-> = (-1)^f(x) |x>|->
-    minus_cols = np.zeros((2 * dim_x, dim_x), dtype=complex)
-    minus_cols[:dim_x, :] = np.eye(dim_x) / math.sqrt(2)
-    minus_cols[dim_x:, :] = -np.eye(dim_x) / math.sqrt(2)
-    r1 = maxdiff(g_circuit @ minus_cols, minus_cols * fsigns[None, :])
-
-    # (2) single-bit phase estimation: H_a Lambda_{x_a}(e^{-i pi H_f}) H_a = G_f
-    # (ancilla a = qubit n+1 here), compared on ancilla-|0> columns
-    phase_block = np.zeros((2 * dim_x, 2 * dim_x), dtype=complex)
-    phase_block[:dim_x, :dim_x] = np.eye(dim_x)
-    phase_block[dim_x:, dim_x:] = np.diag(fsigns)
-    h_anc = _embed_h(n + 1, n + 1)
-    built = h_anc @ phase_block @ h_anc
-    r2 = maxdiff(built[:, :dim_x], g_reference[:, :dim_x])
-
-    # (3), (4): sandwich constructions on a + x + b
-    dim_ax = 2 * dim_x
-    g_high = np.kron(g_circuit, I2)  # G_f on (x, b), identity on a
-    idx_full = np.arange(1 << (n + 2), dtype=np.uint64)
-    a_bits = (idx_full & 1).astype(np.float64)
-    b_bits = ((idx_full >> np.uint64(n + 1)) & 1).astype(np.float64)
-    r3 = 0.0
-    r4 = 0.0
-    for t in KICKBACK_TIMES:
-        target_ax = dense_controlled(
-            Var(1), np.diag(np.exp(-1j * t * zham_diagonal(hf))), n_ctrl=1, cap=cap
-        )
-        # doubly-controlled phase e^{-i t a b} = exp of the AND Hamiltonian on (a, b)
-        dphase = np.exp(-1j * t * a_bits * b_bits)
-        m3 = g_high @ (dphase[:, None] * g_high)
-        r3 = max(r3, maxdiff(m3[:, :dim_ax], np.vstack([target_ax, np.zeros_like(target_ax)])))
-
-        # expand each G_f via (2): C_b = Lambda_{x_b}(e^{-i pi H_f}), H on b
-        c_b = np.zeros_like(m3)
-        c_b[:dim_ax, :dim_ax] = np.eye(dim_ax)
-        c_b[dim_ax:, dim_ax:] = np.kron(np.diag(fsigns), I2)
-        h_b = _embed_h(n + 2, n + 2)
-        g_expanded = h_b @ c_b @ h_b
-        m4 = g_expanded @ (dphase[:, None] * g_expanded)
-        r4 = max(r4, maxdiff(m4[:, :dim_ax], np.vstack([target_ax, np.zeros_like(target_ax)])))
-
-    return KickbackReport(n, r1, r2, r3, r4)
-
-
 # -- spectra -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues in ascending order.
+    """Eigenvalues of a diagonal operator in ascending order.
 
-    For a diagonal operator ``table`` is its unsorted 2^n value table
-    (entry x = eval(x)).  A state's place among the labels is its place in
-    a stable sort of the table: by value, ties by index.  Labels are built
-    only for the states a query returns.  Dense inputs have no table and
-    no labels.
+    ``table`` is the operator's unsorted 2^n value table (entry x =
+    eval(x)).  A state's place among the labels is its place in a stable
+    sort of the table: by value, ties by index.  Labels are built only for
+    the states a query returns.
     """
 
     values: np.ndarray
-    table: np.ndarray | None = None
+    table: np.ndarray
 
     @property
     def min_value(self) -> float:
@@ -339,22 +236,15 @@ class Spectrum:
         return float(self.values[-1])
 
     @property
-    def labels(self) -> tuple[str, ...] | None:
-        """Every basis-state label, aligned with ``values``; None for dense inputs."""
-        if self.table is None:
-            return None
+    def labels(self) -> tuple[str, ...]:
+        """Every basis-state label, aligned with ``values``."""
         return self._labels(np.arange(self.table.size))
 
     def ground_states(self, tol: float = 1e-9) -> tuple[str, ...]:
-        return self._labels(np.flatnonzero(self._diagonal() <= self.min_value + tol))
+        return self._labels(np.flatnonzero(self.table <= self.min_value + tol))
 
     def top_states(self, tol: float = 1e-9) -> tuple[str, ...]:
-        return self._labels(np.flatnonzero(self._diagonal() >= self.max_value - tol))
-
-    def _diagonal(self) -> np.ndarray:
-        if self.table is None:
-            raise ValueError("dense spectra carry no basis-state labels")
-        return self.table
+        return self._labels(np.flatnonzero(self.table >= self.max_value - tol))
 
     def _labels(self, states: np.ndarray) -> tuple[str, ...]:
         # a stable sort of an increasing index subset keeps the full sort's order
@@ -363,12 +253,8 @@ class Spectrum:
         return tuple(basis_label(int(x), n) for x in order)
 
 
-def spectrum(op, cap: int | None = None) -> Spectrum:
-    """Exhaustive spectrum: diagonal operators read their value table
-    (n <= 24 via the transform), dense Hermitian matrices use eigvalsh."""
-    if isinstance(op, DiagonalHamiltonian):
-        table = fourier.table_from_fourier(op).values
-        return Spectrum(np.sort(table), table)
-    m = np.asarray(op)
-    _check_cap((m.shape[0] - 1).bit_length(), cap)
-    return Spectrum(np.linalg.eigvalsh(m))
+def spectrum(h: DiagonalHamiltonian) -> Spectrum:
+    """Exhaustive spectrum of a diagonal operator from its value table
+    (n <= 24 via the transform)."""
+    table = fourier.table_from_fourier(h)
+    return Spectrum(np.sort(table), table)

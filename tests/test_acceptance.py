@@ -44,7 +44,6 @@ from boolham.oracle import (
     phase_aligned_maxdiff,
     simulate_circuit,
     spectrum,
-    verify_kickback_suite,
     zham_diagonal,
 )
 from boolham.pauli import PauliOperator, jordan_wigner, spin_lowering
@@ -56,6 +55,7 @@ from boolham.verify import (
     random_zham,
     basic_clause_cases,
     three_variable_cases,
+    verify_kickback_suite,
 )
 from boolham.zpoly import DiagonalHamiltonian, basis_label, bit_projector
 
@@ -285,7 +285,7 @@ def test_criterion_11_kickback_suite():
         if n > 5:
             continue
         rep = verify_kickback_suite(e, n)
-        worst = max(worst, max(rep.residuals.values()))
+        worst = max(worst, max(c.residual for c in rep.checks))
     report(
         11,
         "all four oracle-equivalence checks pass on the corpus",

@@ -54,6 +54,29 @@ class TestGateValidation:
         with pytest.raises(QubitCountError):
             Circuit(1, (cx(1, 2),))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Gate("rz", (1.5,), 0.3),
+            lambda: Gate("rz", (True,), 0.3),
+            lambda: Gate("cx", (1, np.int64(2))),
+            lambda: Circuit(-1),
+            lambda: Circuit(2.5),
+            lambda: Circuit(True),
+            lambda: Circuit(2, (), float("inf")),
+            lambda: Circuit(2, (), float("nan")),
+        ],
+        ids=["float-qubit", "bool-qubit", "numpy-qubit", "negative-register",
+             "float-register", "bool-register", "infinite-phase", "nan-phase"],
+    )
+    def test_rejects_what_parse_circuit_rejects(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_qubit_list_is_stored_as_a_tuple(self):
+        g = Gate("cx", [1, 2])
+        assert g == cx(1, 2) and hash(g) == hash(cx(1, 2))
+
 
 class TestEmitEvolution:
     def test_three_qubit_ladder_pattern(self):

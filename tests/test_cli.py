@@ -332,10 +332,13 @@ class TestBounds:
         [
             ["verify", "-e", "x1 & x2", "--dense-cap", "-5"],
             ["verify", "--dense-cap", "0"],
+            ["verify", "-e", "x1", "--dense-cap", "15"],
+            ["verify", "-e", " & ".join(f"x{j}" for j in range(1, 10)), "--dense-cap", "15"],
             ["jw", "-3"],
             ["jw", "0"],
         ],
-        ids=["dense-cap-negative", "dense-cap-zero", "jw-negative", "jw-zero"],
+        ids=["dense-cap-negative", "dense-cap-zero", "dense-cap-above-max",
+             "dense-cap-above-max-unused", "jw-negative", "jw-zero"],
     )
     def test_exits_1_with_one_line(self, argv, capsys):
         assert one_line_usage_error(capsys, *argv)
@@ -369,6 +372,17 @@ class TestBounds:
         assert code == 1 and out == ""
         assert err == "boolham: error: rz needs a finite angle, got inf\n"
         with pytest.raises(ValueError, match="^rz needs a finite angle, got inf$"):
+            emit_evolution(DiagonalHamiltonian.from_json(path.read_text()), 1e300)
+
+    def test_overflowing_global_phase_exits_1(self, tmp_path, capsys):
+        # gamma * w of the identity term passes the float range; its rotation does not
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"n": 1, "terms": [
+            {"paulis": "I", "coeff": 1e10}, {"paulis": "Z1", "coeff": 0.5}]}))
+        code, out, err = run(capsys, "circuit", "--hamiltonian", str(path), "--gamma", "1e300")
+        assert code == 1 and out == ""
+        assert err == "boolham: error: global phase must be finite, got -inf\n"
+        with pytest.raises(ValueError, match="^global phase must be finite, got -inf$"):
             emit_evolution(DiagonalHamiltonian.from_json(path.read_text()), 1e300)
 
     def test_overflowing_inverse_transform_exits_1(self, tmp_path, capsys):

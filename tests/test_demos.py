@@ -1,11 +1,15 @@
-"""Each narrative script in demos/ runs to completion against the package."""
+"""Each narrative script in demos/, the README's library tour and every
+exported name work against the package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import boolham
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -27,3 +31,15 @@ def test_demo_runs(script):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in boolham.__all__ if not hasattr(boolham, name)]
+    assert not missing
+
+
+def test_readme_python_block_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

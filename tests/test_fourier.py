@@ -7,12 +7,12 @@ from boolham.boolexpr import parse_expr, truth_table
 from boolham.compiler import compile_expr
 from boolham.errors import CapExceeded, ParseError, VerificationError
 from boolham.fourier import (
-    TruthTable,
     approx_report,
     check_approx,
     count_models,
     fourier_from_table,
     fwht_inplace,
+    parse_table,
     table_from_fourier,
 )
 from boolham.oracle import spectrum
@@ -48,11 +48,11 @@ class TestFWHT:
 
 class TestFourierFromTable:
     def test_single_bit(self):
-        h = fourier_from_table(TruthTable(1, [0.0, 1.0]))
+        h = fourier_from_table(np.array([0.0, 1.0]))
         assert h == DiagonalHamiltonian(1, {0: 0.5, 1: -0.5})
 
     def test_all_zeros(self):
-        assert fourier_from_table(TruthTable(2, np.zeros(4))).size == 0
+        assert fourier_from_table(np.zeros(4)).size == 0
 
     def test_one_in_three(self):
         e = parse_expr("(x1 & !x2 & !x3) | (!x1 & x2 & !x3) | (!x1 & !x2 & x3)")
@@ -84,22 +84,34 @@ class TestFourierFromTable:
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            fourier_from_table(TruthTable(25, np.zeros(1 << 25, dtype=np.float64)))
+            fourier_from_table(np.zeros(1 << 25, dtype=np.float64))
+
+
+class TestParseTable:
+    @pytest.mark.parametrize("text", ["0111", " 0111\n", "[0, 1, 1, 1]", "[0.0, 1, 1.0, 1]"])
+    def test_bits_and_json_give_one_float_array(self, text):
+        table = parse_table(text)
+        assert table.dtype == np.float64 and table.tolist() == [0.0, 1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("text", ["011", "0112", "[1, 2, 3]", "[]", '{"a": 1}', "[NaN, 1]"])
+    def test_malformed_tables_are_parse_errors(self, text):
+        with pytest.raises(ParseError):
+            parse_table(text)
 
 
 class TestTableFromFourier:
     def test_round_trip(self, rng):
         values = rng.normal(size=16)
         table = table_from_fourier(fourier_from_table(values))
-        assert np.max(np.abs(table.values - values)) < 1e-12
+        assert np.max(np.abs(table - values)) < 1e-12
 
     def test_identity_gives_all_ones(self):
         table = table_from_fourier(DiagonalHamiltonian.identity(3))
-        assert table.values.tolist() == [1.0] * 8
+        assert table.tolist() == [1.0] * 8
 
     def test_or_values(self):
         or2 = DiagonalHamiltonian(2, {0: 0.75, 1: -0.25, 2: -0.25, 3: -0.25})
-        assert table_from_fourier(or2).values.tolist() == [0.0, 1.0, 1.0, 1.0]
+        assert table_from_fourier(or2).tolist() == [0.0, 1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize("read", [table_from_fourier, count_models, spectrum])
     def test_values_past_the_float_range_are_a_parse_error(self, read):

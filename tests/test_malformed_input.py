@@ -13,7 +13,7 @@ from boolham.circuits import parse_circuit
 from boolham.cli import main
 from boolham.compiler import QuboInstance, augment_penalties, compile_qubo, penalty_spec_from_json
 from boolham.errors import BoolhamError, ParseError, QubitCountError
-from boolham.fourier import TruthTable, fourier_from_table
+from boolham.fourier import fourier_from_table, parse_table
 from boolham.pauli import PauliOperator
 from boolham.zpoly import DiagonalHamiltonian
 
@@ -370,5 +370,5 @@ def test_penalty_spec_documents(doc):
 @JSON_FUZZ
 @given(st.one_of(st.lists(VALUE, max_size=9), VALUE))
 def test_fourier_vectors(doc):
-    table = accepted(TruthTable.from_json, doc)
+    table = accepted(parse_table, doc)
     assert table is None or all_finite(fourier_from_table(table))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from boolham import circuits
 from boolham.boolexpr import Const, Var, parse_expr, truth_table
 from boolham.circuits import Circuit, ccrz, crz, cx, emit_bit_query, emit_evolution, h, rz, x
 from boolham.compiler import compile_expr, compile_pseudo, ground_state_logic
@@ -25,11 +26,10 @@ from boolham.oracle import (
     phase_aligned_maxdiff,
     simulate_circuit,
     spectrum,
-    verify_kickback_suite,
     zham_diagonal,
 )
 from boolham.pauli import PauliOperator
-from boolham.verify import random_expr, random_zham
+from boolham.verify import random_expr, random_zham, verify_kickback_suite
 from boolham.zpoly import DiagonalHamiltonian, bit_projector
 from conftest import kron_chain
 
@@ -238,8 +238,31 @@ class TestKickbackSuite:
 
     def test_report_lines(self):
         report = verify_kickback_suite(Var(1), 1)
-        assert len(report.lines()) == 4
-        assert all("ok" in line for line in report.lines())
+        assert len(report.lines()) == 5  # four checks and the summary
+        assert all("ok" in line for line in report.lines()[:4])
+        assert report.lines()[-1] == "4 checks, 0 failures: PASS"
+
+    @pytest.mark.parametrize("text", ["x1 & x2", "x1 ^ x2 ^ x3", "x1 => x2"])
+    def test_a_broken_bit_query_fails_the_checks_built_on_it(self, text, monkeypatch):
+        # without its closing H the emitted G_f is wrong; the two checks built
+        # from the truth table alone do not see the circuit and still pass
+        emit = circuits.emit_bit_query
+
+        def without_closing_h(f, n=None):
+            c = emit(f, n)
+            assert c.gates[-1].name == "h"
+            return Circuit(c.n_qubits, c.gates[:-1], c.global_phase)
+
+        monkeypatch.setattr(circuits, "emit_bit_query", without_closing_h)
+        report = verify_kickback_suite(parse_expr(text))
+        passed = {c.name: c.passed for c in report.checks}
+        assert passed == {
+            "phase_from_bit": False,
+            "bit_from_controlled_phase": True,
+            "controlled_phase_from_bit": False,
+            "controlled_phase_composite": True,
+        }
+        assert not report.passed
 
 
 class TestSpectrum:
@@ -261,14 +284,6 @@ class TestSpectrum:
         spec = spectrum(ground_state_logic(e, 3))
         assert len(spec.ground_states()) == 8
         assert spec.min_value == pytest.approx(0.0, abs=1e-12)
-
-    def test_dense_path(self):
-        m = np.diag([3.0, -1.0, 0.5, 0.0]).astype(complex)
-        spec = spectrum(m)
-        assert spec.labels is None
-        assert np.allclose(spec.values, [-1.0, 0.0, 0.5, 3.0])
-        with pytest.raises(ValueError):
-            spec.ground_states()
 
 
 class TestPhaseAlignment:

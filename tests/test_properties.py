@@ -141,6 +141,26 @@ def test_lowered_gates_pass_the_public_checks(circ):
     assert_passes_the_public_checks(lower_basic(circ))
 
 
+def public_circuits(n: int):
+    """Circuits from the public constructors on n qubits, qubit tuples or lists."""
+    qubits = lambda k: st.permutations(range(1, n + 1)).flatmap(
+        lambda qs: st.sampled_from([tuple(qs[:k]), list(qs[:k])])
+    )
+    gate = st.one_of(
+        *(st.builds(Gate, st.just(name), qubits(k)) for name, k in (("cx", 2), ("h", 1), ("x", 1))),
+        *(st.builds(Gate, st.just(name), qubits(k), angles)
+          for name, k in (("rz", 1), ("crz", 2), ("ccrz", 3))),
+    )
+    phases = st.floats(allow_nan=False, allow_infinity=False)
+    return st.builds(Circuit, st.just(n), st.lists(gate, max_size=12), phases)
+
+
+@PROPERTY
+@given(st.integers(3, 5).flatmap(public_circuits))
+def test_public_circuits_read_back_equal(circ):
+    assert parse_circuit(serialize(circ)) == circ
+
+
 @PROPERTY
 @given(hamiltonians(8), angles)
 def test_evolution_circuit_matches_expm(h, gamma):

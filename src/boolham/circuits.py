@@ -55,7 +55,10 @@ class Gate:
     def __post_init__(self):
         if self.name not in _GATE_SHAPE:
             raise ValueError(f"unknown gate {self.name!r}")
-        qubits = tuple(self.qubits)
+        try:
+            qubits = tuple(self.qubits)
+        except TypeError:
+            raise ValueError(f"{self.name} qubits must be a sequence, got {self.qubits!r}") from None
         if any(type(q) is not int for q in qubits):  # not isinstance: bool is an int
             raise ValueError(f"{self.name} qubit indices must be integers: {qubits}")
         object.__setattr__(self, "qubits", qubits)
@@ -73,7 +76,11 @@ class Gate:
 
 
 def _require_finite_angle(name: str, angle: float | None) -> None:
-    if angle is None or not math.isfinite(angle):
+    try:
+        finite = math.isfinite(angle)
+    except TypeError:  # None, a string, a complex number
+        finite = False
+    if not finite:
         raise ValueError(f"{name} needs a finite angle, got {angle}")
 
 
@@ -133,7 +140,11 @@ class Circuit:
 
 
 def _require_finite_phase(phase: float) -> None:
-    if not math.isfinite(phase):
+    try:
+        finite = math.isfinite(phase)
+    except TypeError:  # a string, a complex number
+        finite = False
+    if not finite:
         raise ValueError(f"global phase must be finite, got {phase}")
 
 

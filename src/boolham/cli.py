@@ -12,6 +12,7 @@ that could not change the output is a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -201,7 +202,10 @@ def _subcommand(sub, name: str, func, summary: str, *options: str) -> _Parser:
     return p
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args keeps no
+    state in it, so every main() call in one process shares it."""
     parser = _Parser(prog="boolham", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

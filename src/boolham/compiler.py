@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Iterable
 
 import numpy as np
@@ -98,7 +98,7 @@ def _fold(e: BoolExpr, n: int, switch: int | None = None) -> DiagonalHamiltonian
     """H_e on n qubits by the composition rules; e must use no variable above n.
     With ``switch``, _Dense is raised once a pairwise result holds more terms."""
     identity = DiagonalHamiltonian.identity(n)
-    var = partial(bit_projector, n)
+    var = cache(partial(bit_projector, n))  # one projector per variable, shared by its uses
 
     def step(h: DiagonalHamiltonian) -> DiagonalHamiltonian:
         if switch is not None and h.size > switch:

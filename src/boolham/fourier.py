@@ -73,9 +73,9 @@ def fwht_inplace(a: np.ndarray) -> None:
 def fourier_from_table(table: np.ndarray) -> DiagonalHamiltonian:
     """Fourier coefficients of a real table as a sparse Z-polynomial."""
     values = np.asarray(table, dtype=np.float64)
-    n = (values.shape[0] - 1).bit_length()
-    if values.shape != (1 << n,):
-        raise ValueError(f"table length {values.shape} is not a power of two")
+    n = (values.size - 1).bit_length()
+    if values.shape != (1 << n,):  # also a 0-d or a multi-axis array
+        raise ValueError(f"table shape {values.shape} is not one axis of power-of-two length")
     check_table_cap(n)
     coeffs = values.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # checked below

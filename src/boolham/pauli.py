@@ -134,6 +134,8 @@ class PauliOperator(PauliSum):
     """Immutable complex-weighted sum of canonical-phase Pauli strings."""
 
     __slots__ = ()
+    _sort_key = staticmethod(_sort_key)
+    _scalar = complex
 
     def __init__(
         self,
@@ -191,14 +193,14 @@ class PauliOperator(PauliSum):
                     prod = sa * sb
                     key = prod.canonical()
                     acc[key] = acc.get(key, 0j) + ca * cb * prod.phase
-            return PauliOperator(self._n, acc)
+            return self._pruned(acc)
         if isinstance(other, (int, float, complex)):
-            return self.scaled(complex(other))
+            return self.scaled(other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return self.scaled(complex(other))
+            return self.scaled(other)
         return NotImplemented
 
     def adjoint(self) -> "PauliOperator":

@@ -208,10 +208,9 @@ KICKBACK_TIMES = (1.0, math.pi)  # evolution times of the kickback sandwich chec
 
 
 def _embed_h(n_total: int, qubit: int) -> np.ndarray:
-    m = np.eye(1, dtype=complex)
-    for j in range(n_total, 0, -1):
-        m = np.kron(m, oracle.H2 if j == qubit else oracle.I2)
-    return m
+    """Hadamard on one qubit of n_total (qubit 1 is the rightmost factor)."""
+    high = np.eye(1 << (n_total - qubit), dtype=complex)
+    return np.kron(np.kron(high, oracle.H2), np.eye(1 << (qubit - 1), dtype=complex))
 
 
 def verify_kickback_suite(
@@ -233,17 +232,34 @@ def verify_kickback_suite(
       bit_from_controlled_phase
 
     The first and third read the emitted circuit; the other two are built
-    from the truth table alone.
+    from the truth table alone.  This builds H_f, the truth table and both
+    G_f matrices for f; ``expression_checks`` passes the ones it has
+    already built to the same checks.
     """
     n = register_size(f, n)
     oracle._check_cap(n + 2, cap)
+    return _kickback_checks(
+        oracle.zham_diagonal(compile_expr(f, n)),
+        truth_table(f, n),
+        oracle.simulate_circuit(circuits.emit_bit_query(f, n), cap),  # data 1..n, ancilla n+1
+        oracle.bit_query_matrix(f, n, cap),
+        cap,
+    )
 
-    hf = compile_expr(f, n)
-    fsigns = 1.0 - 2.0 * truth_table(f, n)  # (-1)^f(x)
-    dim_x = 1 << n
 
-    g_circuit = oracle.simulate_circuit(circuits.emit_bit_query(f, n), cap)  # data 1..n, ancilla n+1
-    g_reference = oracle.bit_query_matrix(f, n, cap)
+def _kickback_checks(
+    diag: np.ndarray,
+    table: np.ndarray,
+    g_circuit: np.ndarray,
+    g_reference: np.ndarray,
+    cap: int | None,
+) -> VerificationReport:
+    """The kickback suite on f's dense artefacts: ``diag`` the diagonal of
+    H_f, ``table`` f's value table, ``g_circuit`` the simulated emitted bit
+    query and ``g_reference`` the truth-table one."""
+    dim_x = table.size
+    n = dim_x.bit_length() - 1
+    fsigns = 1.0 - 2.0 * table  # (-1)^f(x)
 
     # (1) phase kickback: G_f |x>|-> = (-1)^f(x) |x>|->
     minus_cols = np.zeros((2 * dim_x, dim_x), dtype=complex)
@@ -262,28 +278,28 @@ def verify_kickback_suite(
 
     # (3), (4): sandwich constructions on a + x + b
     dim_ax = 2 * dim_x
+    dim = 2 * dim_ax
     g_high = np.kron(g_circuit, oracle.I2)  # G_f on (x, b), identity on a
-    idx_full = np.arange(1 << (n + 2), dtype=np.uint64)
+    idx_full = np.arange(dim, dtype=np.uint64)
     a_bits = (idx_full & 1).astype(np.float64)
     b_bits = ((idx_full >> np.uint64(n + 1)) & 1).astype(np.float64)
+    # expand G_f via (2): C_b = Lambda_{x_b}(e^{-i pi H_f}), H on b
+    c_b = np.zeros((dim, dim), dtype=complex)
+    c_b[:dim_ax, :dim_ax] = np.eye(dim_ax)
+    c_b[dim_ax:, dim_ax:] = np.kron(np.diag(fsigns), oracle.I2)
+    h_b = _embed_h(n + 2, n + 2)
+    g_expanded = h_b @ c_b @ h_b
     r3 = 0.0
     r4 = 0.0
     for t in KICKBACK_TIMES:
         target_ax = oracle.dense_controlled(
-            Var(1), np.diag(np.exp(-1j * t * oracle.zham_diagonal(hf))), n_ctrl=1, cap=cap
+            Var(1), np.diag(np.exp(-1j * t * diag)), n_ctrl=1, cap=cap
         )
         target = np.vstack([target_ax, np.zeros_like(target_ax)])
         # doubly-controlled phase e^{-i t a b} = exp of the AND Hamiltonian on (a, b)
         dphase = np.exp(-1j * t * a_bits * b_bits)
         m3 = g_high @ (dphase[:, None] * g_high)
         r3 = max(r3, oracle.maxdiff(m3[:, :dim_ax], target))
-
-        # expand each G_f via (2): C_b = Lambda_{x_b}(e^{-i pi H_f}), H on b
-        c_b = np.zeros_like(m3)
-        c_b[:dim_ax, :dim_ax] = np.eye(dim_ax)
-        c_b[dim_ax:, dim_ax:] = np.kron(np.diag(fsigns), oracle.I2)
-        h_b = _embed_h(n + 2, n + 2)
-        g_expanded = h_b @ c_b @ h_b
         m4 = g_expanded @ (dphase[:, None] * g_expanded)
         r4 = max(r4, oracle.maxdiff(m4[:, :dim_ax], target))
 
@@ -396,7 +412,8 @@ def expression_checks(
         )
 
     if n <= min(5, dense_cap - 2):
-        report = verify_kickback_suite(e, n, cap=dense_cap)
+        # the same H_f diagonal, table and G_f matrices as the checks above
+        report = _kickback_checks(diag, table, g, g_ref, dense_cap)
         out.append(
             CheckResult(f"{name}: kickback suite", max(c.residual for c in report.checks), TOL)
         )

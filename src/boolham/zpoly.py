@@ -189,9 +189,12 @@ def format_coeff(c: float) -> str:
 class PauliSum:
     """Immutable sparse sum of Pauli terms: ``_terms`` maps each term key to a
     coefficient, in key order, none below the pruning epsilon.  Subclasses
-    build it in ``__init__(n_qubits, terms)`` and give ``to_json_dict``,
+    build it in ``__init__(n_qubits, terms)``, which checks every key, and
+    give ``_sort_key`` (the key order, as for ``sorted``), ``_scalar`` (the
+    coefficient type), ``to_json_dict``,
     ``_term_text(key, coeff) -> (negative, magnitude, label)`` and
-    ``_json_term(n, label, coeff) -> (key, coeff)``."""
+    ``_json_term(n, label, coeff) -> (key, coeff)``.  Arithmetic results
+    skip ``__init__``: their operands were checked on one register."""
 
     __slots__ = ("_n", "_terms")
 
@@ -216,6 +219,23 @@ class PauliSum:
         if self._n != other._n:
             raise QubitCountError(f"qubit-count mismatch: {self._n} vs {other._n}")
 
+    @classmethod
+    def _from_checked(cls, n_qubits: int, terms: dict):
+        """Skips __init__ for ``terms`` that already hold its result: keys in
+        the class's order and inside the register, none below PRUNE_EPS."""
+        op = object.__new__(cls)
+        op._n = n_qubits
+        op._terms = terms
+        return op
+
+    def _pruned(self, acc: dict):
+        """An operator on this register from ``acc``, the raw result of
+        arithmetic on checked operands of this register: its keys need no
+        check, only pruning below PRUNE_EPS and sorting by ``_sort_key``."""
+        kept = [key for key, c in acc.items() if abs(c) >= PRUNE_EPS]
+        kept.sort(key=self._sort_key)
+        return self._from_checked(self._n, {key: acc[key] for key in kept})
+
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -223,18 +243,23 @@ class PauliSum:
         acc = dict(self._terms)
         for key, coeff in other._terms.items():
             acc[key] = acc.get(key, 0) + coeff
-        return type(self)(self._n, acc)
+        return self._pruned(acc)
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self + (-1.0) * other
+        self._require_same_register(other)
+        acc = dict(self._terms)
+        for key, coeff in other._terms.items():
+            acc[key] = acc.get(key, 0) - coeff
+        return self._pruned(acc)
 
     def __neg__(self):
         return (-1.0) * self
 
     def scaled(self, w):
-        return type(self)(self._n, {key: w * c for key, c in self._terms.items()})
+        w = self._scalar(w)
+        return self._pruned({key: w * c for key, c in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
@@ -291,6 +316,8 @@ class DiagonalHamiltonian(PauliSum):
     """
 
     __slots__ = ()
+    _sort_key = None  # ascending mask
+    _scalar = float
 
     def __init__(
         self,
@@ -310,15 +337,6 @@ class DiagonalHamiltonian(PauliSum):
             acc[mask] = acc.get(mask, 0.0) + float(coeff)
         self._n = n_qubits
         self._terms = {m: acc[m] for m in sorted(acc) if abs(acc[m]) >= eps}
-
-    @classmethod
-    def _from_checked(cls, n_qubits: int, terms: dict[int, float]) -> "DiagonalHamiltonian":
-        """Skips __init__ for ``terms`` that already hold its result: masks
-        ascending and inside the register, no coefficient below PRUNE_EPS."""
-        op = object.__new__(cls)
-        op._n = n_qubits
-        op._terms = terms
-        return op
 
     @classmethod
     def identity(cls, n_qubits: int) -> "DiagonalHamiltonian":
@@ -364,14 +382,14 @@ class DiagonalHamiltonian(PauliSum):
                 for mb, cb in other._terms.items():
                     m = ma ^ mb  # Z_S Z_T = Z_{S xor T}
                     acc[m] = acc.get(m, 0.0) + ca * cb
-            return DiagonalHamiltonian(self._n, acc)
+            return self._pruned(acc)
         if isinstance(other, (int, float)):
-            return self.scaled(float(other))
+            return self.scaled(other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
-            return self.scaled(float(other))
+            return self.scaled(other)
         return NotImplemented
 
     def tensor(self, other: "DiagonalHamiltonian") -> "DiagonalHamiltonian":

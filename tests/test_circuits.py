@@ -65,9 +65,14 @@ class TestGateValidation:
             lambda: Circuit(True),
             lambda: Circuit(2, (), float("inf")),
             lambda: Circuit(2, (), float("nan")),
+            lambda: Gate("rz", (1,), "0.3"),
+            lambda: Gate("rz", (1,), 0.3j),
+            lambda: Gate("rz", 1, 0.3),
+            lambda: Circuit(2, (), "0"),
         ],
         ids=["float-qubit", "bool-qubit", "numpy-qubit", "negative-register",
-             "float-register", "bool-register", "infinite-phase", "nan-phase"],
+             "float-register", "bool-register", "infinite-phase", "nan-phase",
+             "string-angle", "complex-angle", "non-iterable-qubits", "string-phase"],
     )
     def test_rejects_what_parse_circuit_rejects(self, make):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from boolham import cli
 from boolham.circuits import emit_evolution, parse_circuit
 from boolham.cli import main
 from boolham.verify import CheckResult, VerificationReport
@@ -201,6 +202,45 @@ class TestVerify:
         monkeypatch.setattr(verify_mod, "run_corpus_verification", fake_corpus)
         code, out, _ = run(capsys, "verify")
         assert code == 3 and "FAIL" in out
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; a call must not see the
+    flags or defaults of an earlier one."""
+
+    def outcomes(self, capsys, inputs):
+        argvs = [
+            ["count", "--dimacs", inputs["cnf"]],
+            ["compile", "--dimacs", inputs["cnf"]],  # count's mode default must not leak
+            ["compile", "--dimacs", inputs["cnf"], "--mode", "maxsat"],
+            ["compile", "--dimacs", inputs["cnf"]],
+            ["verify", "-e", "x1 & x2", "--dense-cap", "3"],
+            ["verify", "-e", "x1 & x2"],
+            ["circuit", "-e", "x1", "--gamma", "nan"],
+            ["circuit", "-e", "x1", "--gamma", "0.5"],
+            ["compile", "--bogus"],
+            ["compile", "-e", "x1 | x2"],
+        ]
+        out = []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    def test_repeated_calls_match_a_fresh_parser_each(self, capsys, inputs, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        shared = self.outcomes(capsys, inputs)
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert self.outcomes(capsys, inputs) == shared
+        codes = [code for code, _, _ in shared]
+        assert codes == [0, 1, 0, 1, 0, 0, 1, 0, 1, 0]
+        assert shared[1][2] == shared[3][2] == "boolham: parse error: --dimacs needs --mode sat|maxsat\n"
+        assert shared[4][1].splitlines()[-1] == "14 checks, 0 failures: PASS"  # no kickback
+        assert shared[5][1].splitlines()[-1] == "16 checks, 0 failures: PASS"
 
 
 class TestUsageErrors:

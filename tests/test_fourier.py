@@ -86,6 +86,15 @@ class TestFourierFromTable:
         with pytest.raises(CapExceeded):
             fourier_from_table(np.zeros(1 << 25, dtype=np.float64))
 
+    @pytest.mark.parametrize(
+        "table",
+        [np.zeros(3), np.float64(1.0), np.array(0.5), np.zeros((2, 2)), np.zeros(0)],
+        ids=["length-3", "numpy-scalar", "0-d", "2-d", "empty"],
+    )
+    def test_rejects_what_is_not_a_vector_of_2_to_the_n(self, table):
+        with pytest.raises(ValueError, match="not one axis of power-of-two length"):
+            fourier_from_table(table)
+
 
 class TestParseTable:
     @pytest.mark.parametrize("text", ["0111", " 0111\n", "[0, 1, 1, 1]", "[0.0, 1, 1.0, 1]"])

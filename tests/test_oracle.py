@@ -29,7 +29,7 @@ from boolham.oracle import (
     zham_diagonal,
 )
 from boolham.pauli import PauliOperator
-from boolham.verify import random_expr, random_zham, verify_kickback_suite
+from boolham.verify import expression_checks, random_expr, random_zham, verify_kickback_suite
 from boolham.zpoly import DiagonalHamiltonian, bit_projector
 from conftest import kron_chain
 
@@ -263,6 +263,11 @@ class TestKickbackSuite:
             "controlled_phase_composite": True,
         }
         assert not report.passed
+        # expression_checks simulates G_f once for the bit-query checks and
+        # the kickback suite: the shared matrix fails both
+        checks = {c.name: c.passed for c in expression_checks("f", parse_expr(text))}
+        assert checks["f: bit query action"] is False
+        assert checks["f: kickback suite"] is False
 
 
 class TestSpectrum:

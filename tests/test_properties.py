@@ -3,6 +3,7 @@ gate lowering, evolution circuits, spectra and model counts, checked
 against the dense oracle or the truth table."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -20,10 +21,10 @@ from boolham.circuits import (
     serialize,
 )
 from boolham.compiler import PenaltySpec, augment_penalties, compile_expr, compile_pseudo
-from boolham.errors import VerificationError
+from boolham.errors import QubitCountError, VerificationError
 from boolham.fourier import count_models, fwht_inplace
 from boolham.oracle import expm_zham, simulate_circuit, spectrum, zham_diagonal
-from boolham.pauli import PauliOperator
+from boolham.pauli import PauliOperator, PauliString
 from boolham.verify import bundled_corpus
 from boolham.zpoly import DiagonalHamiltonian, basis_label
 from test_fold import PROPERTY, formula_and_size, formulas
@@ -76,6 +77,70 @@ def test_pauli_form_commutes_with_the_shared_arithmetic(pair, w):
     assert pauli(a.scaled(w)) == pauli(a).scaled(w)
     assert pauli(a).allclose(pauli(b)) == a.allclose(b)
     assert pauli(a).allclose(pauli(a + b.scaled(1e-12)))
+
+
+# coefficients that often cancel exactly, so sums and products prune terms
+cancelling = st.one_of(coeffs, st.sampled_from([-1.0, -0.5, 0.5, 1.0]))
+
+
+def operator_pairs(max_n: int):
+    """Two DiagonalHamiltonians, or two PauliOperators, on one 1..max_n register."""
+    def diagonal(n):
+        return st.dictionaries(st.integers(0, (1 << n) - 1), cancelling, max_size=6).map(
+            lambda terms: DiagonalHamiltonian(n, terms)
+        )
+
+    def general(n):
+        strings = st.builds(
+            PauliString, st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)
+        )
+        values = st.builds(complex, cancelling, st.one_of(st.just(0.0), cancelling))
+        return st.dictionaries(strings, values, max_size=6).map(lambda t: PauliOperator(n, t))
+
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.one_of(st.tuples(diagonal(n), diagonal(n)), st.tuples(general(n), general(n)))
+    )
+
+
+def raw_product(a, b) -> dict:
+    """The unpruned term dict of a * b, keys as the checking constructor takes them."""
+    acc: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            if isinstance(a, DiagonalHamiltonian):
+                key, c = ka ^ kb, ca * cb
+            else:
+                key, c = ka * kb, ca * cb
+            acc[key] = acc.get(key, 0) + c
+    return acc
+
+
+def assert_same_operator(result, checked):
+    assert result == checked
+    assert list(result.items()) == list(checked.items())
+    assert result.to_text() == checked.to_text()
+
+
+@PROPERTY
+@given(operator_pairs(4), coeffs)
+def test_arithmetic_results_equal_the_checking_constructor(pair, w):
+    # sums, products and scalings skip the constructor's checks; the
+    # operator must be the one the constructor builds from the raw terms
+    a, b = pair
+    cls, n = type(a), a.n_qubits
+    raw_sum, raw_diff = dict(a.items()), dict(a.items())
+    for key, c in b.items():
+        raw_sum[key] = raw_sum.get(key, 0) + c
+        raw_diff[key] = raw_diff.get(key, 0) - c
+    assert_same_operator(a + b, cls(n, raw_sum))
+    assert_same_operator(a - b, cls(n, raw_diff))
+    assert_same_operator(a * b, cls(n, raw_product(a, b)))
+    assert_same_operator(w * a, cls(n, {key: w * c for key, c in a.items()}))
+    assert_same_operator(-a, cls(n, {key: -c for key, c in a.items()}))
+    other = cls.identity(n + 1)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(QubitCountError):
+            op(a, other)
 
 
 @PROPERTY

@@ -58,7 +58,8 @@ def test_full_corpus_verification_passes():
     report = run_corpus_verification()
     assert report.passed
     assert not report.failures
-    assert report.lines()[-1].endswith("PASS")
+    assert len(report.checks) == 1084
+    assert report.lines()[-1] == "1084 checks, 0 failures: PASS"
 
 
 def test_report_flags_failures():

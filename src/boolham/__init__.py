@@ -30,7 +30,6 @@ from .circuits import (
     emit_bit_query,
     emit_controlled_evolution,
     emit_evolution,
-    emit_phase_query,
     emit_qubo_evolution,
     lower_basic,
     parse_circuit,
@@ -65,7 +64,6 @@ from .oracle import (
     Spectrum,
     dense_controlled,
     dense_of_pauli,
-    dense_of_zham,
     simulate_circuit,
     spectrum,
 )
@@ -116,11 +114,9 @@ __all__ = [
     "count_models",
     "dense_controlled",
     "dense_of_pauli",
-    "dense_of_zham",
     "emit_bit_query",
     "emit_controlled_evolution",
     "emit_evolution",
-    "emit_phase_query",
     "emit_qubo_evolution",
     "eval_expr",
     "fourier_from_table",

@@ -248,10 +248,13 @@ def max_var(e: BoolExpr) -> int:
 
 
 def register_size(e: BoolExpr, n: int | None = None) -> int:
-    """n, or max_var(e) when n is None; QubitCountError if e uses a variable above n."""
+    """n, or max_var(e) when n is None; QubitCountError if n is negative or
+    e uses a variable above n."""
     used = max_var(e)
     if n is None:
         return used
+    if n < 0:
+        raise QubitCountError(f"register size {n} is negative")
     if used > n:
         raise QubitCountError(f"formula uses x{used} but register has {n} qubits")
     return n

@@ -70,18 +70,19 @@ class Gate:
         if any(q < 1 for q in self.qubits):
             raise QubitCountError(f"qubit indices are 1-based: {self.qubits}")
         if takes_angle:
-            _require_finite_angle(self.name, self.angle)
+            _require_finite(self.angle, f"{self.name} needs a finite angle")
         elif self.angle is not None:
             raise ValueError(f"{self.name} takes no angle")
 
 
-def _require_finite_angle(name: str, angle: float | None) -> None:
+def _require_finite(value, message: str) -> None:
+    """ValueError "<message>, got <value>" unless value is a finite real number."""
     try:
-        finite = math.isfinite(angle)
+        finite = math.isfinite(value)
     except TypeError:  # None, a string, a complex number
         finite = False
     if not finite:
-        raise ValueError(f"{name} needs a finite angle, got {angle}")
+        raise ValueError(f"{message}, got {value}")
 
 
 def cx(control: int, target: int) -> Gate:
@@ -117,7 +118,7 @@ class Circuit:
     def __post_init__(self):
         if type(self.n_qubits) is not int or self.n_qubits < 0:
             raise ValueError(f"qubit count must be a non-negative integer, got {self.n_qubits!r}")
-        _require_finite_phase(self.global_phase)
+        _require_finite(self.global_phase, "global phase must be finite")
         object.__setattr__(self, "gates", tuple(self.gates))
         _require_in_register(self.n_qubits, self.gates)
 
@@ -137,15 +138,6 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.gates)
-
-
-def _require_finite_phase(phase: float) -> None:
-    try:
-        finite = math.isfinite(phase)
-    except TypeError:  # a string, a complex number
-        finite = False
-    if not finite:
-        raise ValueError(f"global phase must be finite, got {phase}")
 
 
 def _require_in_register(n_qubits: int, gates) -> None:
@@ -175,7 +167,7 @@ def _gate(name: str, qubits: tuple[int, ...], angle: float | None = None) -> Gat
 
 
 def _rotation(name: str, qubits: tuple[int, ...], angle: float) -> Gate:
-    _require_finite_angle(name, angle)
+    _require_finite(angle, f"{name} needs a finite angle")
     return _gate(name, qubits, angle)
 
 
@@ -222,7 +214,7 @@ def emit_evolution(ham: DiagonalHamiltonian, gamma: float) -> Circuit:
             continue
         qs = qubits_of(mask)
         _ladder_term(gates, cxs, qs, _rotation("rz", qs[-1:], 2.0 * gamma * w))
-    _require_finite_phase(phase)  # gamma * w can pass the float range
+    _require_finite(phase, "global phase must be finite")  # gamma * w can pass the float range
     return _circuit(ham.n_qubits, gates, phase)
 
 
@@ -286,11 +278,6 @@ def emit_bit_query(f: BoolExpr, n: int | None = None) -> Circuit:
         _ladder_term(gates, cxs, qs, _rotation("crz", (ancilla, qs[-1]), 2.0 * math.pi * w))
     gates.append(hadamard)
     return _circuit(ancilla, gates, phase)
-
-
-def emit_phase_query(f: BoolExpr, n: int | None = None) -> Circuit:
-    """Grover-style phase query exp(-i pi H_f) = diag((-1)^f(x))."""
-    return emit_evolution(compile_expr(f, n), math.pi)
 
 
 # -- lowering -------------------------------------------------------------

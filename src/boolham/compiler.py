@@ -179,20 +179,6 @@ class QuboInstance:
             self.constant + self.linear @ bits + 0.5 * bits @ self.quadratic @ bits
         )
 
-    def to_json_dict(self) -> dict:
-        entries = [
-            [j + 1, k + 1, float(self.quadratic[j, k])]
-            for j in range(self.n_vars)
-            for k in range(j + 1, self.n_vars)
-            if self.quadratic[j, k] != 0.0
-        ]
-        return {
-            "n": self.n_vars,
-            "a": self.constant,
-            "linear": [float(c) for c in self.linear],
-            "quadratic": entries,
-        }
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "QuboInstance":
         try:
@@ -213,11 +199,11 @@ class QuboInstance:
         for entry in quadratic:
             try:
                 j, k, d = entry
-                j, k, d = int(j), int(k), float(d)
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise ParseError(f"quadratic entry {entry!r} is not [j, k, d]") from exc
-            if not math.isfinite(d):
-                raise ParseError(f"quadratic entry {entry!r} must be finite")
+            j = json_number(j, "QUBO 'quadratic' index", int)
+            k = json_number(k, "QUBO 'quadratic' index", int)
+            d = json_number(d, "QUBO 'quadratic' weight")
             if not (1 <= j <= n and 1 <= k <= n) or j == k:
                 raise ParseError(f"bad quadratic entry {entry!r} for n={n}")
             quad[j - 1, k - 1] += d

@@ -8,9 +8,10 @@ position j counting from the right.
 
 The dense register cap defaults to 12 qubits (a complex matrix is about
 256 MiB at n = 12) and is hard-limited to 14.  Matrix exponentials of
-diagonal operators are computed entrywise; Hermitian non-diagonal
-operators go through an eigendecomposition.  Spectra are of diagonal
-operators only and read the value table, so they reach n = 24.
+diagonal operators are computed entrywise.  A diagonal operator's values
+come from one Walsh-Hadamard transform of its coefficients
+(``fourier.table_from_fourier``).  Spectra are of diagonal operators only
+and read the same value table, so they reach n = 24.
 
 The checks built from these matrices, the oracle-query equivalence
 (kickback) suite among them, live in ``verify``.
@@ -50,21 +51,6 @@ def _check_cap(n: int, cap: int | None) -> None:
         raise CapExceeded(f"{n} qubits exceed the dense cap {limit}")
 
 
-def zham_diagonal(h: DiagonalHamiltonian, cap: int | None = None) -> np.ndarray:
-    """The 2^n real diagonal of a Z-polynomial (entry x = eval(x))."""
-    _check_cap(h.n_qubits, cap)
-    idx = np.arange(1 << h.n_qubits, dtype=np.uint64)
-    diag = np.zeros(idx.shape, dtype=np.float64)
-    for mask, coeff in h.items():
-        parity = np.bitwise_count(idx & np.uint64(mask)) & 1
-        diag += coeff * (1.0 - 2.0 * parity)
-    return diag
-
-
-def dense_of_zham(h: DiagonalHamiltonian, cap: int | None = None) -> np.ndarray:
-    return np.diag(zham_diagonal(h, cap)).astype(complex)
-
-
 def dense_of_pauli(p: PauliOperator, cap: int | None = None) -> np.ndarray:
     """Kronecker-product realization of a general Pauli operator."""
     _check_cap(p.n_qubits, cap)
@@ -88,17 +74,11 @@ def _rz_phases(idx: np.ndarray, qubit: int, angle: float) -> np.ndarray:
 
 def _apply_gate(u: np.ndarray, gate, idx: np.ndarray, n: int) -> np.ndarray:
     name = gate.name
-    if name == "rz":
-        return _rz_phases(idx, gate.qubits[0], gate.angle)[:, None] * u
-    if name == "crz":
-        ctrl, tgt = gate.qubits
-        active = ((idx >> np.uint64(ctrl - 1)) & 1).astype(bool)
-        d = np.where(active, _rz_phases(idx, tgt, gate.angle), 1.0)
-        return d[:, None] * u
-    if name == "ccrz":
-        c1, c2, tgt = gate.qubits
-        active = (((idx >> np.uint64(c1 - 1)) & 1) & ((idx >> np.uint64(c2 - 1)) & 1)).astype(bool)
-        d = np.where(active, _rz_phases(idx, tgt, gate.angle), 1.0)
+    if name in ("rz", "crz", "ccrz"):  # RZ on the last qubit where every other one is 1
+        *controls, tgt = gate.qubits
+        d = _rz_phases(idx, tgt, gate.angle)
+        for c in controls:
+            d = np.where(((idx >> np.uint64(c - 1)) & 1).astype(bool), d, 1.0)
         return d[:, None] * u
     if name == "cx":
         ctrl, tgt = gate.qubits
@@ -165,13 +145,8 @@ def dense_controlled(
 
 def expm_zham(h: DiagonalHamiltonian, t: float, cap: int | None = None) -> np.ndarray:
     """exp(-i t H) for a diagonal operator, entrywise."""
-    return np.diag(np.exp(-1j * t * zham_diagonal(h, cap)))
-
-
-def expm_hermitian(m: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(-i t M) for Hermitian M via eigendecomposition."""
-    w, v = np.linalg.eigh(m)
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
+    _check_cap(h.n_qubits, cap)
+    return np.diag(np.exp(-1j * t * fourier.table_from_fourier(h)))
 
 
 def phase_aligned_maxdiff(a: np.ndarray, b: np.ndarray) -> float:
@@ -234,11 +209,6 @@ class Spectrum:
     @property
     def max_value(self) -> float:
         return float(self.values[-1])
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        """Every basis-state label, aligned with ``values``."""
-        return self._labels(np.arange(self.table.size))
 
     def ground_states(self, tol: float = 1e-9) -> tuple[str, ...]:
         return self._labels(np.flatnonzero(self.table <= self.min_value + tol))

@@ -80,11 +80,6 @@ class PauliString:
         return sep.join(atoms) if atoms else "I"
 
     @property
-    def weight(self) -> int:
-        """Number of non-identity qubits."""
-        return (self.x_mask | self.z_mask).bit_count()
-
-    @property
     def phase(self) -> complex:
         return (1j) ** self.phase_pow
 
@@ -114,12 +109,6 @@ class PauliString:
 
     def adjoint(self) -> "PauliString":
         return PauliString(self.n_qubits, self.x_mask, self.z_mask, -self.phase_pow)
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        cross = (self.x_mask & other.z_mask).bit_count() + (
-            self.z_mask & other.x_mask
-        ).bit_count()
-        return cross % 2 == 0
 
     def __repr__(self) -> str:
         prefix = ["", "i ", "- ", "-i "][self.phase_pow]
@@ -179,9 +168,6 @@ class PauliOperator(PauliSum):
     def coeff(self, string: PauliString) -> complex:
         return self._terms.get(string.canonical(), 0j) * string.phase.conjugate()
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return all(abs(c.imag) <= tol for c in self._terms.values())
-
     # -- arithmetic ---------------------------------------------------
 
     def __mul__(self, other):
@@ -231,8 +217,11 @@ class PauliOperator(PauliSum):
 
     @staticmethod
     def _json_term(n: int, label, raw) -> tuple[PauliString, complex]:
+        parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw]
+        if any(isinstance(part, bool) for part in parts):  # JSON true/false, read as 1/0 by complex()
+            raise ParseError(f"bad operator coefficient {raw!r}")
         try:
-            coeff = complex(*raw) if isinstance(raw, list) and len(raw) == 2 else complex(raw)
+            coeff = complex(*parts)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad operator coefficient {raw!r}") from exc
         if not cmath.isfinite(coeff):

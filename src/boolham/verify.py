@@ -193,15 +193,6 @@ def random_qubo(rng: np.random.Generator, n_vars: int) -> QuboInstance:
     )
 
 
-def random_zham(
-    rng: np.random.Generator, n_qubits: int, size: int
-) -> DiagonalHamiltonian:
-    masks = rng.choice(1 << n_qubits, size=min(size, 1 << n_qubits), replace=False)
-    return DiagonalHamiltonian(
-        n_qubits, {int(m): float(rng.uniform(-2.0, 2.0)) for m in masks}
-    )
-
-
 # -- invariant checks --------------------------------------------------------
 
 KICKBACK_TIMES = (1.0, math.pi)  # evolution times of the kickback sandwich checks
@@ -239,7 +230,7 @@ def verify_kickback_suite(
     n = register_size(f, n)
     oracle._check_cap(n + 2, cap)
     return _kickback_checks(
-        oracle.zham_diagonal(compile_expr(f, n)),
+        fourier.table_from_fourier(compile_expr(f, n)),
         truth_table(f, n),
         oracle.simulate_circuit(circuits.emit_bit_query(f, n), cap),  # data 1..n, ancilla n+1
         oracle.bit_query_matrix(f, n, cap),
@@ -371,20 +362,19 @@ def expression_checks(
         )
 
     if n <= min(8, dense_cap):
-        diag = oracle.zham_diagonal(h, cap=dense_cap)
         worst = 0.0
         count_defect = 0.0
         for gamma in (0.3, 1.0, math.pi):
             circ = circuits.emit_evolution(h, gamma)
-            u = oracle.simulate_circuit(circ)
-            target = np.diag(np.exp(-1j * gamma * diag))
+            u = oracle.simulate_circuit(circ, cap=dense_cap)
+            target = np.diag(np.exp(-1j * gamma * values))
             worst = max(worst, oracle.phase_aligned_maxdiff(target, u))
             expected_cnots = sum(2 * (m.bit_count() - 1) for m, _ in h.items() if m)
             count_defect = max(count_defect, float(abs(circ.cnot_count - expected_cnots)))
         out.append(CheckResult(f"{name}: evolution circuit vs exponential", worst, TOL))
         out.append(CheckResult(f"{name}: evolution CNOT count", count_defect, 0.0))
 
-        grover = np.diag(np.exp(-1j * math.pi * diag))
+        grover = np.diag(np.exp(-1j * math.pi * values))
         signs = np.diag(1.0 - 2.0 * table)
         out.append(
             CheckResult(f"{name}: Grover phase query", oracle.maxdiff(grover, signs.astype(complex)), TOL)
@@ -413,7 +403,7 @@ def expression_checks(
 
     if n <= min(5, dense_cap - 2):
         # the same H_f diagonal, table and G_f matrices as the checks above
-        report = _kickback_checks(diag, table, g, g_ref, dense_cap)
+        report = _kickback_checks(values, table, g, g_ref, dense_cap)
         out.append(
             CheckResult(f"{name}: kickback suite", max(c.residual for c in report.checks), TOL)
         )
@@ -468,7 +458,7 @@ def qubo_checks(
     if q.n_vars <= min(8, dense_cap):
         t = 0.7
         u = oracle.simulate_circuit(circuits.emit_qubo_evolution(q, t), cap=dense_cap)
-        target = np.diag(np.exp(-1j * t * oracle.zham_diagonal(closed, cap=dense_cap)))
+        target = np.diag(np.exp(-1j * t * values))
         out.append(
             CheckResult(f"{name}: evolution circuit vs exponential", oracle.phase_aligned_maxdiff(target, u), TOL)
         )

@@ -62,16 +62,6 @@ def require_finite(coeffs: Iterable, what: str) -> None:
         raise ParseError(f"{what} overflow the float range")
 
 
-def mask_of(qubits: Iterable[int]) -> int:
-    """Term mask for a set of 1-based qubit indices."""
-    mask = 0
-    for j in qubits:
-        if j < 1:
-            raise QubitCountError(f"qubit index {j} must be >= 1")
-        mask |= 1 << (j - 1)
-    return mask
-
-
 def qubits_of(mask: int) -> tuple[int, ...]:
     """Sorted 1-based qubit indices of a term mask."""
     out = []
@@ -122,9 +112,14 @@ def load_json(text: str):
 
 
 def json_number(value, what: str, kind: type = float):
-    """kind(value) for a number read from JSON; a value kind() rejects
-    (a list, an object, a non-numeric string), a NaN/infinite float, or a
-    fractional float read as an int is a ParseError naming ``what``."""
+    """kind(value) for a number read from JSON; a boolean, a value kind()
+    rejects (a list, an object, a non-numeric string), a NaN/infinite
+    float, or a fractional float read as an int is a ParseError naming
+    ``what``."""
+    if type(value) is kind and (kind is int or math.isfinite(value)):
+        return value  # the common case, and never a bool: type(True) is bool
+    if isinstance(value, bool):  # JSON true/false, which kind() reads as 1/0
+        raise ParseError(f"{what} must be a number, got {value!r}")
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -266,15 +261,6 @@ class PauliSum:
             return NotImplemented
         return self._n == other._n and self._terms == other._terms
 
-    def allclose(self, other: "PauliSum", tol: float = 1e-9) -> bool:
-        """Term-for-term comparison within an absolute coefficient tolerance."""
-        if self._n != other._n:
-            return False
-        for key in self._terms.keys() | other._terms.keys():
-            if abs(self._terms.get(key, 0) - other._terms.get(key, 0)) > tol:
-                return False
-        return True
-
     def to_text(self) -> str:
         """Readable form, e.g. '0.75 I - 0.25 Z1 - 0.25 Z2 - 0.25 Z1Z2'."""
         if not self._terms:
@@ -402,14 +388,6 @@ class DiagonalHamiltonian(PauliSum):
             for mb, cb in other._terms.items():
                 acc[ma | (mb << self._n)] = ca * cb
         return DiagonalHamiltonian(n, acc)
-
-    def embedded(self, n_qubits: int) -> "DiagonalHamiltonian":
-        """Same operator viewed on a larger register (extra qubits idle)."""
-        if n_qubits < self._n:
-            raise QubitCountError(
-                f"cannot embed {self._n}-qubit operator into {n_qubits} qubits"
-            )
-        return DiagonalHamiltonian(n_qubits, self._terms)
 
     def pruned(self, eps: float) -> "DiagonalHamiltonian":
         return DiagonalHamiltonian(self._n, self._terms, eps=eps)

@@ -38,13 +38,11 @@ from boolham.fourier import approx_report, check_approx, fourier_from_table
 from boolham.oracle import (
     bit_query_matrix,
     dense_controlled,
-    expm_hermitian,
     expm_zham,
     maxdiff,
     phase_aligned_maxdiff,
     simulate_circuit,
     spectrum,
-    zham_diagonal,
 )
 from boolham.pauli import PauliOperator, jordan_wigner, spin_lowering
 from boolham.verify import (
@@ -52,12 +50,12 @@ from boolham.verify import (
     random_cnf,
     random_expr,
     random_qubo,
-    random_zham,
     basic_clause_cases,
     three_variable_cases,
     verify_kickback_suite,
 )
 from boolham.zpoly import DiagonalHamiltonian, basis_label, bit_projector
+from conftest import expm_hermitian, random_zham, zham_diagonal
 
 SEED = 987654321
 

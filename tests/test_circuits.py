@@ -15,7 +15,6 @@ from boolham.circuits import (
     emit_bit_query,
     emit_controlled_evolution,
     emit_evolution,
-    emit_phase_query,
     emit_qubo_evolution,
     evolution_term_profile,
     h as h_gate,
@@ -26,15 +25,10 @@ from boolham.circuits import (
 )
 from boolham.compiler import QuboInstance, compile_expr, compile_qubo
 from boolham.errors import ParseError, QubitCountError
-from boolham.oracle import (
-    dense_controlled,
-    expm_hermitian,
-    maxdiff,
-    simulate_circuit,
-    zham_diagonal,
-)
-from boolham.verify import random_qubo, random_zham
+from boolham.oracle import dense_controlled, maxdiff, simulate_circuit
+from boolham.verify import random_qubo
 from boolham.zpoly import DiagonalHamiltonian
+from conftest import random_zham, zham_diagonal
 
 
 class TestGateValidation:
@@ -240,7 +234,7 @@ class TestPhaseQuery:
         from boolham.verify import random_expr
 
         e = random_expr(rng, 3, 3)
-        u = simulate_circuit(emit_phase_query(e, 3))
+        u = simulate_circuit(emit_evolution(compile_expr(e, 3), math.pi))
         signs = np.diag(1.0 - 2.0 * truth_table(e, 3)).astype(complex)
         assert maxdiff(u, signs) < 1e-12
 

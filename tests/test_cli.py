@@ -5,8 +5,10 @@ import json
 import pytest
 
 from boolham import cli
+from boolham.boolexpr import Const, register_size
 from boolham.circuits import emit_evolution, parse_circuit
 from boolham.cli import main
+from boolham.errors import QubitCountError
 from boolham.verify import CheckResult, VerificationReport
 from boolham.zpoly import DiagonalHamiltonian
 
@@ -297,6 +299,14 @@ class TestRegisterSize:
     def test_n_below_the_dimacs_header(self, inputs, capsys):
         for argv in (["count"], ["compile", "--mode", "maxsat"]):
             assert one_line_usage_error(capsys, *argv, "--dimacs", inputs["cnf"], "-n", "1")
+
+    def test_negative_n_is_named(self, capsys):
+        # a constant uses no variable, so only the sign of -n is wrong
+        assert run(capsys, "compile", "-e", "1", "-n", "-1") == (
+            1, "", "boolham: error: register size -1 is negative\n"
+        )
+        with pytest.raises(QubitCountError, match="^register size -1 is negative$"):
+            register_size(Const(1), -1)
 
 
 class TestOneInput:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -36,6 +37,13 @@ def test_demo_runs(script):
 def test_every_exported_name_resolves():
     missing = [name for name in boolham.__all__ if not hasattr(boolham, name)]
     assert not missing
+    # and every public name the package binds, other than its modules, is exported
+    unlisted = [
+        name for name, value in vars(boolham).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+        and name not in boolham.__all__
+    ]
+    assert not unlisted
 
 
 def test_readme_python_block_runs():

@@ -18,7 +18,7 @@ from boolham.fourier import (
 from boolham.oracle import spectrum
 from boolham.verify import random_expr
 from boolham.zpoly import DiagonalHamiltonian
-from conftest import brute_fourier
+from conftest import allclose, brute_fourier
 
 
 class TestFWHT:
@@ -71,7 +71,7 @@ class TestFourierFromTable:
                 7: -3 * eighth,
             },
         )
-        assert h.allclose(expected, tol=1e-12)
+        assert allclose(h, expected, tol=1e-12)
 
     def test_random_tables_match_oracle(self, rng):
         for _ in range(10):
@@ -206,4 +206,4 @@ class TestCentralCrossCheck:
             e = random_expr(rng, n, 4)
             via_table = fourier_from_table(truth_table(e, n))
             via_rules = compile_expr(e, n)
-            assert via_rules.allclose(via_table, tol=1e-9)
+            assert allclose(via_rules, via_table, tol=1e-9)

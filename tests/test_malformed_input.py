@@ -139,6 +139,37 @@ BAD_DOCUMENTS = {
         DiagonalHamiltonian.from_json_dict,
         {"n": 1.5, "terms": [{"paulis": "Z1", "coeff": 1.0}]},
     ),
+    # JSON true/false are not the numbers 1/0, and an index is not truncated
+    "operator n boolean": (
+        ["fourier", "--inverse"],
+        DiagonalHamiltonian.from_json_dict,
+        {"n": True, "terms": [{"paulis": "Z1", "coeff": 1.0}]},
+    ),
+    "operator coefficient boolean": (
+        ["circuit", "--gamma", "1", "--hamiltonian"],
+        DiagonalHamiltonian.from_json_dict,
+        {"n": 1, "terms": [{"paulis": "Z1", "coeff": True}]},
+    ),
+    "qubo n boolean": (
+        ["qubo"], QuboInstance.from_json_dict, {"n": True, "linear": [1.0]},
+    ),
+    "qubo linear entry boolean": (
+        ["compile", "--qubo"], QuboInstance.from_json_dict, {"n": 1, "linear": [True]},
+    ),
+    "qubo quadratic index fractional": (
+        ["qubo"], QuboInstance.from_json_dict, {"n": 2, "quadratic": [[1.9, 2, 1.0]]},
+    ),
+    "qubo quadratic index boolean": (
+        ["qubo"], QuboInstance.from_json_dict, {"n": 3, "quadratic": [[True, 3, 2.0]]},
+    ),
+    "qubo quadratic weight boolean": (
+        ["qubo"], QuboInstance.from_json_dict, {"n": 2, "quadratic": [[1, 2, True]]},
+    ),
+    "penalty weight boolean": (
+        ["penalize"],
+        read_penalty_spec,
+        {"n": 1, "objective": "x1", "penalties": [{"weight": True, "expr": "x1"}]},
+    ),
 }
 
 
@@ -182,7 +213,9 @@ def test_deeply_nested_json_exits_1_with_one_line(argv, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("boolham: parse error:")
 
 
-@pytest.mark.parametrize("vector", ["[1, null]", "[1, {}]", "[1e400, 0]", "[1, NaN]", "[1, 2, 3]"])
+@pytest.mark.parametrize(
+    "vector", ["[1, null]", "[1, {}]", "[1e400, 0]", "[1, NaN]", "[1, 2, 3]", "[true, false]"]
+)
 def test_fourier_vector_entries_are_finite_numbers(vector, capsys):
     code, out, err = run(capsys, "fourier", vector)
     assert code == 1 and out == ""
@@ -193,6 +226,12 @@ def test_fourier_vector_entries_are_finite_numbers(vector, capsys):
     "coeff", [float("nan"), float("inf"), [1.0, float("nan")]], ids=["nan", "inf", "nan imaginary"]
 )
 def test_pauli_operator_coefficient_is_finite(coeff):
+    with pytest.raises(ParseError):
+        PauliOperator.from_json_dict({"n": 1, "terms": [{"paulis": "X1", "coeff": coeff}]})
+
+
+@pytest.mark.parametrize("coeff", [True, [1.0, False]], ids=["real", "imaginary"])
+def test_pauli_operator_coefficient_is_not_boolean(coeff):
     with pytest.raises(ParseError):
         PauliOperator.from_json_dict({"n": 1, "terms": [{"paulis": "X1", "coeff": coeff}]})
 

@@ -11,6 +11,7 @@ from boolham.circuits import Circuit, ccrz, crz, cx, emit_bit_query, emit_evolut
 from boolham.compiler import compile_expr, compile_pseudo, ground_state_logic
 from boolham.boolexpr import parse_dimacs
 from boolham.errors import CapExceeded
+from boolham.fourier import table_from_fourier
 from boolham.oracle import (
     H2,
     X2,
@@ -19,19 +20,16 @@ from boolham.oracle import (
     bit_query_matrix,
     dense_controlled,
     dense_of_pauli,
-    dense_of_zham,
-    expm_hermitian,
     expm_zham,
     maxdiff,
     phase_aligned_maxdiff,
     simulate_circuit,
     spectrum,
-    zham_diagonal,
 )
 from boolham.pauli import PauliOperator
-from boolham.verify import expression_checks, random_expr, random_zham, verify_kickback_suite
+from boolham.verify import expression_checks, random_expr, verify_kickback_suite
 from boolham.zpoly import DiagonalHamiltonian, bit_projector
-from conftest import kron_chain
+from conftest import dense_of_zham, expm_hermitian, kron_chain, random_zham, zham_diagonal
 
 
 class TestDenseRealizations:
@@ -43,10 +41,11 @@ class TestDenseRealizations:
         assert np.allclose(dense_of_zham(zz), np.diag([1.0, -1.0, -1.0, 1.0]))
 
     def test_diag_matches_eval(self, rng):
+        # the package's transform and the tests' parity sum alike
         ham = random_zham(rng, 5, 8)
-        diag = zham_diagonal(ham)
-        for x_val in range(32):
-            assert diag[x_val] == pytest.approx(ham.eval(x_val), abs=1e-12)
+        for diag in (table_from_fourier(ham), zham_diagonal(ham)):
+            for x_val in range(32):
+                assert diag[x_val] == pytest.approx(ham.eval(x_val), abs=1e-12)
 
     def test_pauli_y(self):
         assert np.allclose(
@@ -88,10 +87,12 @@ class TestDenseRealizations:
 
     def test_cap_enforced(self):
         with pytest.raises(CapExceeded):
-            dense_of_zham(DiagonalHamiltonian.identity(13))
+            expm_zham(DiagonalHamiltonian.identity(13), 1.0)
         with pytest.raises(CapExceeded):
-            dense_of_zham(DiagonalHamiltonian.identity(13), cap=20)
-        dense_of_zham(DiagonalHamiltonian.identity(13), cap=13)
+            expm_zham(DiagonalHamiltonian.identity(13), 1.0, cap=20)
+        with pytest.raises(CapExceeded):
+            expm_zham(DiagonalHamiltonian.identity(3), 1.0, cap=2)
+        assert expm_zham(DiagonalHamiltonian.identity(2), 1.0, cap=2).shape == (4, 4)
 
 
 class TestSimulateCircuit:

@@ -77,15 +77,10 @@ class TestPauliString:
         xz, zx = x * z, z * x
         assert xz.x_mask == zx.x_mask and xz.z_mask == zx.z_mask
         assert (xz.phase_pow - zx.phase_pow) % 4 == 2  # XZ = -ZX
-        assert not x.commutes_with(z)
-        assert x.commutes_with(PauliString.single(1, "X", 1))
 
     def test_label_round_trip(self):
         s = PauliString.from_label(4, "X1 Z3 Y4")
         assert PauliString.from_label(4, s.label()) == s
-
-    def test_weight(self):
-        assert PauliString.from_label(4, "X1 Z3 Y4").weight == 3
 
 
 class TestPauliOperator:
@@ -124,11 +119,6 @@ class TestPauliOperator:
         )
         assert op.adjoint() == spin_raising(1, 1)
         assert np.allclose(operator_matrix(op.adjoint()), operator_matrix(op).conj().T)
-
-    def test_hermitian_detection(self):
-        h = PauliOperator.single(2, "X", 1, 0.7) + PauliOperator.single(2, "Z", 2, -1.2)
-        assert h.is_hermitian()
-        assert not (1j * h).is_hermitian()
 
     def test_qubit_mismatch(self):
         with pytest.raises(QubitCountError):

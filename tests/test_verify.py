@@ -1,9 +1,12 @@
 """Tests for the bundled verification corpus and report machinery."""
 
 import numpy as np
+import pytest
 
 from boolham import compiler
-from boolham.boolexpr import max_var
+from boolham.boolexpr import max_var, parse_expr
+from boolham.errors import CapExceeded
+from boolham.oracle import DENSE_CAP_MAX
 from boolham.verify import (
     CheckResult,
     VerificationReport,
@@ -46,6 +49,14 @@ def test_expression_checks_all_pass():
     for name, e, n in exprs[:5] + exprs[-3:]:
         for check in expression_checks(name, e, n):
             assert check.passed, check.line()
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_a_dense_cap_above_the_maximum_is_refused(n):
+    # at 7 <= n <= 8 only the evolution checks are dense, and they refuse it too
+    e = parse_expr(" & ".join(f"x{j}" for j in range(1, n + 1)))
+    with pytest.raises(CapExceeded, match="exceeds hard maximum"):
+        expression_checks("and", e, n, dense_cap=DENSE_CAP_MAX + 1)
 
 
 def test_qubo_checks_all_pass(rng):

@@ -427,6 +427,8 @@ class _Parser:
 
 def parse_expr(text: str, n_vars: int | None = None) -> BoolExpr:
     """Parse an infix formula; n_vars, when given, bounds variable indices."""
+    if not isinstance(text, str):  # e.g. a penalty spec's "expr" read from JSON
+        raise ParseError(f"formula must be a string, got {text!r}")
     return _Parser(text, n_vars).parse()
 
 
@@ -483,6 +485,8 @@ def parse_dimacs(text: str) -> tuple[PseudoBooleanObjective, BoolExpr]:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if not line.isascii() or "_" in line:  # int() and float() read "1_0" and non-ASCII digits
+            raise ParseError(f"line {lineno}: numbers must be plain ASCII digits: {line!r}")
         if line.startswith("p"):
             if n_vars is not None:
                 raise ParseError(f"line {lineno}: duplicate problem line")

@@ -350,6 +350,9 @@ def parse_circuit(text: str) -> Circuit:
     """Read serialize() output back; a malformed line is a ParseError naming it."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not text.isascii() or "_" in text:  # int() and float() read "1_0" and non-ASCII digits
+        for bad in (ln for ln in lines if not ln.isascii() or "_" in ln):
+            raise _line_error(text, bad, "numbers must be plain ASCII digits")
     if not lines or not lines[0].startswith("qubits "):
         raise ParseError("circuit text must start with a 'qubits N' line")
     header, body = lines[0], lines[1:]

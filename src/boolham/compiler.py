@@ -66,6 +66,8 @@ from .zpoly import (
     DiagonalHamiltonian,
     basis_index,
     bit_projector,
+    json_field,
+    json_list,
     json_number,
     load_json,
     require_finite,
@@ -181,34 +183,25 @@ class QuboInstance:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "QuboInstance":
-        try:
-            raw_n = doc["n"]
-            linear, quadratic = list(doc.get("linear", [])), list(doc.get("quadratic", []))
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"QUBO JSON needs an integer 'n' and list values: {exc}") from exc
-        n = json_number(raw_n, "QUBO 'n'", int)
+        n = json_number(json_field(doc, "n", "QUBO JSON"), "QUBO 'n'", int)
         if not 0 <= n <= MAX_QUBITS:  # before the dense n x n allocation below
             raise ParseError(f"QUBO 'n' = {n} is outside [0, {MAX_QUBITS}]")
-        a = json_number(doc.get("a", 0.0), "QUBO 'a'")
+        a = json_number(doc.get("a", 0.0), "QUBO 'a'")  # doc is an object: it held 'n'
+        linear = json_list(doc.get("linear", []), "QUBO 'linear'")
         if len(linear) > n:
             raise ParseError(f"QUBO 'linear' has {len(linear)} entries for n={n}")
-        lin = np.zeros(n)
-        for j, c in enumerate(linear):
-            lin[j] = json_number(c, f"QUBO 'linear' entry {j + 1}")
-        quad = np.zeros((n, n))
-        for entry in quadratic:
-            try:
-                j, k, d = entry
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"quadratic entry {entry!r} is not [j, k, d]") from exc
+        lin = [json_number(c, "QUBO 'linear' entry") for c in linear] + [0.0] * (n - len(linear))
+        quad = [[0.0] * n for _ in range(n)]  # nested lists: cheaper per entry than numpy
+        for entry in json_list(doc.get("quadratic", []), "QUBO 'quadratic'"):
+            j, k, d = json_list(entry, "QUBO 'quadratic' entry", 3)
             j = json_number(j, "QUBO 'quadratic' index", int)
             k = json_number(k, "QUBO 'quadratic' index", int)
             d = json_number(d, "QUBO 'quadratic' weight")
             if not (1 <= j <= n and 1 <= k <= n) or j == k:
                 raise ParseError(f"bad quadratic entry {entry!r} for n={n}")
-            quad[j - 1, k - 1] += d
-            quad[k - 1, j - 1] += d
-        return cls(n, a, lin, quad)
+            quad[j - 1][k - 1] += d
+            quad[k - 1][j - 1] += d
+        return cls(n, a, lin, np.reshape(quad, (n, n)))  # (0, 0) at n = 0
 
     @classmethod
     def from_json(cls, text: str) -> "QuboInstance":
@@ -300,12 +293,9 @@ def penalty_spec_from_json(text: str) -> PenaltySpec:
     document, penalties as {"weight": w | null, "expr": "..."} entries
     (null weight means choose automatically)."""
     doc = load_json(text)
-    try:
-        n = json_number(doc["n"], "penalty spec 'n'", int)
-        raw_objective = doc["objective"]
-        raw_penalties = list(doc["penalties"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"penalty spec JSON missing field: {exc}") from exc
+    n = json_number(json_field(doc, "n", "penalty spec"), "penalty spec 'n'", int)
+    raw_objective = json_field(doc, "objective", "penalty spec")
+    raw_penalties = json_list(json_field(doc, "penalties", "penalty spec"), "penalties")
     if isinstance(raw_objective, str):
         objective = compile_expr(parse_expr(raw_objective, n), n)
     else:
@@ -315,10 +305,8 @@ def penalty_spec_from_json(text: str) -> PenaltySpec:
     auto_w = auto_penalty_weight(objective)
     penalties = []
     for entry in raw_penalties:
-        try:
-            g, w = parse_expr(entry["expr"], n), entry.get("weight")
-        except (KeyError, TypeError) as exc:  # no 'expr', or not a string
-            raise ParseError(f"penalty entry needs an 'expr' string: {entry!r}") from exc
+        g = parse_expr(json_field(entry, "expr", "penalty entry"), n)
+        w = entry.get("weight")  # null or absent: automatic
         penalties.append((auto_w if w is None else json_number(w, "penalty weight"), g))
     try:
         return PenaltySpec(objective, tuple(penalties))

@@ -22,6 +22,7 @@ from .zpoly import (
     TABLE_CAP,
     DiagonalHamiltonian,
     check_table_cap,
+    json_list,
     json_number,
     load_json,
 )
@@ -39,9 +40,7 @@ def parse_table(text: str) -> np.ndarray:
         if len(text) != 1 << n or any(ch not in "01" for ch in text):
             raise ParseError(f"truth table string must be 2^n bits of 0/1: {text!r}")
         return np.array([float(ch) for ch in text])
-    doc = load_json(text)
-    if not isinstance(doc, list):
-        raise ParseError(f"truth table JSON must be a list, got {type(doc).__name__}")
+    doc = json_list(load_json(text), "truth table JSON")
     values = [json_number(v, f"table entry {i}") for i, v in enumerate(doc)]
     n = (len(values) - 1).bit_length()
     if len(values) != 1 << n:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -191,24 +192,24 @@ def bit_query_matrix(f: BoolExpr, n: int, cap: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of a diagonal operator in ascending order.
+    """Eigenvalues of a diagonal operator: its 2^n value table (entry x =
+    eval(x)), and ``values``, sorted on first use.  A state's place among
+    the labels is its place in a stable sort of the table: by value, ties
+    by index.  Labels are built only for the states a query returns."""
 
-    ``table`` is the operator's unsorted 2^n value table (entry x =
-    eval(x)).  A state's place among the labels is its place in a stable
-    sort of the table: by value, ties by index.  Labels are built only for
-    the states a query returns.
-    """
-
-    values: np.ndarray
     table: np.ndarray
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return np.sort(self.table)
 
     @property
     def min_value(self) -> float:
-        return float(self.values[0])
+        return float(self.table.min())
 
     @property
     def max_value(self) -> float:
-        return float(self.values[-1])
+        return float(self.table.max())
 
     def ground_states(self, tol: float = 1e-9) -> tuple[str, ...]:
         return self._labels(np.flatnonzero(self.table <= self.min_value + tol))
@@ -226,5 +227,4 @@ class Spectrum:
 def spectrum(h: DiagonalHamiltonian) -> Spectrum:
     """Exhaustive spectrum of a diagonal operator from its value table
     (n <= 24 via the transform)."""
-    table = fourier.table_from_fourier(h)
-    return Spectrum(np.sort(table), table)
+    return Spectrum(fourier.table_from_fourier(h))

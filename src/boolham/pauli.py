@@ -16,11 +16,10 @@ Qubit numbering and mask conventions follow zpoly: bit j-1 <-> qubit j.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .errors import ParseError, QubitCountError
+from .errors import QubitCountError
 from .zpoly import (
     PAULI_LETTERS,
     PRUNE_EPS,
@@ -28,6 +27,8 @@ from .zpoly import (
     PauliSum,
     check_register,
     format_coeff,
+    json_list,
+    json_number,
     parse_pauli_label,
     qubit_bit,
 )
@@ -217,16 +218,10 @@ class PauliOperator(PauliSum):
 
     @staticmethod
     def _json_term(n: int, label, raw) -> tuple[PauliString, complex]:
-        parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw]
-        if any(isinstance(part, bool) for part in parts):  # JSON true/false, read as 1/0 by complex()
-            raise ParseError(f"bad operator coefficient {raw!r}")
-        try:
-            coeff = complex(*parts)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"bad operator coefficient {raw!r}") from exc
-        if not cmath.isfinite(coeff):
-            raise ParseError(f"operator coefficient must be finite, got {raw!r}")
-        return PauliString.from_label(n, label), coeff
+        # a real coefficient is one number, a complex one the list [re, im]
+        parts = json_list(raw, "operator coefficient", 2) if type(raw) is list else (raw, 0.0)
+        re, im = (json_number(part, "operator coefficient") for part in parts)
+        return PauliString.from_label(n, label), complex(re, im)
 
 
 def anticommutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:

@@ -21,6 +21,10 @@ immutable after construction; every operation returns a fresh object.
 ``PauliSum`` is the shared base of ``DiagonalHamiltonian`` (here, keyed by
 term mask) and ``pauli.PauliOperator`` (keyed by Pauli string): it holds
 their sum, difference, scaling, comparison and text/JSON forms once.
+
+Every JSON document (operator, QUBO, penalty spec, ``fourier`` vector) is
+read through ``load_json``, ``json_field``, ``json_list`` and ``json_number``
+here: a value of the wrong JSON type is a ParseError, never converted.
 """
 
 from __future__ import annotations
@@ -81,8 +85,8 @@ def term_label(mask: int, sep: str = "") -> str:
 
 def parse_pauli_label(label: str, n_qubits: int) -> tuple[int, int]:
     """(x_mask, z_mask) of a label like 'X1 Z3' or 'X1Z3'; 'I' is the identity."""
-    if not isinstance(label, str):
-        raise ParseError(f"Pauli label must be a string, got {label!r}")
+    if not isinstance(label, str) or not label.isascii():  # int() reads other scripts' digits
+        raise ParseError(f"Pauli label must be an ASCII string, got {label!r}")
     label = label.strip()
     if label in ("I", ""):
         return 0, 0
@@ -112,33 +116,38 @@ def load_json(text: str):
 
 
 def json_number(value, what: str, kind: type = float):
-    """kind(value) for a number read from JSON; a boolean, a value kind()
-    rejects (a list, an object, a non-numeric string), a NaN/infinite
-    float, or a fractional float read as an int is a ParseError naming
-    ``what``."""
+    """A JSON int or float (or float subclass) as ``kind``; any other value
+    (a boolean, a quoted number), a NaN/infinite one or a fractional one
+    read as an int is a ParseError naming ``what``."""
     if type(value) is kind and (kind is int or math.isfinite(value)):
         return value  # the common case, and never a bool: type(True) is bool
-    if isinstance(value, bool):  # JSON true/false, which kind() reads as 1/0
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ParseError(f"{what} must be finite, got {value!r}")
+        if kind is int and not value.is_integer():
+            raise ParseError(f"{what} must be an integer, got {value!r}")
+    elif isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{what} must be a number, got {value!r}")
     try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{what} must be a number, got {value!r}") from exc
-    if isinstance(number, float) and not math.isfinite(number):
-        raise ParseError(f"{what} must be finite, got {value!r}")
-    if isinstance(value, float) and number != value:
-        raise ParseError(f"{what} must be an integer, got {value!r}")
-    return number
+        return kind(value)
+    except OverflowError as exc:  # an int past the float range
+        raise ParseError(f"{what} must be finite, got {value!r}") from exc
 
 
-def json_terms(doc: dict) -> tuple[int, list[tuple]]:
-    """(n, [(label, coeff), ...]) of {"n": n, "terms": [{"paulis": ..., "coeff": ...}]}."""
-    try:
-        raw_n = doc["n"]
-        terms = [(t["paulis"], t["coeff"]) for t in doc["terms"]]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"operator JSON needs 'n' and 'paulis'/'coeff' terms: {exc!r}") from exc
-    return json_number(raw_n, "operator 'n'", int), terms
+def json_field(doc, key: str, what: str):
+    """doc[key]; a ``doc`` that is not a JSON object holding ``key`` is a
+    ParseError naming ``what``."""
+    if type(doc) is dict and key in doc:
+        return doc[key]
+    got = f"the keys {list(doc)}" if type(doc) is dict else type(doc).__name__
+    raise ParseError(f"{what} must be an object with a {key!r} field, got {got}")
+
+
+def json_list(value, what: str, length: int | None = None) -> list:
+    """A JSON list (of ``length`` entries, where given), else a ParseError naming ``what``."""
+    if type(value) is list and (length is None or len(value) == length):
+        return value
+    raise ParseError(f"{what} must be a list{f' of {length}' if length else ''}, got {value!r}")
 
 
 def check_table_cap(n: int) -> None:
@@ -279,8 +288,14 @@ class PauliSum:
 
     @classmethod
     def from_json_dict(cls, doc: dict):
-        n, entries = json_terms(doc)
-        op = cls(n, [cls._json_term(n, label, coeff) for label, coeff in entries])
+        """The operator of {"n": n, "terms": [{"paulis": label, "coeff": c}, ...]}."""
+        n = json_number(json_field(doc, "n", "operator JSON"), "operator 'n'", int)
+        terms = json_list(json_field(doc, "terms", "operator JSON"), "operator 'terms'")
+        what = "operator term"
+        op = cls(n, [
+            cls._json_term(n, json_field(t, "paulis", what), json_field(t, "coeff", what))
+            for t in terms
+        ])
         # repeated labels add up: a finite running sum can reach inf, never NaN
         require_finite(op._terms.values(), "summed coefficients")
         return op
@@ -309,8 +324,6 @@ class DiagonalHamiltonian(PauliSum):
         self,
         n_qubits: int,
         terms: Union[Mapping[int, float], Iterable[tuple[int, float]]] = (),
-        *,
-        eps: float = PRUNE_EPS,
     ):
         check_register(n_qubits)
         acc: dict[int, float] = {}
@@ -322,7 +335,7 @@ class DiagonalHamiltonian(PauliSum):
                 )
             acc[mask] = acc.get(mask, 0.0) + float(coeff)
         self._n = n_qubits
-        self._terms = {m: acc[m] for m in sorted(acc) if abs(acc[m]) >= eps}
+        self._terms = {m: acc[m] for m in sorted(acc) if abs(acc[m]) >= PRUNE_EPS}
 
     @classmethod
     def identity(cls, n_qubits: int) -> "DiagonalHamiltonian":
@@ -390,7 +403,8 @@ class DiagonalHamiltonian(PauliSum):
         return DiagonalHamiltonian(n, acc)
 
     def pruned(self, eps: float) -> "DiagonalHamiltonian":
-        return DiagonalHamiltonian(self._n, self._terms, eps=eps)
+        kept = {m: c for m, c in self._terms.items() if abs(c) >= eps}  # still in mask order
+        return self._from_checked(self._n, kept)
 
     def max_coeff_diff(self, other: "DiagonalHamiltonian") -> float:
         self._require_same_register(other)
@@ -416,9 +430,7 @@ class DiagonalHamiltonian(PauliSum):
         x_mask, z_mask = parse_pauli_label(label, n)
         if x_mask:
             raise ParseError(f"diagonal term label may hold only Z, got {label!r}")
-        if not isinstance(coeff, (int, float)):
-            raise ParseError(f"diagonal coefficient must be real, got {coeff!r}")
-        return z_mask, json_number(coeff, f"coefficient of {label!r}")
+        return z_mask, json_number(coeff, "operator coefficient")
 
 
 def bit_projector(n_qubits: int, j: int) -> DiagonalHamiltonian:

@@ -1,6 +1,8 @@
 """Each narrative script in demos/, the README's library tour and every
-exported name work against the package."""
+exported name work against the package, whose third-party imports are
+its declared dependencies."""
 
+import ast
 import os
 import re
 import subprocess
@@ -51,3 +53,18 @@ def test_readme_python_block_runs():
     blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    listed = re.search(r"^dependencies = \[(.*?)\]", pyproject, flags=re.M | re.S).group(1)
+    # a requirement's name ends where its version specifier starts
+    declared = {re.match(r"[\w.-]+", req).group().lower() for req in re.findall(r'"(.+?)"', listed)}
+    imported = set()
+    for source in (ROOT / "src" / "boolham").rglob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    assert imported - set(sys.stdlib_module_names) - {"boolham"} == declared

@@ -170,6 +170,65 @@ BAD_DOCUMENTS = {
         read_penalty_spec,
         {"n": 1, "objective": "x1", "penalties": [{"weight": True, "expr": "x1"}]},
     ),
+    # a quoted number is a string, and a string or an object is not a list
+    "qubo fields quoted, quadratic entry an object": (
+        ["compile", "--qubo"],
+        QuboInstance.from_json_dict,
+        {"n": "2", "linear": ["1", "0"], "quadratic": [{"1": 0, "2": 0, "7.5": 0}]},
+    ),
+    "qubo n quoted": (
+        ["compile", "--qubo"], QuboInstance.from_json_dict, {"n": "2", "linear": [1.0, 0.0]},
+    ),
+    "qubo constant quoted": (
+        ["qubo"], QuboInstance.from_json_dict, {"n": 1, "a": "1"},
+    ),
+    "qubo linear entry quoted": (
+        ["compile", "--qubo"], QuboInstance.from_json_dict, {"n": 2, "linear": ["1", "0"]},
+    ),
+    "qubo linear a string": (
+        ["compile", "--qubo"], QuboInstance.from_json_dict, {"n": 3, "linear": "12"},
+    ),
+    "qubo quadratic entry an object": (
+        ["qubo"], QuboInstance.from_json_dict, {"n": 2, "quadratic": [{"1": 0, "2": 0, "7.5": 0}]},
+    ),
+    "qubo quadratic entry a string": (
+        ["qubo"], QuboInstance.from_json_dict, {"n": 3, "quadratic": ["123"]},
+    ),
+    "qubo linear and quadratic strings": (
+        ["compile", "--qubo"],
+        QuboInstance.from_json_dict,
+        {"n": 3, "linear": "12", "quadratic": ["123"]},
+    ),
+    "qubo quadratic index quoted": (
+        ["qubo"], QuboInstance.from_json_dict, {"n": 2, "quadratic": [["1", 2, 1.0]]},
+    ),
+    "qubo quadratic weight quoted": (
+        ["qubo"], QuboInstance.from_json_dict, {"n": 2, "quadratic": [[1, 2, "1.5"]]},
+    ),
+    "penalty n quoted": (
+        ["penalize"], read_penalty_spec, {"n": "1", "objective": "x1", "penalties": []},
+    ),
+    "penalty weight quoted": (
+        ["penalize"],
+        read_penalty_spec,
+        {"n": 1, "objective": "x1", "penalties": [{"weight": "3", "expr": "x1"}]},
+    ),
+    # int() reads other scripts' digits, and isdigit() passes superscripts that int() rejects
+    "operator label with a non-ASCII digit": (
+        ["fourier", "--inverse"],
+        DiagonalHamiltonian.from_json_dict,
+        {"n": 1, "terms": [{"paulis": "Z\u0661", "coeff": 1.0}]},
+    ),
+    "operator label with a superscript digit": (
+        ["circuit", "--gamma", "1", "--hamiltonian"],
+        DiagonalHamiltonian.from_json_dict,
+        {"n": 1, "terms": [{"paulis": "Z\u00b2", "coeff": 1.0}]},
+    ),
+    "operator n quoted": (
+        ["fourier", "--inverse"],
+        DiagonalHamiltonian.from_json_dict,
+        {"n": "1", "terms": [{"paulis": "Z1", "coeff": 1.0}]},
+    ),
 }
 
 
@@ -214,7 +273,9 @@ def test_deeply_nested_json_exits_1_with_one_line(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "vector", ["[1, null]", "[1, {}]", "[1e400, 0]", "[1, NaN]", "[1, 2, 3]", "[true, false]"]
+    "vector",
+    ["[1, null]", "[1, {}]", "[1e400, 0]", "[1, NaN]", "[1, 2, 3]", "[true, false]",
+     '["1", "0", "0", "1"]'],
 )
 def test_fourier_vector_entries_are_finite_numbers(vector, capsys):
     code, out, err = run(capsys, "fourier", vector)
@@ -232,6 +293,12 @@ def test_pauli_operator_coefficient_is_finite(coeff):
 
 @pytest.mark.parametrize("coeff", [True, [1.0, False]], ids=["real", "imaginary"])
 def test_pauli_operator_coefficient_is_not_boolean(coeff):
+    with pytest.raises(ParseError):
+        PauliOperator.from_json_dict({"n": 1, "terms": [{"paulis": "X1", "coeff": coeff}]})
+
+
+@pytest.mark.parametrize("coeff", ["1+2j", "0.5"], ids=["complex", "real"])
+def test_pauli_operator_coefficient_is_not_quoted(coeff):
     with pytest.raises(ParseError):
         PauliOperator.from_json_dict({"n": 1, "terms": [{"paulis": "X1", "coeff": coeff}]})
 
@@ -271,16 +338,44 @@ class TestDiagonalLabels:
         "qubits 1\nphase nan\n",
         "qubits 1\nrz 0 1\n",
         "qubits 1\ncx 1 2\n",
+        "qubits 1_0\n",
+        "qubits 10\ncx 1 1_0\n",
+        "qubits 1\nphase 1_0.5\n",
+        "qubits 3\nrz \u0663 1\n",
+        "# \u00e9 comment_1\nqubits 1\nrz 1 0.\u0665\n",
     ],
     ids=[
         "cx repeated qubit", "crz repeated qubit", "nan angle", "infinite angle",
         "negative qubit count", "extra header field", "nan phase", "qubit zero",
-        "qubit above count",
+        "qubit above count", "grouped qubit count", "grouped qubit", "grouped phase",
+        "non-ASCII qubit", "non-ASCII angle after a comment",
     ],
 )
 def test_malformed_circuit_names_the_line(text):
     with pytest.raises(ParseError, match=f"line {len(text.splitlines())}"):
         parse_circuit(text)
+
+
+# DIMACS numbers are plain ASCII digits: int() and float() also read "1_0"
+# and other scripts' digits
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p cnf 1_0 0\n",
+        "p cnf 12 1\n1_2 0\n",
+        "p wcnf 2 1\n1_0 1 0\n",
+        "c \u00e9 comment_1\np cnf 3 1\n\u0661 0\n",
+    ],
+    ids=["grouped header", "grouped literal", "grouped weight", "non-ASCII literal"],
+)
+def test_malformed_dimacs_names_the_line(text, tmp_path, capsys):
+    with pytest.raises(ParseError, match=f"^line {len(text.splitlines())}:"):
+        parse_dimacs(text)
+    path = tmp_path / "f.cnf"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "count", "--dimacs", str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("boolham: parse error:")
 
 
 # -- token soup: parsers raise only the package's own errors ----------------

@@ -446,6 +446,15 @@ class PseudoBooleanObjective:
         for _, expr in self.clauses:
             register_size(expr, self.n_vars)
 
+    @classmethod
+    def _from_checked(cls, n_vars: int, clauses: tuple[tuple[float, BoolExpr], ...]):
+        """Skips __post_init__ for ``clauses`` whose variables are known to lie
+        in 1..n_vars (parse_dimacs range-checks every literal it reads)."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "n_vars", n_vars)
+        object.__setattr__(obj, "clauses", clauses)
+        return obj
+
     def value(self, x: Assignment) -> float:
         return sum(w * eval_expr(e, x) for w, e in self.clauses)
 
@@ -541,7 +550,5 @@ def parse_dimacs(text: str) -> tuple[PseudoBooleanObjective, BoolExpr]:
         )
 
     clause_exprs = [_clause_expr(lits) for lits in clause_lits]
-    objective = PseudoBooleanObjective(
-        n_vars, tuple(zip(weights, clause_exprs))
-    )
+    objective = PseudoBooleanObjective._from_checked(n_vars, tuple(zip(weights, clause_exprs)))
     return objective, conjunction(clause_exprs)

@@ -33,9 +33,19 @@ for 7 <= n and 2^n <= ``SIZE_CAP`` (n <= 19):
   which only the fold at n >= 20 can build (general formulas can be
   exponentially dense).
 
-Weighted clause sums (``compile_pseudo``, ``augment_penalties``) stay on
-the fold, clause by clause: they add every clause into one term table and
-prune once.
+Weighted clause sums (``compile_pseudo``, ``augment_penalties``) add every
+clause into one term table and prune once.  A clause that is a literal or
+an OR of k literals over distinct variables (every DIMACS clause without a
+repeated variable) is written by the paper's OR_k row, generalised to
+literals:
+
+    H = (1 - 2^-k) I - 2^-k sum_{S nonempty} (prod_{j in S} s_j) Z_S,
+
+with s_j = +1 for x_j and -1 for !x_j.  Its 2^k terms are checked against
+``SIZE_CAP`` before any is built.  Every coefficient is +-2^-k or 1 - 2^-k,
+as the fold computes it, so the sum is the same to the bit.  Every other
+clause (And, constants, nested formulas, repeated variables) is folded,
+and never switches to the table.
 """
 
 from __future__ import annotations
@@ -51,6 +61,8 @@ from .boolexpr import (
     And,
     BoolExpr,
     Const,
+    Not,
+    Or,
     PseudoBooleanObjective,
     Var,
     compose,
@@ -110,15 +122,43 @@ def _fold(e: BoolExpr, n: int, switch: int | None = None) -> DiagonalHamiltonian
     return fold(e, lambda node, values: compose(node, values, identity, var, step), pairwise=True)
 
 
+def _or_terms(e: BoolExpr) -> dict[int, float] | None:
+    """H_e by the closed form above, 1 - prod_j (I + s_j Z_j)/2, if e is a
+    literal or an OR of literals over distinct variables; else None."""
+    lits = []
+    for child in e.children if type(e) is Or else (e,):
+        negated = type(child) is Not
+        if negated:
+            child = child.child
+        if type(child) is not Var:
+            return None
+        lits.append((1 << (child.index - 1), negated))
+    if len({bit for bit, _ in lits}) < len(lits):
+        return None
+    _guard(1 << len(lits))  # before any of the 2^k terms is built
+    scale = 0.5 ** len(lits)
+    terms = {0: -scale}
+    for bit, negated in lits:
+        sign = -1.0 if negated else 1.0
+        terms.update([(m | bit, sign * c) for m, c in terms.items()])
+    terms[0] = 1.0 - scale
+    return terms
+
+
 def _clause_sum(
     base: DiagonalHamiltonian, clauses: Iterable[tuple[float, BoolExpr]]
 ) -> DiagonalHamiltonian:
     """base + sum_j w_j H_fj in one term table, pruned once.  The clauses'
-    containers checked their variables when built, so they skip register_size."""
+    containers checked their variables when built, so they skip register_size.
+    Literal and OR-of-literal clauses are written by the closed form; the rest
+    are folded."""
     n = base.n_qubits
     acc = dict(base.items())
     for w, expr in clauses:
-        for mask, c in _fold(expr, n).items():
+        terms = _or_terms(expr)
+        if terms is None:
+            terms = _fold(expr, n)
+        for mask, c in terms.items():
             acc[mask] = acc.get(mask, 0.0) + w * c
         _guard(len(acc))
     require_finite(acc.values(), "weighted clause sums")

@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import CapExceeded, ParseError, QubitCountError
@@ -83,6 +84,11 @@ def term_label(mask: int, sep: str = "") -> str:
     return sep.join(f"Z{j}" for j in qubits_of(mask))
 
 
+# one atom per match: a letter and its qubit digits, or a bad atom, which runs
+# from any character to the next letter or space
+_PAULI_ATOM = re.compile(r"([XYZ])([0-9]+)(?![^\sXYZ])|(\S[^\sXYZ]*)")
+
+
 def parse_pauli_label(label: str, n_qubits: int) -> tuple[int, int]:
     """(x_mask, z_mask) of a label like 'X1 Z3' or 'X1Z3'; 'I' is the identity."""
     if not isinstance(label, str) or not label.isascii():  # int() reads other scripts' digits
@@ -91,17 +97,17 @@ def parse_pauli_label(label: str, n_qubits: int) -> tuple[int, int]:
     if label in ("I", ""):
         return 0, 0
     x_mask = z_mask = 0
-    for atom in label.replace("X", " X").replace("Y", " Y").replace("Z", " Z").split():
-        letter, digits = atom[0], atom[1:]
-        if letter not in "XYZ" or not digits.isdigit():
-            raise ParseError(f"bad Pauli atom {atom!r} in label {label!r}")
+    for letter, digits, bad in _PAULI_ATOM.findall(label):
+        if bad:
+            raise ParseError(f"bad Pauli atom {bad!r} in label {label!r}")
         j = int(digits)
         bit = qubit_bit(j, n_qubits)
         if (x_mask | z_mask) & bit:
             raise ParseError(f"qubit {j} appears twice in label {label!r}")
-        x, z = PAULI_LETTERS[letter]
-        x_mask |= x * bit
-        z_mask |= z * bit
+        if letter != "Z":  # X or Y
+            x_mask |= bit
+        if letter != "X":  # Y or Z
+            z_mask |= bit
     return x_mask, z_mask
 
 

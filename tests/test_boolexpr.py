@@ -206,6 +206,21 @@ class TestDimacs:
         with pytest.raises(ParseError):
             parse_dimacs("p cnf 2 1\n3 0\n")
 
+    def test_literal_out_of_range_names_its_line(self):
+        with pytest.raises(ParseError, match=r"line 4: literal -5 out of range \(n=4\)"):
+            parse_dimacs("p wcnf 4 2\nc\n2.5 1 -2 0\n1 -5 0\n")
+
+    def test_objective_equals_the_checked_constructor(self):
+        objective, _ = parse_dimacs("p wcnf 4 4\n2.5 1 -2 0\n1 4 0\n-0.5 -3 3 0\n7 0\n")
+        expected = PseudoBooleanObjective(4, (
+            (2.5, Or((Var(1), Not(Var(2))))),
+            (1.0, Var(4)),
+            (-0.5, Or((Not(Var(3)), Var(3)))),
+            (7.0, Const(0)),
+        ))
+        assert objective == expected
+        assert objective == PseudoBooleanObjective(objective.n_vars, objective.clauses)
+
     def test_missing_terminator(self):
         with pytest.raises(ParseError):
             parse_dimacs("p cnf 2 1\n1 2\n")

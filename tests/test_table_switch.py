@@ -112,6 +112,9 @@ class TestSparseInputsStayOnTheFold:
         expected = compile_expr(dense, 10).scaled(2.0)
         no_tables(monkeypatch)
         assert compile_pseudo(compiler.PseudoBooleanObjective(10, ((2.0, dense),))) == expected
+        # an OR of literals takes the closed form; a nested clause takes the fold
+        nested = And((dense, Const(1)))
+        assert compile_pseudo(compiler.PseudoBooleanObjective(10, ((2.0, nested),))) == expected
 
 
 class TestEmptyRegister:

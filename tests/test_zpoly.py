@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from boolham.errors import QubitCountError
+from boolham.errors import ParseError, QubitCountError
 from boolham.zpoly import (
     DiagonalHamiltonian,
     basis_index,
     basis_label,
     bit_projector,
+    parse_pauli_label,
     qubits_of,
     term_label,
 )
@@ -207,3 +208,31 @@ class TestSerialization:
     def test_json_identity_label(self):
         h = DiagonalHamiltonian.identity(2)
         assert h.to_json_dict()["terms"] == [{"paulis": "I", "coeff": 1.0}]
+
+
+class TestPauliLabels:
+    @pytest.mark.parametrize(
+        "label, masks",
+        [("I", (0, 0)), (" ", (0, 0)), ("Z1 Z3", (0, 0b101)), ("X1Z3", (0b001, 0b100)),
+         ("Y2\tX1", (0b011, 0b010)), (" Z01 ", (0, 1)), ("X3 Y1Z2", (0b101, 0b011))],
+    )
+    def test_masks(self, label, masks):
+        assert parse_pauli_label(label, 3) == masks
+
+    @pytest.mark.parametrize(
+        "label, atom",
+        [("Z1a", "Z1a"), ("Z12a Z2", "Z12a"), ("1Z2", "1"), ("ZZ1", "Z"), ("Z 1", "Z"),
+         ("Z1 Q", "Q"), ("IZ1", "I"), ("Z1-Z2", "Z1-")],
+    )
+    def test_bad_atom_is_named(self, label, atom):
+        with pytest.raises(ParseError, match=f"bad Pauli atom {atom!r} in label"):
+            parse_pauli_label(label, 3)
+
+    def test_first_bad_atom_wins(self):
+        # atoms are read in order: the out-of-range Z9 is met before the repeat and the Q
+        with pytest.raises(QubitCountError, match="qubit index 9 outside 1..3"):
+            parse_pauli_label("Z9 Z1 Z1 Q", 3)
+        with pytest.raises(ParseError, match="qubit 1 appears twice"):
+            parse_pauli_label("Z1 X1 Z9", 3)
+        with pytest.raises(ParseError, match="bad Pauli atom 'Q'"):
+            parse_pauli_label("Z1 Q Z9", 3)

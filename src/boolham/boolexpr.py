@@ -449,7 +449,7 @@ class PseudoBooleanObjective:
     @classmethod
     def _from_checked(cls, n_vars: int, clauses: tuple[tuple[float, BoolExpr], ...]):
         """Skips __post_init__ for ``clauses`` whose variables are known to lie
-        in 1..n_vars (parse_dimacs range-checks every literal it reads)."""
+        in 1..n_vars (parse_dimacs range-checks them; qubo_objective writes no other)."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "n_vars", n_vars)
         object.__setattr__(obj, "clauses", clauses)

@@ -82,7 +82,6 @@ from .zpoly import (
     json_list,
     json_number,
     load_json,
-    require_finite,
 )
 
 SIZE_CAP = 10**6
@@ -149,20 +148,20 @@ def _clause_sum(
     base: DiagonalHamiltonian, clauses: Iterable[tuple[float, BoolExpr]]
 ) -> DiagonalHamiltonian:
     """base + sum_j w_j H_fj in one term table, pruned once.  The clauses'
-    containers checked their variables when built, so they skip register_size.
-    Literal and OR-of-literal clauses are written by the closed form; the rest
-    are folded."""
+    containers checked their variables when built, so they skip register_size
+    and the table's masks need no check.  Literal and OR-of-literal clauses
+    are written by the closed form; the rest are folded."""
     n = base.n_qubits
     acc = dict(base.items())
     for w, expr in clauses:
+        w = float(w)  # an np.float64 weight would make every sum an np.float64
         terms = _or_terms(expr)
         if terms is None:
             terms = _fold(expr, n)
         for mask, c in terms.items():
             acc[mask] = acc.get(mask, 0.0) + w * c
         _guard(len(acc))
-    require_finite(acc.values(), "weighted clause sums")
-    return DiagonalHamiltonian(n, acc)
+    return base._pruned(acc)
 
 
 def compile_expr(e: BoolExpr, n: int | None = None) -> DiagonalHamiltonian:
@@ -255,19 +254,19 @@ def compile_qubo(q: QuboInstance) -> DiagonalHamiltonian:
     with c = 1/2 sum_j c_j, d = 1/4 sum_{j<k} d_jk, d_j = 1/2 sum_{k != j} d_jk.
     """
     n = q.n_vars
-    with np.errstate(over="ignore", invalid="ignore"):  # sums are checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # the term table checks the sums
         c_bar = 0.5 * float(np.sum(q.linear))
         d_bar = 0.25 * float(np.sum(np.triu(q.quadratic, k=1)))
-        d_row = 0.5 * q.quadratic.sum(axis=1)
-        terms: dict[int, float] = {0: q.constant + c_bar + d_bar}
-        for j in range(n):
-            terms[1 << j] = terms.get(1 << j, 0.0) - 0.5 * (q.linear[j] + d_row[j])
+        row = (q.linear + 0.5 * q.quadratic.sum(axis=1)).tolist()  # c_j + d_j
+    quad = q.quadratic.tolist()
+    terms = {0: float(q.constant) + c_bar + d_bar}
+    for j in range(n):
+        terms[1 << j] = -0.5 * row[j]
     for j in range(n):
         for k in range(j + 1, n):
-            if q.quadratic[j, k] != 0.0:
-                terms[(1 << j) | (1 << k)] = 0.25 * q.quadratic[j, k]
-    require_finite(terms.values(), "QUBO coefficients")
-    return DiagonalHamiltonian(n, terms)
+            if quad[j][k] != 0.0:
+                terms[(1 << j) | (1 << k)] = 0.25 * quad[j][k]
+    return DiagonalHamiltonian._from_checked(n, DiagonalHamiltonian._table(terms))
 
 
 def qubo_objective(q: QuboInstance) -> PseudoBooleanObjective:
@@ -284,7 +283,8 @@ def qubo_objective(q: QuboInstance) -> PseudoBooleanObjective:
                 clauses.append(
                     (float(q.quadratic[j, k]), And((Var(j + 1), Var(k + 1))))
                 )
-    return PseudoBooleanObjective(q.n_vars, tuple(clauses))
+    # every variable is j + 1 <= n_vars: no clause needs register_size
+    return PseudoBooleanObjective._from_checked(q.n_vars, tuple(clauses))
 
 
 # -- penalty augmentation -------------------------------------------------

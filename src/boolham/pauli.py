@@ -10,19 +10,18 @@ friends).  Operators fold each string's phase into a complex coefficient,
 keeping the stored keys canonical (phase 0).
 
 Qubit numbering and mask conventions follow zpoly: bit j-1 <-> qubit j.
-``PauliOperator`` shares its sum, scaling, comparison and text forms with
-``zpoly.DiagonalHamiltonian`` through their base ``zpoly.PauliSum``.
+``PauliOperator`` shares its constructor, sum, scaling, comparison and text
+forms with ``zpoly.DiagonalHamiltonian`` through their base ``zpoly.PauliSum``;
+its ``_term`` hook checks each string's register and folds its phase in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
 
 from .errors import QubitCountError
 from .zpoly import (
     PAULI_LETTERS,
-    PRUNE_EPS,
     DiagonalHamiltonian,
     PauliSum,
     check_register,
@@ -127,25 +126,11 @@ class PauliOperator(PauliSum):
     _sort_key = staticmethod(_sort_key)
     _scalar = complex
 
-    def __init__(
-        self,
-        n_qubits: int,
-        terms: Union[Mapping[PauliString, complex], Iterable[tuple[PauliString, complex]]] = (),
-    ):
-        check_register(n_qubits)
-        acc: dict[PauliString, complex] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for string, coeff in items:
-            if string.n_qubits != n_qubits:
-                raise QubitCountError(
-                    f"string on {string.n_qubits} qubits added to {n_qubits}-qubit operator"
-                )
-            key = string.canonical()
-            acc[key] = acc.get(key, 0j) + complex(coeff) * string.phase
-        self._n = n_qubits
-        self._terms = {
-            s: acc[s] for s in sorted(acc, key=_sort_key) if abs(acc[s]) >= PRUNE_EPS
-        }
+    @staticmethod
+    def _term(n: int, string: PauliString, coeff) -> tuple[PauliString, complex]:
+        if string.n_qubits != n:
+            raise QubitCountError(f"string on {string.n_qubits} qubits added to {n}-qubit operator")
+        return string.canonical(), complex(coeff) * string.phase
 
     # -- constructors -------------------------------------------------
 
@@ -192,9 +177,7 @@ class PauliOperator(PauliSum):
 
     def adjoint(self) -> "PauliOperator":
         # canonical strings are Hermitian, so only coefficients conjugate
-        return PauliOperator(
-            self._n, {s: c.conjugate() for s, c in self._terms.items()}
-        )
+        return self._pruned({s: c.conjugate() for s, c in self._terms.items()})
 
     # -- serialization ------------------------------------------------
 

@@ -20,7 +20,9 @@ immutable after construction; every operation returns a fresh object.
 
 ``PauliSum`` is the shared base of ``DiagonalHamiltonian`` (here, keyed by
 term mask) and ``pauli.PauliOperator`` (keyed by Pauli string): it holds
-their sum, difference, scaling, comparison and text/JSON forms once.
+their constructor, sum, difference, scaling, comparison and text/JSON forms
+once, and ``_table``, which builds every term table and rejects a non-finite
+coefficient (an overflowed sum or product) as a ParseError.
 
 Every JSON document (operator, QUBO, penalty spec, ``fourier`` vector) is
 read through ``load_json``, ``json_field``, ``json_list`` and ``json_number``
@@ -57,14 +59,6 @@ def qubit_bit(j: int, n_qubits: int) -> int:
     if not 1 <= j <= n_qubits:
         raise QubitCountError(f"qubit index {j} outside 1..{n_qubits}")
     return 1 << (j - 1)
-
-
-def require_finite(coeffs: Iterable, what: str) -> None:
-    """ParseError unless every real or complex coefficient is finite: sums of
-    finite inputs can overflow to inf, and inf - inf is NaN, which pruning
-    would drop unseen."""
-    if not all(map(cmath.isfinite, coeffs)):
-        raise ParseError(f"{what} overflow the float range")
 
 
 def qubits_of(mask: int) -> tuple[int, ...]:
@@ -196,17 +190,33 @@ def format_coeff(c: float) -> str:
     return f"{c:.12g}"
 
 
+def _summed(pairs: Iterable[tuple]) -> dict:
+    """Term dict of (key, coefficient) pairs, repeated keys added up."""
+    acc = {}
+    for key, coeff in pairs:
+        acc[key] = acc.get(key, 0) + coeff
+    return acc
+
+
 class PauliSum:
     """Immutable sparse sum of Pauli terms: ``_terms`` maps each term key to a
-    coefficient, in key order, none below the pruning epsilon.  Subclasses
-    build it in ``__init__(n_qubits, terms)``, which checks every key, and
-    give ``_sort_key`` (the key order, as for ``sorted``), ``_scalar`` (the
-    coefficient type), ``to_json_dict``,
+    finite coefficient, in key order, none below the pruning epsilon.  Every
+    table is built by ``_table``.  The constructor passes each given pair
+    through the subclass's ``_term(n, key, coeff) -> (key, coeff)``, which
+    checks the key on the register and converts the coefficient; results whose
+    keys are known to be valid skip it (``_pruned``, ``from_json_dict``).
+    Subclasses also give ``_sort_key`` (the key order, as for ``sorted``),
+    ``_scalar`` (the coefficient type), ``to_json_dict``,
     ``_term_text(key, coeff) -> (negative, magnitude, label)`` and
-    ``_json_term(n, label, coeff) -> (key, coeff)``.  Arithmetic results
-    skip ``__init__``: their operands were checked on one register."""
+    ``_json_term(n, label, coeff) -> (key, coeff)``."""
 
     __slots__ = ("_n", "_terms")
+
+    def __init__(self, n_qubits: int, terms: Union[Mapping, Iterable[tuple]] = ()):
+        check_register(n_qubits)
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        self._n = n_qubits
+        self._terms = self._table(_summed(self._term(n_qubits, key, c) for key, c in items))
 
     @classmethod
     def zero(cls, n_qubits: int):
@@ -230,21 +240,29 @@ class PauliSum:
             raise QubitCountError(f"qubit-count mismatch: {self._n} vs {other._n}")
 
     @classmethod
+    def _table(cls, acc: dict) -> dict:
+        """``acc``, a term dict with keys valid on the register, as stored: its
+        terms of at least PRUNE_EPS in ``_sort_key`` order.  A non-finite
+        coefficient (an overflowed sum or product; inf - inf is NaN, which
+        pruning would drop unseen) is a ParseError."""
+        values = acc.values()  # a finite total needs no term-by-term check
+        if not cmath.isfinite(sum(values)) and not all(map(cmath.isfinite, values)):
+            raise ParseError("coefficients overflow the float range")
+        ordered = sorted(acc, key=cls._sort_key)
+        return {key: acc[key] for key in ordered if abs(acc[key]) >= PRUNE_EPS}
+
+    @classmethod
     def _from_checked(cls, n_qubits: int, terms: dict):
-        """Skips __init__ for ``terms`` that already hold its result: keys in
-        the class's order and inside the register, none below PRUNE_EPS."""
+        """An operator holding ``terms``, a table as ``_table`` returns it."""
         op = object.__new__(cls)
         op._n = n_qubits
         op._terms = terms
         return op
 
     def _pruned(self, acc: dict):
-        """An operator on this register from ``acc``, the raw result of
-        arithmetic on checked operands of this register: its keys need no
-        check, only pruning below PRUNE_EPS and sorting by ``_sort_key``."""
-        kept = [key for key, c in acc.items() if abs(c) >= PRUNE_EPS]
-        kept.sort(key=self._sort_key)
-        return self._from_checked(self._n, {key: acc[key] for key in kept})
+        """The operator on this register of ``acc``, the raw result of arithmetic
+        on operands of this register."""
+        return self._from_checked(self._n, self._table(acc))
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
@@ -297,14 +315,13 @@ class PauliSum:
         """The operator of {"n": n, "terms": [{"paulis": label, "coeff": c}, ...]}."""
         n = json_number(json_field(doc, "n", "operator JSON"), "operator 'n'", int)
         terms = json_list(json_field(doc, "terms", "operator JSON"), "operator 'terms'")
+        check_register(n)
         what = "operator term"
-        op = cls(n, [
+        # _json_term checks each label on the register; repeated labels add up
+        return cls._from_checked(n, cls._table(_summed(
             cls._json_term(n, json_field(t, "paulis", what), json_field(t, "coeff", what))
             for t in terms
-        ])
-        # repeated labels add up: a finite running sum can reach inf, never NaN
-        require_finite(op._terms.values(), "summed coefficients")
-        return op
+        )))
 
     @classmethod
     def from_json(cls, text: str):
@@ -326,22 +343,11 @@ class DiagonalHamiltonian(PauliSum):
     _sort_key = None  # ascending mask
     _scalar = float
 
-    def __init__(
-        self,
-        n_qubits: int,
-        terms: Union[Mapping[int, float], Iterable[tuple[int, float]]] = (),
-    ):
-        check_register(n_qubits)
-        acc: dict[int, float] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for mask, coeff in items:
-            if not 0 <= mask < (1 << n_qubits):
-                raise QubitCountError(
-                    f"term mask {mask:#x} out of range for {n_qubits} qubits"
-                )
-            acc[mask] = acc.get(mask, 0.0) + float(coeff)
-        self._n = n_qubits
-        self._terms = {m: acc[m] for m in sorted(acc) if abs(acc[m]) >= PRUNE_EPS}
+    @staticmethod
+    def _term(n: int, mask: int, coeff) -> tuple[int, float]:
+        if not 0 <= mask < (1 << n):
+            raise QubitCountError(f"term mask {mask:#x} out of range for {n} qubits")
+        return mask, float(coeff)
 
     @classmethod
     def identity(cls, n_qubits: int) -> "DiagonalHamiltonian":
@@ -406,9 +412,11 @@ class DiagonalHamiltonian(PauliSum):
         for ma, ca in self._terms.items():
             for mb, cb in other._terms.items():
                 acc[ma | (mb << self._n)] = ca * cb
-        return DiagonalHamiltonian(n, acc)
+        return self._from_checked(n, self._table(acc))
 
     def pruned(self, eps: float) -> "DiagonalHamiltonian":
+        if not eps >= 0:  # a NaN would fail every abs(c) >= eps test
+            raise ValueError(f"prune epsilon must be non-negative, got {eps!r}")
         kept = {m: c for m, c in self._terms.items() if abs(c) >= eps}  # still in mask order
         return self._from_checked(self._n, kept)
 

@@ -2,6 +2,7 @@
 closed form, every other clause is folded, and the sum equals folding every
 clause to the bit."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +91,21 @@ def test_repeated_variables_stay_on_the_fold():
     # x1 | x1 = x1 and x1 | !x1 = 1: the closed form over distinct variables would not hold
     objective, _ = parse_dimacs("p cnf 1 2\n1 1 0\n1 -1 0\n")
     assert bits(compile_pseudo(objective)) == [(0, (1.5).hex()), (1, (-0.5).hex())]
+
+
+def test_numpy_weights_leave_python_floats():
+    # the clause sum's table is stored as built, so each weight is converted first
+    weighted = (
+        (np.float64(0.5), Or((Var(1), Not(Var(2))))),
+        (np.float64(3), And((Var(1), Var(2)))),
+    )
+    base = DiagonalHamiltonian(2, {0: 1.0, 3: 0.25})
+    for h, reference in (
+        (compile_pseudo(PseudoBooleanObjective(2, weighted)), folded_sum(base.zero(2), weighted)),
+        (augment_penalties(PenaltySpec(base, weighted)), folded_sum(base, weighted)),
+    ):
+        assert [type(c) for _, c in h.items()] == [float] * 4
+        assert bits(h) == bits(reference)
 
 
 class TestCap:

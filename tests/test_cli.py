@@ -386,9 +386,12 @@ class TestBounds:
             ["verify", "-e", " & ".join(f"x{j}" for j in range(1, 10)), "--dense-cap", "15"],
             ["jw", "-3"],
             ["jw", "0"],
+            ["compile", "-e", "x1 | x2", "--prune-eps", "nan"],
+            ["fourier", "0111", "--prune-eps", "nan"],
         ],
         ids=["dense-cap-negative", "dense-cap-zero", "dense-cap-above-max",
-             "dense-cap-above-max-unused", "jw-negative", "jw-zero"],
+             "dense-cap-above-max-unused", "jw-negative", "jw-zero", "compile-prune-eps-nan",
+             "fourier-prune-eps-nan"],
     )
     def test_exits_1_with_one_line(self, argv, capsys):
         assert one_line_usage_error(capsys, *argv)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from boolham.errors import ParseError, QubitCountError
+from boolham.pauli import PauliOperator, PauliString
 from boolham.zpoly import (
     DiagonalHamiltonian,
     basis_index,
@@ -208,6 +209,68 @@ class TestSerialization:
     def test_json_identity_label(self):
         h = DiagonalHamiltonian.identity(2)
         assert h.to_json_dict()["terms"] == [{"paulis": "I", "coeff": 1.0}]
+
+
+NAN, INF = float("nan"), float("inf")
+X1 = PauliString.single(1, "X", 1)
+HUGE = DiagonalHamiltonian(1, {1: 1e308})
+HUGE_X = PauliOperator(1, {X1: 1e308})
+
+
+def repeated_label(label, coeff):
+    return {"n": 1, "terms": [{"paulis": label, "coeff": coeff}] * 2}
+
+
+class TestFiniteCoefficients:
+    """Every operator's coefficients are finite: a NaN or infinite one given to
+    the constructor, or made by arithmetic that overflows, is a ParseError,
+    never a stored inf or a NaN that pruning drops unseen."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ham(1, {0: NAN}),
+            lambda: ham(1, [(1, -INF)]),
+            lambda: ham(1, [(1, 1e308), (1, 1e308)]),
+            lambda: PauliOperator(1, {X1: complex(NAN, 0.0)}),
+            lambda: PauliOperator(1, {X1: complex(0.0, INF)}),
+            lambda: PauliOperator(1, [(X1, 1e308), (X1, 1e308)]),
+            lambda: DiagonalHamiltonian.from_json_dict(repeated_label("Z1", 1e308)),
+            lambda: PauliOperator.from_json_dict(repeated_label("X1", [0.0, -1e308])),
+            lambda: HUGE + HUGE,
+            lambda: HUGE - (-1.0 * HUGE),
+            lambda: HUGE * HUGE,
+            lambda: HUGE.scaled(10) - HUGE.scaled(10),
+            lambda: -1e10 * HUGE,
+            lambda: HUGE.tensor(HUGE),
+            lambda: HUGE_X + HUGE_X,
+            lambda: HUGE_X - (-HUGE_X),
+            lambda: HUGE_X * HUGE_X,
+            lambda: HUGE_X.scaled(1e10j),
+        ],
+        ids=[
+            "diagonal-nan", "diagonal-inf", "diagonal-repeated-key", "pauli-nan", "pauli-inf",
+            "pauli-repeated-key", "diagonal-json-repeated-label", "pauli-json-repeated-label",
+            "diagonal-sum", "diagonal-difference", "diagonal-product", "diagonal-scaled",
+            "diagonal-rmul", "diagonal-tensor", "pauli-sum", "pauli-difference",
+            "pauli-product", "pauli-scaled",
+        ],
+    )
+    def test_non_finite_coefficient_is_a_parse_error(self, build):
+        with pytest.raises(ParseError, match="^coefficients overflow the float range$"):
+            build()
+
+    def test_finite_coefficients_with_an_infinite_total_are_kept(self):
+        h = ham(2, {0: 1e308, 1: 1e308, 3: 1e308})
+        assert [c for _, c in (h + ham(2, {2: 1e308})).items()] == [1e308] * 4
+        assert PauliOperator.from_diagonal(h).size == 3
+
+    @pytest.mark.parametrize("eps", [NAN, -1.0, -INF], ids=["nan", "negative", "minus-inf"])
+    def test_prune_epsilon_is_non_negative(self, eps):
+        # a NaN epsilon used to prune every term
+        with pytest.raises(ValueError, match="^prune epsilon must be non-negative"):
+            HUGE.pruned(eps)
+        assert HUGE.pruned(0.0) == HUGE
 
 
 class TestPauliLabels:

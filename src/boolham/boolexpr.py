@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar, Union
@@ -443,7 +444,10 @@ class PseudoBooleanObjective:
     clauses: tuple[tuple[float, BoolExpr], ...] = field(default=())
 
     def __post_init__(self):
-        for _, expr in self.clauses:
+        for j, (w, expr) in enumerate(self.clauses):
+            # bool is an int and float() reads "2": neither is a weight
+            if isinstance(w, bool) or not isinstance(w, numbers.Real) or not math.isfinite(w):
+                raise ValueError(f"clauses[{j}] weight must be a finite real number, got {w!r}")
             register_size(expr, self.n_vars)
 
     @classmethod

@@ -2,9 +2,12 @@
 
 The coefficient of a term mask S is f_hat(S) = 2^-n sum_x f(x) (-1)^(S.x),
 with S.x = popcount(S & x).  The fast Walsh-Hadamard transform computes all
-2^n coefficients in O(n 2^n); the 2^-n normalization is applied only on the
-table -> coefficients direction, so applying the raw transform twice
-returns 2^n times the input.
+2^n coefficients in ceil(n/4) passes, each multiplying the table by a
+Sylvester Hadamard block of at most 16 x 16 along a group of up to 4 index
+bits (a BLAS matrix product).  It works in place: its extra memory is one
+fixed scratch block of 2^15 entries (256 KiB of float64), whatever n is.
+The 2^-n normalization is applied only on the table -> coefficients
+direction, so applying the raw transform twice returns 2^n times the input.
 
 A value table is a float64 array of the 2^n values, indexed by the
 assignment x with x_1 as its least significant bit.  Dense tables are
@@ -29,6 +32,13 @@ from .zpoly import (
 
 MAX_NORM_BOUND = 1.0 / 3.0
 PROJECTOR_TOL = 1e-6  # largest defect count_models accepts before rounding
+_BLOCK_BITS = 4  # each transform pass applies a Hadamard block of at most 16 x 16
+_SCRATCH = 1 << 15  # entries of the one scratch block all passes work through
+# Sylvester order, entry (i, j) = (-1)^popcount(i & j); each pass's H_k is its
+# top-left corner.  Building it costs more than a small transform, so it is built once.
+_ROWS = np.arange(1 << _BLOCK_BITS)
+_HADAMARD = np.where(np.bitwise_count(_ROWS[:, None] & _ROWS) & 1, -1.0, 1.0)
+_HADAMARD.setflags(write=False)
 
 
 def parse_table(text: str) -> np.ndarray:
@@ -54,19 +64,35 @@ def fwht_inplace(a: np.ndarray) -> None:
     Output[S] = sum_x input[x] * (-1)^popcount(S & x).  Self-inverse up to
     the factor 2^n.
     """
+    if a.ndim != 1:
+        raise ValueError(f"the transform takes a 1-D array, got shape {a.shape}")
     m = a.shape[0]
     if m & (m - 1) or m == 0:
         raise ValueError(f"length must be a power of two, got {m}")
-    half = np.empty(m // 2, dtype=a.dtype)  # the top halves, reused by every pass
-    h = 1
-    while h < m:
-        blocks = a.reshape(-1, 2, h)
-        top = half.reshape(-1, h)
-        np.copyto(top, blocks[:, 0, :])
-        bottom = blocks[:, 1, :]
-        np.add(top, bottom, out=blocks[:, 0, :])
-        np.subtract(top, bottom, out=bottom)
-        h *= 2
+    n = m.bit_length() - 1
+    passes = -(-n // _BLOCK_BITS)
+    hadamard = _HADAMARD.astype(a.dtype, copy=False)  # int and complex tables stay exact
+    scratch = np.empty(min(m, _SCRATCH), dtype=a.dtype)
+    lo = 1  # 2^(number of low bits already transformed)
+    for p in range(passes):
+        # sizes 2^k: the k add up to n, differ by at most 1, largest first (on
+        # the low bits, where lo is small and each product is short)
+        size = 1 << ((n + passes - 1 - p) // passes)
+        h = hadamard[:size, :size]
+        view = a.reshape(-1, size, lo)  # a view, as any 1-D reshape is: writes land in a
+        # blocks of the (hi, size, lo) view, whole rows of it when one fits the scratch
+        rows = max(1, _SCRATCH // (size * lo))
+        cols = min(lo, _SCRATCH // size)
+        for r in range(0, view.shape[0], rows):
+            for c in range(0, lo, cols):
+                block = view[r : r + rows, :, c : c + cols]
+                out = scratch[: block.size].reshape(block.shape)
+                if lo == 1:  # one (rows, size) @ H gemm, not a gemv per row
+                    np.matmul(block[:, :, 0], h, out=out[:, :, 0])
+                else:
+                    np.matmul(h, block, out=out)
+                block[...] = out
+        lo *= size
 
 
 def fourier_from_table(table: np.ndarray) -> DiagonalHamiltonian:
@@ -92,8 +118,10 @@ def table_from_fourier(h: DiagonalHamiltonian) -> np.ndarray:
     n = h.n_qubits
     check_table_cap(n)
     vec = np.zeros(1 << n, dtype=np.float64)
-    for mask, coeff in h.items():
-        vec[mask] = coeff
+    terms = h._terms
+    vec[np.fromiter(terms.keys(), np.intp, len(terms))] = np.fromiter(
+        terms.values(), np.float64, len(terms)
+    )
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         fwht_inplace(vec)
     if not np.isfinite(vec).all():

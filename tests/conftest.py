@@ -26,6 +26,24 @@ def brute_fourier(values) -> dict[int, float]:
     return coeffs
 
 
+def butterfly_fwht(a: np.ndarray) -> None:
+    """Radix-2 butterfly Walsh-Hadamard transform of a 1-D array, in place:
+    one pass per index bit h, turning each pair (u, v) of entries h apart
+    into (u + v, u - v).
+
+    The package's blocked transform is checked against it.
+    """
+    m = a.shape[0]
+    h = 1
+    while h < m:
+        pairs = a.reshape(-1, 2, h)
+        top = pairs[:, 0, :].copy()
+        bottom = pairs[:, 1, :]
+        np.add(top, bottom, out=pairs[:, 0, :])
+        np.subtract(top, bottom, out=bottom)
+        h *= 2
+
+
 def brute_table(expr_eval, n: int) -> list[int]:
     """Truth table via per-assignment recursive evaluation (not the
     vectorized path)."""

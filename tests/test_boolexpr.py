@@ -1,5 +1,7 @@
 """Unit tests for the formula AST, infix parser, and DIMACS front end."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,11 @@ class TestPseudoBooleanObjective:
     def test_variable_bound_checked(self):
         with pytest.raises(Exception):
             PseudoBooleanObjective(1, ((1.0, Var(2)),))
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, "2", True], ids=repr)
+    def test_weight_must_be_a_finite_real_number(self, weight):
+        with pytest.raises(ValueError, match=r"^clauses\[1\] weight must be a finite real number"):
+            PseudoBooleanObjective(2, ((1.0, Var(1)), (weight, Var(2))))
 
     def test_conjunction_helper(self):
         assert conjunction([]) == Const(1)

@@ -18,7 +18,7 @@ from boolham.fourier import (
 from boolham.oracle import spectrum
 from boolham.verify import random_expr
 from boolham.zpoly import DiagonalHamiltonian
-from conftest import allclose, brute_fourier
+from conftest import allclose, brute_fourier, butterfly_fwht
 
 
 class TestFWHT:
@@ -41,9 +41,53 @@ class TestFWHT:
         fwht_inplace(arr)
         assert np.max(np.abs(arr - (1 << n) * values)) < 1e-12 * (1 << n)
 
+    @pytest.mark.parametrize("n", range(18))
+    def test_equals_the_butterfly(self, n, rng):
+        # n = 0..17 covers every pass shape, with blocks split along the
+        # low axis once one (2^k, lo) slice outgrows the scratch (n >= 16)
+        integers = rng.integers(-8, 9, size=1 << n).astype(np.float64)
+        floats = rng.normal(size=1 << n)
+        for values, tol in ((integers, 0.0), (floats, 1e-12 * (1 << n))):
+            arr = values.copy()
+            expected = values.copy()
+            butterfly_fwht(expected)
+            assert fwht_inplace(arr) is None
+            assert np.max(np.abs(arr - expected)) <= tol
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.arange(-500, 524, dtype=np.int64),
+            np.linspace(-1.0, 1.0, 1 << 9) + 1j * np.linspace(2.0, 0.0, 1 << 9),
+        ],
+        ids=["int64", "complex128"],
+    )
+    def test_other_dtypes_in_place(self, values):
+        arr = values.copy()
+        expected = values.copy()
+        butterfly_fwht(expected)
+        fwht_inplace(arr)
+        assert arr.dtype == values.dtype
+        np.testing.assert_allclose(arr, expected, rtol=0, atol=1e-12 * arr.size)  # exact on int64
+
+    @pytest.mark.parametrize("step", [2, -2, 3])
+    def test_strided_view_in_place(self, step, rng):
+        base = rng.integers(-8, 9, size=3 << 16).astype(np.float64)
+        positions = np.arange(base.size)[::step][: 1 << 16]
+        expected = base.copy()
+        column = expected[positions]
+        butterfly_fwht(column)
+        expected[positions] = column  # and every entry outside the view as it was
+        fwht_inplace(base[::step][: 1 << 16])
+        assert np.array_equal(base, expected)
+
     def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="power of two"):
             fwht_inplace(np.zeros(3))
+
+    def test_rejects_a_2d_array_in_one_line(self):
+        with pytest.raises(ValueError, match=r"^the transform takes a 1-D array, got shape \(4, 4\)$"):
+            fwht_inplace(np.zeros((4, 4)))
 
 
 class TestFourierFromTable:

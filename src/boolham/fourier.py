@@ -8,6 +8,9 @@ bits (a BLAS matrix product).  It works in place: its extra memory is one
 fixed scratch block of 2^15 entries (256 KiB of float64), whatever n is.
 The 2^-n normalization is applied only on the table -> coefficients
 direction, so applying the raw transform twice returns 2^n times the input.
+On integer and dyadic tables the result is exact; on other tables it matches
+the exact values to floating-point rounding, and the last bit can differ
+between BLAS builds, which may order each block's sums differently.
 
 A value table is a float64 array of the 2^n values, indexed by the
 assignment x with x_1 as its least significant bit.  Dense tables are

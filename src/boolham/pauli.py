@@ -66,17 +66,6 @@ class PauliString:
         """Parse 'X1 Z3' / 'X1Z3' style labels; 'I' is the identity."""
         return cls(n_qubits, *parse_pauli_label(label, n_qubits))
 
-    @classmethod
-    def _from_checked(cls, n_qubits: int, x_mask: int, z_mask: int) -> "PauliString":
-        """A phase-0 string that skips __post_init__, for a register already
-        checked and masks from parse_pauli_label, which checks every qubit."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "n_qubits", n_qubits)
-        object.__setattr__(s, "x_mask", x_mask)
-        object.__setattr__(s, "z_mask", z_mask)
-        object.__setattr__(s, "phase_pow", 0)
-        return s
-
     def letter(self, j: int) -> str:
         bit = 1 << (j - 1)
         x, z = bool(self.x_mask & bit), bool(self.z_mask & bit)
@@ -215,8 +204,7 @@ class PauliOperator(PauliSum):
         # a real coefficient is one number, a complex one the list [re, im]
         parts = json_list(raw, "operator coefficient", 2) if type(raw) is list else (raw, 0.0)
         re, im = (json_number(part, "operator coefficient") for part in parts)
-        # from_json_dict has checked the register
-        return PauliString._from_checked(n, *parse_pauli_label(label, n)), complex(re, im)
+        return PauliString.from_label(n, label), complex(re, im)
 
 
 def anticommutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:

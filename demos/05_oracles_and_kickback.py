@@ -2,8 +2,8 @@
 
 The bit query G_f maps |x>|a> to |x>|a xor f(x)>.  Single-bit phase
 estimation builds it from an ancilla-controlled phase query, and phase
-kickback recovers the phase query from G_f; the dense suite checks all
-four equivalences as explicit matrices.
+kickback recovers the phase query from G_f; the suite checks all four
+equivalences on explicit matrices no larger than G_f.
 """
 
 import numpy as np

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar, Union
@@ -33,7 +32,7 @@ from typing import Callable, Sequence, TypeVar, Union
 import numpy as np
 
 from .errors import ParseError, QubitCountError
-from .zpoly import check_table_cap
+from .zpoly import check_table_cap, is_finite_real
 
 MAX_NESTING = 100
 
@@ -445,8 +444,7 @@ class PseudoBooleanObjective:
 
     def __post_init__(self):
         for j, (w, expr) in enumerate(self.clauses):
-            # bool is an int and float() reads "2": neither is a weight
-            if isinstance(w, bool) or not isinstance(w, numbers.Real) or not math.isfinite(w):
+            if not is_finite_real(w):
                 raise ValueError(f"clauses[{j}] weight must be a finite real number, got {w!r}")
             register_size(expr, self.n_vars)
 

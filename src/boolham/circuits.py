@@ -19,7 +19,7 @@ global phase, so every circuit they accept serializes to text that
 parse_circuit reads back equal.  The emitters and lower_basic build gates
 that are valid by construction (their qubits come from operator masks,
 which DiagonalHamiltonian keeps inside the register), so they check only
-that each rotation angle and emit_evolution's global phase are finite.
+that emit_evolution's gamma, each rotation angle and its global phase are finite.
 Within one call they make each distinct CX gate once and share it across
 every ladder.
 """
@@ -33,7 +33,7 @@ from typing import Iterator
 from .boolexpr import BoolExpr, register_size
 from .compiler import QuboInstance, compile_expr, compile_qubo
 from .errors import ParseError, QubitCountError
-from .zpoly import DiagonalHamiltonian, qubits_of
+from .zpoly import DiagonalHamiltonian, is_finite_real, qubits_of
 
 # gate name -> number of qubit arguments, takes an angle
 _GATE_SHAPE = {
@@ -77,12 +77,8 @@ class Gate:
 
 def _require_finite(value, message: str) -> None:
     """ValueError "<message>, got <value>" unless value is a finite real number."""
-    try:
-        finite = math.isfinite(value)
-    except TypeError:  # None, a string, a complex number
-        finite = False
-    if not finite:
-        raise ValueError(f"{message}, got {value}")
+    if not is_finite_real(value):
+        raise ValueError(f"{message}, got {value!r}")
 
 
 def cx(control: int, target: int) -> Gate:
@@ -167,7 +163,8 @@ def _gate(name: str, qubits: tuple[int, ...], angle: float | None = None) -> Gat
 
 
 def _rotation(name: str, qubits: tuple[int, ...], angle: float) -> Gate:
-    _require_finite(angle, f"{name} needs a finite angle")
+    if not math.isfinite(angle):  # a float product of checked numbers: only its range can fail
+        raise ValueError(f"{name} needs a finite angle, got {angle!r}")
     return _gate(name, qubits, angle)
 
 
@@ -205,6 +202,7 @@ def emit_evolution(ham: DiagonalHamiltonian, gamma: float) -> Circuit:
     Exact as an operator (global phase included).  Per term: identity ->
     phase shift, otherwise a CNOT ladder + RZ (a bare RZ for one qubit).
     """
+    _require_finite(gamma, "gamma must be a finite real number")
     gates: list[Gate] = []
     cxs = _CxGates()
     phase = 0.0

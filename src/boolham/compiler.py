@@ -78,6 +78,7 @@ from .zpoly import (
     DiagonalHamiltonian,
     basis_index,
     bit_projector,
+    is_finite_real,
     json_field,
     json_list,
     json_number,
@@ -196,16 +197,10 @@ class QuboInstance:
 
     def __post_init__(self):
         n = self.n_vars
-        lin = np.zeros(n) if self.linear is None else np.asarray(self.linear, float)
-        quad = (
-            np.zeros((n, n))
-            if self.quadratic is None
-            else np.asarray(self.quadratic, float)
-        )
-        if lin.shape != (n,):
-            raise ValueError(f"linear coefficients must have shape ({n},)")
-        if quad.shape != (n, n):
-            raise ValueError(f"quadratic matrix must have shape ({n}, {n})")
+        if not is_finite_real(self.constant):
+            raise ValueError(f"constant must be a finite real number, got {self.constant!r}")
+        lin = _real_array(self.linear, "linear", (n,))
+        quad = _real_array(self.quadratic, "quadratic", (n, n))
         if not np.array_equal(quad, quad.T):
             raise ValueError("quadratic matrix must be symmetric")
         if np.any(np.diag(quad) != 0.0):
@@ -240,11 +235,31 @@ class QuboInstance:
                 raise ParseError(f"bad quadratic entry {entry!r} for n={n}")
             quad[j - 1][k - 1] += d
             quad[k - 1][j - 1] += d
-        return cls(n, a, lin, np.reshape(quad, (n, n)))  # (0, 0) at n = 0
+        quad = np.reshape(quad, (n, n))  # (0, 0) at n = 0
+        if not np.isfinite(quad).all():  # repeated entries can sum past the float range
+            raise ParseError("QUBO 'quadratic' weights overflow the float range")
+        return cls(n, a, lin, quad)
 
     @classmethod
     def from_json(cls, text: str) -> "QuboInstance":
         return cls.from_json_dict(load_json(text))
+
+
+def _real_array(value, field: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` (zeros if None) as a float array of ``shape`` whose entries are finite reals."""
+    if value is None:
+        return np.zeros(shape)
+    if not isinstance(value, np.ndarray):  # as objects, entries keep their types: True, "2"
+        value = np.asarray(value, dtype=object)
+    if value.shape != shape:
+        raise ValueError(f"{field} must have shape {shape}")
+    if value.dtype == object:
+        ok = all(map(is_finite_real, value.flat))
+    else:
+        ok = value.dtype.kind in "iuf" and np.isfinite(value).all()
+    if not ok:
+        raise ValueError(f"{field} entries must be finite real numbers")
+    return np.asarray(value, dtype=float)
 
 
 def compile_qubo(q: QuboInstance) -> DiagonalHamiltonian:

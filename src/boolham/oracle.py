@@ -13,8 +13,8 @@ come from one Walsh-Hadamard transform of its coefficients
 (``fourier.table_from_fourier``).  Spectra are of diagonal operators only
 and read the same value table, so they reach n = 24.
 
-The checks built from these matrices, the oracle-query equivalence
-(kickback) suite among them, live in ``verify``.
+The checks built from these matrices live in ``verify``; its kickback
+suite uses only the 2^(n+1)-square bit queries and the H butterfly.
 """
 
 from __future__ import annotations
@@ -89,16 +89,19 @@ def _apply_gate(u: np.ndarray, gate, idx: np.ndarray, n: int) -> np.ndarray:
         perm = idx ^ np.uint64(1 << (gate.qubits[0] - 1))
         return u[perm.astype(np.int64)]
     if name == "h":
-        q = gate.qubits[0]
-        u = np.ascontiguousarray(u)  # the butterfly below edits a reshape view
-        shape = (1 << (n - q), 2, (1 << (q - 1)) * u.shape[1])
-        v = u.reshape(shape)
-        top = v[:, 0, :].copy()
-        bottom = v[:, 1, :]
-        v[:, 0, :] = (top + bottom) / math.sqrt(2)
-        v[:, 1, :] = (top - bottom) / math.sqrt(2)
-        return u
+        return _hadamard_rows(u, gate.qubits[0], n)
     raise ValueError(f"unknown gate {name!r}")
+
+
+def _hadamard_rows(u: np.ndarray, q: int, n: int) -> np.ndarray:
+    """H on qubit q of an n-qubit register times u: a butterfly on the rows."""
+    u = np.ascontiguousarray(u)  # the butterfly below edits a reshape view
+    v = u.reshape(1 << (n - q), 2, -1)
+    top = v[:, 0, :].copy()
+    bottom = v[:, 1, :]
+    v[:, 0, :] = (top + bottom) / math.sqrt(2)
+    v[:, 1, :] = (top - bottom) / math.sqrt(2)
+    return u
 
 
 def simulate_circuit(c: Circuit, cap: int | None = None) -> np.ndarray:

@@ -5,7 +5,7 @@ seeded random expressions and QUBO instances, so repeated runs produce
 byte-identical reports.  Each check compares an independently constructed
 reference against the compiled/emitted object and records its residual in
 a CheckResult.  The oracle-query equivalence (kickback) suite is here too,
-built on the dense matrices of ``oracle``.
+built on no matrix larger than G_f (2^(n+1) square) from ``oracle``.
 """
 
 from __future__ import annotations
@@ -198,18 +198,12 @@ def random_qubo(rng: np.random.Generator, n_vars: int) -> QuboInstance:
 KICKBACK_TIMES = (1.0, math.pi)  # evolution times of the kickback sandwich checks
 
 
-def _embed_h(n_total: int, qubit: int) -> np.ndarray:
-    """Hadamard on one qubit of n_total (qubit 1 is the rightmost factor)."""
-    high = np.eye(1 << (n_total - qubit), dtype=complex)
-    return np.kron(np.kron(high, oracle.H2), np.eye(1 << (qubit - 1), dtype=complex))
-
-
 def verify_kickback_suite(
     f: BoolExpr,
     n: int | None = None,
     cap: int | None = None,
 ) -> VerificationReport:
-    """Check the bit-query / phase-query equivalences densely.
+    """Check the bit-query / phase-query equivalences on G_f-sized matrices.
 
     Register layout: control a = qubit 1, data x = qubits 2..n+1, function
     ancilla b = qubit n+2.  The emitted bit-query circuit supplies the
@@ -223,9 +217,9 @@ def verify_kickback_suite(
       bit_from_controlled_phase
 
     The first and third read the emitted circuit; the other two are built
-    from the truth table alone.  This builds H_f, the truth table and both
-    G_f matrices for f; ``expression_checks`` passes the ones it has
-    already built to the same checks.
+    from the truth table alone.  This builds H_f's diagonal, the truth
+    table and both G_f matrices for f; ``expression_checks`` passes the
+    ones it has already built to the same checks.
     """
     n = register_size(f, n)
     oracle._check_cap(n + 2, cap)
@@ -234,7 +228,6 @@ def verify_kickback_suite(
         truth_table(f, n),
         oracle.simulate_circuit(circuits.emit_bit_query(f, n), cap),  # data 1..n, ancilla n+1
         oracle.bit_query_matrix(f, n, cap),
-        cap,
     )
 
 
@@ -243,63 +236,44 @@ def _kickback_checks(
     table: np.ndarray,
     g_circuit: np.ndarray,
     g_reference: np.ndarray,
-    cap: int | None,
 ) -> VerificationReport:
-    """The kickback suite on f's dense artefacts: ``diag`` the diagonal of
-    H_f, ``table`` f's value table, ``g_circuit`` the simulated emitted bit
-    query and ``g_reference`` the truth-table one."""
+    """The kickback suite on f's artefacts: ``diag`` the diagonal of H_f,
+    ``table`` f's value table, ``g_circuit`` the simulated emitted bit query
+    and ``g_reference`` the truth-table one (data x low, ancilla on top)."""
     dim_x = table.size
-    n = dim_x.bit_length() - 1
+    anc = dim_x.bit_length()  # the ancilla, qubit n+1: the top index bit
     fsigns = 1.0 - 2.0 * table  # (-1)^f(x)
 
     # (1) phase kickback: G_f |x>|-> = (-1)^f(x) |x>|->
-    minus_cols = np.zeros((2 * dim_x, dim_x), dtype=complex)
-    minus_cols[:dim_x, :] = np.eye(dim_x) / math.sqrt(2)
-    minus_cols[dim_x:, :] = -np.eye(dim_x) / math.sqrt(2)
-    r1 = oracle.maxdiff(g_circuit @ minus_cols, minus_cols * fsigns[None, :])
+    kicked = (g_circuit[:, :dim_x] - g_circuit[:, dim_x:]) / math.sqrt(2)
+    r1 = oracle.maxdiff(kicked, np.vstack([np.diag(fsigns), -np.diag(fsigns)]) / math.sqrt(2))
 
-    # (2) single-bit phase estimation: H_a Lambda_{x_a}(e^{-i pi H_f}) H_a = G_f
-    # (ancilla a = qubit n+1 here), compared on ancilla-|0> columns
-    phase_block = np.zeros((2 * dim_x, 2 * dim_x), dtype=complex)
-    phase_block[:dim_x, :dim_x] = np.eye(dim_x)
-    phase_block[dim_x:, dim_x:] = np.diag(fsigns)
-    h_anc = _embed_h(n + 1, n + 1)
-    built = h_anc @ phase_block @ h_anc
-    r2 = oracle.maxdiff(built[:, :dim_x], g_reference[:, :dim_x])
-
-    # (3), (4): sandwich constructions on a + x + b
-    dim_ax = 2 * dim_x
-    dim = 2 * dim_ax
-    g_high = np.kron(g_circuit, oracle.I2)  # G_f on (x, b), identity on a
-    idx_full = np.arange(dim, dtype=np.uint64)
-    a_bits = (idx_full & 1).astype(np.float64)
-    b_bits = ((idx_full >> np.uint64(n + 1)) & 1).astype(np.float64)
-    # expand G_f via (2): C_b = Lambda_{x_b}(e^{-i pi H_f}), H on b
-    c_b = np.zeros((dim, dim), dtype=complex)
-    c_b[:dim_ax, :dim_ax] = np.eye(dim_ax)
-    c_b[dim_ax:, dim_ax:] = np.kron(np.diag(fsigns), oracle.I2)
-    h_b = _embed_h(n + 2, n + 2)
-    g_expanded = h_b @ c_b @ h_b
-    r3 = 0.0
-    r4 = 0.0
-    for t in KICKBACK_TIMES:
-        target_ax = oracle.dense_controlled(
-            Var(1), np.diag(np.exp(-1j * t * diag)), n_ctrl=1, cap=cap
-        )
-        target = np.vstack([target_ax, np.zeros_like(target_ax)])
-        # doubly-controlled phase e^{-i t a b} = exp of the AND Hamiltonian on (a, b)
-        dphase = np.exp(-1j * t * a_bits * b_bits)
-        m3 = g_high @ (dphase[:, None] * g_high)
-        r3 = max(r3, oracle.maxdiff(m3[:, :dim_ax], target))
-        m4 = g_expanded @ (dphase[:, None] * g_expanded)
-        r4 = max(r4, oracle.maxdiff(m4[:, :dim_ax], target))
+    # (2) single-bit phase estimation: H_a Lambda_{x_a}(e^{-i pi H_f}) H_a = G_f, H_a the
+    # row butterfly simulate_circuit applies, compared on ancilla-|0> columns
+    phase = np.concatenate([np.ones(dim_x), fsigns])
+    h_anc = oracle._hadamard_rows(np.eye(2 * dim_x, dtype=complex), anc, anc)
+    g_built = oracle._hadamard_rows(phase[:, None] * h_anc, anc, anc)
+    r2 = oracle.maxdiff(g_built[:, :dim_x], g_reference[:, :dim_x])
 
     return VerificationReport((
         CheckResult("phase_from_bit", r1, TOL),
         CheckResult("bit_from_controlled_phase", r2, TOL),
-        CheckResult("controlled_phase_from_bit", r3, TOL),
-        CheckResult("controlled_phase_composite", r4, TOL),
+        # (3), (4): the sandwich on a + x + b, with G_f expanded via (2) in (4)
+        CheckResult("controlled_phase_from_bit", _sandwich_residual(g_circuit, diag), TOL),
+        CheckResult("controlled_phase_composite", _sandwich_residual(g_built, diag), TOL),
     ))
+
+
+def _sandwich_residual(g: np.ndarray, diag: np.ndarray) -> float:
+    """G_f e^{-i t a b} G_f against Lambda_{x_a}(e^{-i t H_f}) on b = 0 inputs.  G_f acts
+    on (x, b), so the a = 0 block is G_f G_f = I and the a = 1 block G_f e^{-i t b} G_f."""
+    dim_x = diag.size
+    residual = oracle.maxdiff(g @ g[:, :dim_x], np.eye(2 * dim_x, dim_x))
+    for t in KICKBACK_TIMES:
+        phase_b = np.repeat([1.0, np.exp(-1j * t)], dim_x)  # e^{-i t b}
+        target = np.vstack([np.diag(np.exp(-1j * t * diag)), np.zeros((dim_x, dim_x))])
+        residual = max(residual, oracle.maxdiff(g @ (phase_b[:, None] * g[:, :dim_x]), target))
+    return residual
 
 
 def expression_checks(
@@ -348,7 +322,9 @@ def expression_checks(
         max((abs(c) - 0.5 for m, c in h.items() if m != 0), default=0.0),
     )
     out.append(CheckResult(f"{name}: coefficient ranges", range_violation, TOL))
-    out.append(CheckResult(f"{name}: projector h*h = h", fourier.projector_defect(h), TOL))
+    # h is diagonal, so h*h has the value table values**2
+    projector_defect = fourier.fourier_from_table(values * values).max_coeff_diff(h)
+    out.append(CheckResult(f"{name}: projector h*h = h", projector_defect, TOL))
 
     brute_count = int(np.sum(table))
     counted = fourier._count_models(h, values)
@@ -401,7 +377,7 @@ def expression_checks(
 
     if n <= min(5, dense_cap - 2):
         # the same H_f diagonal, table and G_f matrices as the checks above
-        report = _kickback_checks(values, table, g, g_ref, dense_cap)
+        report = _kickback_checks(values, table, g, g_ref)
         out.append(
             CheckResult(f"{name}: kickback suite", max(c.residual for c in report.checks), TOL)
         )

@@ -34,6 +34,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 import re
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -113,6 +114,13 @@ def load_json(text: str):
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("JSON nests too deeply") from exc
+
+
+def is_finite_real(value) -> bool:
+    """A finite ``numbers.Real`` that is not a bool (an int, but not a number here)."""
+    # a float first: the ABC test costs several times math.isfinite
+    real = type(value) is float or (not isinstance(value, bool) and isinstance(value, numbers.Real))
+    return real and math.isfinite(value)
 
 
 def json_number(value, what: str, kind: type = float):

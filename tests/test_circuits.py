@@ -63,10 +63,13 @@ class TestGateValidation:
             lambda: Gate("rz", (1,), 0.3j),
             lambda: Gate("rz", 1, 0.3),
             lambda: Circuit(2, (), "0"),
+            lambda: Gate("rz", (1,), True),
+            lambda: Circuit(2, (), True),
         ],
         ids=["float-qubit", "bool-qubit", "numpy-qubit", "negative-register",
              "float-register", "bool-register", "infinite-phase", "nan-phase",
-             "string-angle", "complex-angle", "non-iterable-qubits", "string-phase"],
+             "string-angle", "complex-angle", "non-iterable-qubits", "string-phase",
+             "bool-angle", "bool-phase"],
     )
     def test_rejects_what_parse_circuit_rejects(self, make):
         with pytest.raises(ValueError):
@@ -94,6 +97,11 @@ class TestEmitEvolution:
     def test_zero_operator(self):
         circ = emit_evolution(DiagonalHamiltonian.zero(2), 1.3)
         assert circ.gates == () and circ.global_phase == 0.0
+
+    @pytest.mark.parametrize("gamma", [True, "1", math.nan, math.inf, 1j], ids=repr)
+    def test_gamma_must_be_a_finite_real_number(self, gamma):
+        with pytest.raises(ValueError, match="^gamma must be a finite real number"):
+            emit_evolution(DiagonalHamiltonian(1, {1: 0.5}), gamma)
 
     def test_or_at_pi_is_grover_query(self):
         e = parse_expr("x1 | x2")

@@ -1,5 +1,7 @@
 """Unit tests for formula/QUBO/penalty compilation into Z-polynomials."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,19 @@ class TestCompileQubo:
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError):
             QuboInstance(2, 0.0, np.zeros(2), np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [True, "2", math.nan, math.inf], ids=repr)
+    @pytest.mark.parametrize("field", ["constant", "linear", "quadratic"])
+    def test_rejects_a_number_that_is_not_a_finite_real(self, field, bad):
+        # bool is an int and np.asarray(.., float) reads "2"; NaN and inf used
+        # to surface only when compile_qubo summed the coefficients
+        fields = {
+            "constant": bad,
+            "linear": [0.0, bad],
+            "quadratic": [[0.0, bad], [bad, 0.0]],
+        }
+        with pytest.raises(ValueError, match=f"^{field} .*finite real number"):
+            QuboInstance(2, **{field: fields[field]})
 
     def test_json_round_trip(self, rng):
         q = random_qubo(rng, 4)

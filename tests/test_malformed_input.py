@@ -128,6 +128,25 @@ BAD_DOCUMENTS = {
     "qubo linear entry infinite": (
         ["compile", "--qubo"], QuboInstance.from_json_dict, {"n": 2, "linear": [1, float("-inf")]},
     ),
+    "qubo linear entry NaN": (
+        ["compile", "--qubo"], QuboInstance.from_json_dict, {"n": 2, "linear": [float("nan"), 1]},
+    ),
+    "qubo quadratic weight infinite": (
+        ["qubo"], QuboInstance.from_json_dict, {"n": 2, "quadratic": [[1, 2, float("inf")]]},
+    ),
+    "qubo constant NaN": (
+        ["qubo"], QuboInstance.from_json_dict, {"n": 1, "a": float("nan")},
+    ),
+    "qubo constant infinite": (
+        ["compile", "--qubo"], QuboInstance.from_json_dict, {"n": 1, "a": float("-inf")},
+    ),
+    "qubo constant boolean": (
+        ["qubo"], QuboInstance.from_json_dict, {"n": 1, "a": True},
+    ),
+    # each weight is finite, their sum is not
+    "qubo quadratic weights sum past the float range": (
+        ["qubo"], QuboInstance.from_json_dict, {"n": 2, "quadratic": [[1, 2, 1e308], [2, 1, 1e308]]},
+    ),
     "qubo n fractional": (
         ["compile", "--qubo"], QuboInstance.from_json_dict, {"n": 2.5, "linear": [1, 2]},
     ),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from boolham import circuits
-from boolham.boolexpr import Const, Var, parse_expr, truth_table
+from boolham.boolexpr import Const, Var, max_var, parse_expr, truth_table
 from boolham.circuits import Circuit, ccrz, crz, cx, emit_bit_query, emit_evolution, h, rz, x
 from boolham.compiler import compile_expr, compile_pseudo, ground_state_logic
 from boolham.boolexpr import parse_dimacs
@@ -27,7 +27,7 @@ from boolham.oracle import (
     spectrum,
 )
 from boolham.pauli import PauliOperator
-from boolham.verify import expression_checks, random_expr, verify_kickback_suite
+from boolham.verify import _kickback_checks, expression_checks, random_expr, verify_kickback_suite
 from boolham.zpoly import DiagonalHamiltonian, bit_projector
 from conftest import dense_of_zham, expm_hermitian, kron_chain, random_zham, zham_diagonal
 
@@ -269,6 +269,37 @@ class TestKickbackSuite:
         checks = {c.name: c.passed for c in expression_checks("f", parse_expr(text))}
         assert checks["f: bit query action"] is False
         assert checks["f: kickback suite"] is False
+
+    @pytest.mark.parametrize(
+        "corruption, expected",
+        [
+            ("H_f diagonal", (True, True, False, False)),
+            ("table bit", (False, False, True, False)),
+            ("reference columns", (True, False, True, True)),
+            ("ancilla H", (False, True, False, True)),
+        ],
+    )
+    @pytest.mark.parametrize("text", ["x1 & x2", "x1 ^ x2 ^ x3", "x1 => x2"])
+    def test_each_check_reads_only_its_own_inputs(self, text, corruption, expected):
+        # one input corrupted at a time: a check fails exactly when it reads it
+        # (phase_from_bit, bit_from_controlled_phase, controlled_phase_from_bit,
+        # controlled_phase_composite)
+        f = parse_expr(text)
+        n = max_var(f)
+        diag = table_from_fourier(compile_expr(f, n))
+        table = truth_table(f, n)
+        circuit = emit_bit_query(f, n)
+        g_reference = bit_query_matrix(f, n)
+        if corruption == "H_f diagonal":
+            diag[1] += 0.1
+        elif corruption == "table bit":
+            table[1] = 1.0 - table[1]
+        elif corruption == "reference columns":
+            g_reference = g_reference[:, ::-1]
+        else:  # an extra H on the emitted circuit's ancilla
+            circuit = Circuit(n + 1, (*circuit.gates, h(n + 1)), circuit.global_phase)
+        report = _kickback_checks(diag, table, simulate_circuit(circuit), g_reference)
+        assert tuple(c.passed for c in report.checks) == expected
 
 
 class TestSpectrum:

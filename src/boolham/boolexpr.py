@@ -2,7 +2,9 @@
 
 Every walk over a formula is one iterative post-order ``fold``.  ``compose``
 holds the composition rules once; ``eval_expr`` (ints), ``truth_table``
-(uint8 vectors) and ``compiler.compile_expr`` (Z-polynomials) apply them.
+(uint8 vectors, which ``compiler.compile_expr`` transforms into H_f) and
+``compiler._fold`` (Z-polynomials, for registers past the table's size cap
+and for clause sums) apply them.
 
 Grammar for the infix parser::
 
@@ -32,7 +34,7 @@ from typing import Callable, Sequence, TypeVar, Union
 import numpy as np
 
 from .errors import ParseError, QubitCountError
-from .zpoly import check_table_cap, is_finite_real
+from .zpoly import check_table_cap, is_finite_real, is_integer
 
 MAX_NESTING = 100
 
@@ -80,8 +82,8 @@ class Const(BoolExpr):
     value: int
 
     def __post_init__(self):
-        if self.value not in (0, 1):
-            raise ValueError(f"constant must be 0 or 1, got {self.value}")
+        if not (is_integer(self.value) and self.value in (0, 1)):
+            raise ValueError(f"constant must be 0 or 1, got {self.value!r}")
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -89,8 +91,8 @@ class Var(BoolExpr):
     index: int  # 1-based
 
     def __post_init__(self):
-        if self.index < 1:
-            raise QubitCountError(f"variable index {self.index} must be >= 1")
+        if not (is_integer(self.index) and self.index >= 1):
+            raise QubitCountError(f"variable index {self.index!r} must be an integer >= 1")
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)

@@ -1,7 +1,6 @@
 """Compile formulas and pseudo-Boolean objectives into Z-polynomials.
 
-Compilation works directly on sparse Z-polynomials: ``compile_expr`` folds
-the formula with ``boolexpr.compose``, whose composition rules
+``compile_expr`` applies the composition rules of ``boolexpr.compose``
 
     H_!f     = I - H_f
     H_(f&g)  = H_f H_g
@@ -9,29 +8,23 @@ the formula with ``boolexpr.compose``, whose composition rules
     H_(f^g)  = H_f + H_g - 2 H_f H_g
     H_(f=>g) = I - H_f + H_f H_g
 
-start from H_0 = 0, H_1 = I and H_xj = (I - Z_j)/2 and are applied pairwise
-for n-ary nodes, each operand as it finishes.  The fold's cost scales with
-the sparsity of its intermediates, and a product of two operators with up
-to T terms each costs up to T^2 term products.  Once an intermediate is
-dense, one value table and one Walsh-Hadamard transform give the same
-coefficients for far less (n = 14, 48 clauses: 1.5 s against 20 ms).  So
-``compile_expr`` leaves the fold when a pairwise result passes
-T(n) = isqrt(n 2^n) terms, which keeps T^2 near the table's cost, and
-returns ``fourier_from_table(truth_table(e, n))``.  Both paths are exact,
-so the output is the same to the bit: the table sums integers, and every
-partial sum in the fold is a multiple of 2^-2n below 4 in magnitude (the
-operands of each product are 0/1 functions, whose coefficient vectors
-have norm at most 1), which takes at most 2n + 2 bits.  It switches only
-for 7 <= n and 2^n <= ``SIZE_CAP`` (n <= 19):
-
-- below 7 variables the fold is cheap, and a formula that passes T only
-  at its root has paid for the fold before it pays for the table (the
-  n = 6 corpus formulas that switched went from 0.4 to 0.7 ms);
-- at 2^n <= ``SIZE_CAP`` the tables stay small (2^n bytes per pending
-  operand) and no fold intermediate can pass the cap, so the cap error
-  keeps its meaning: an intermediate operator above ``SIZE_CAP`` terms,
-  which only the fold at n >= 20 can build (general formulas can be
-  exponentially dense).
+with H_0 = 0, H_1 = I and H_xj = (I - Z_j)/2, on one of two rings, chosen
+once from the register size.  Where the value table has at most
+``SIZE_CAP`` entries (2^n <= SIZE_CAP, n <= 19) it composes 0/1 vectors
+(``truth_table``) and one Walsh-Hadamard transform turns f's values into
+H_f: its cost is fixed by n, whatever the formula.  Above that it folds
+sparse Z-polynomials (``_fold``), pairwise for n-ary nodes, each operand as
+it finishes; a product of two operators with up to T terms each costs up
+to T^2 term products, so the fold is the path for formulas that stay
+sparse on a large register.  Both paths are exact, so the output is the
+same to the bit: the table sums integers, and every partial sum in the fold
+is a multiple of 2^-2n below 4 in magnitude (the operands of each product
+are 0/1 functions, whose coefficient vectors have norm at most 1), which
+takes at most 2n + 2 bits.  The cap keeps its meaning: no table is larger
+than ``SIZE_CAP``, and only the fold at n >= 20 can build an intermediate
+operator above ``SIZE_CAP`` terms (general formulas can be exponentially
+dense).  Formulas that stay sparse on a large register pay for the table:
+x1 & x19 takes about 16 ms, against 0.06 ms on the fold.
 
 Weighted clause sums (``compile_pseudo``, ``augment_penalties``) add every
 clause into one term table and prune once.  A clause that is a literal or
@@ -44,13 +37,11 @@ literals:
 with s_j = +1 for x_j and -1 for !x_j.  Its 2^k terms are checked against
 ``SIZE_CAP`` before any is built.  Every coefficient is +-2^-k or 1 - 2^-k,
 as the fold computes it, so the sum is the same to the bit.  Every other
-clause (And, constants, nested formulas, repeated variables) is folded,
-and never switches to the table.
+clause (And, constants, nested formulas, repeated variables) is folded.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Iterable
@@ -79,6 +70,7 @@ from .zpoly import (
     basis_index,
     bit_projector,
     is_finite_real,
+    is_integer,
     json_field,
     json_list,
     json_number,
@@ -86,7 +78,6 @@ from .zpoly import (
 )
 
 SIZE_CAP = 10**6
-TABLE_MIN_N = 7  # fewest variables at which compile_expr may switch to the table
 
 
 def _guard(size: int, value=None):
@@ -96,29 +87,11 @@ def _guard(size: int, value=None):
     return value
 
 
-class _Dense(Exception):
-    """A pairwise result of the fold passed its switch size."""
-
-
-def _switch_size(n: int) -> int | None:
-    """Terms past which compile_expr leaves the fold for the value table,
-    or None where it never does."""
-    if not TABLE_MIN_N <= n < SIZE_CAP.bit_length():  # 2^n <= SIZE_CAP
-        return None
-    return math.isqrt(n << n)
-
-
-def _fold(e: BoolExpr, n: int, switch: int | None = None) -> DiagonalHamiltonian:
-    """H_e on n qubits by the composition rules; e must use no variable above n.
-    With ``switch``, _Dense is raised once a pairwise result holds more terms."""
+def _fold(e: BoolExpr, n: int) -> DiagonalHamiltonian:
+    """H_e on n qubits by the composition rules; e must use no variable above n."""
     identity = DiagonalHamiltonian.identity(n)
     var = cache(partial(bit_projector, n))  # one projector per variable, shared by its uses
-
-    def step(h: DiagonalHamiltonian) -> DiagonalHamiltonian:
-        if switch is not None and h.size > switch:
-            raise _Dense
-        return _guard(h.size, h)
-
+    step = lambda h: _guard(h.size, h)
     return fold(e, lambda node, values: compose(node, values, identity, var, step), pairwise=True)
 
 
@@ -168,10 +141,9 @@ def _clause_sum(
 def compile_expr(e: BoolExpr, n: int | None = None) -> DiagonalHamiltonian:
     """Hamiltonian representing a Boolean formula: eval(x) = f(x) for all x."""
     n = register_size(e, n)
-    try:
-        return _fold(e, n, _switch_size(n))
-    except _Dense:
+    if 1 << n <= SIZE_CAP:
         return fourier_from_table(truth_table(e, n))
+    return _fold(e, n)
 
 
 def compile_pseudo(obj: PseudoBooleanObjective, n: int | None = None) -> DiagonalHamiltonian:
@@ -197,6 +169,8 @@ class QuboInstance:
 
     def __post_init__(self):
         n = self.n_vars
+        if not (is_integer(n) and 0 <= n <= MAX_QUBITS):
+            raise QubitCountError(f"QUBO n_vars must be an integer in [0, {MAX_QUBITS}], got {n!r}")
         if not is_finite_real(self.constant):
             raise ValueError(f"constant must be a finite real number, got {self.constant!r}")
         lin = _real_array(self.linear, "linear", (n,))
@@ -326,8 +300,8 @@ class PenaltySpec:
     def __post_init__(self):
         n = self.objective.n_qubits
         for w, g in self.penalties:
-            if not (w > 0 and math.isfinite(w)):
-                raise ValueError(f"penalty weights must be positive and finite, got {w}")
+            if not (is_finite_real(w) and w > 0):
+                raise ValueError(f"penalty weights must be positive and finite, got {w!r}")
             register_size(g, n)
 
     @classmethod

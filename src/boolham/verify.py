@@ -297,10 +297,9 @@ def expression_checks(
         CheckResult(f"{name}: eval matches truth table", float(np.max(np.abs(values - table))), TOL)
     )
 
-    # where compile_expr may return the table's transform itself, the
-    # composition rules are checked on the fold that never leaves them
+    # the composition rules on sparse operators against the table's transform
     dual = fourier.fourier_from_table(table)
-    sparse = h if compiler._switch_size(n) is None else compiler._fold(e, n)
+    sparse = compiler._fold(e, n)
     out.append(CheckResult(f"{name}: transform paths agree", sparse.max_coeff_diff(dual), TOL))
 
     coeffs = np.array([c for _, c in h.items()])

@@ -117,10 +117,21 @@ def load_json(text: str):
 
 
 def is_finite_real(value) -> bool:
-    """A finite ``numbers.Real`` that is not a bool (an int, but not a number here)."""
-    # a float first: the ABC test costs several times math.isfinite
-    real = type(value) is float or (not isinstance(value, bool) and isinstance(value, numbers.Real))
-    return real and math.isfinite(value)
+    """A finite ``numbers.Real`` that is not a bool (an int, but not a number
+    here).  An int past the float range is not finite."""
+    if type(value) is float:  # first: the ABC test costs several times math.isfinite
+        return math.isfinite(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def is_integer(value) -> bool:
+    """An int or a numpy integer, but not a bool."""
+    return type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
 
 
 def json_number(value, what: str, kind: type = float):
@@ -355,6 +366,8 @@ class DiagonalHamiltonian(PauliSum):
     def _term(n: int, mask: int, coeff) -> tuple[int, float]:
         if not 0 <= mask < (1 << n):
             raise QubitCountError(f"term mask {mask:#x} out of range for {n} qubits")
+        if not (isinstance(coeff, float) or is_finite_real(coeff)):  # _table names a NaN or inf
+            raise ValueError(f"coefficient must be a finite real number, got {coeff!r}")
         return mask, float(coeff)
 
     @classmethod

@@ -22,7 +22,7 @@ from boolham.boolexpr import (
     to_text,
     truth_table,
 )
-from boolham.errors import CapExceeded, ParseError
+from boolham.errors import CapExceeded, ParseError, QubitCountError
 from boolham.verify import random_expr
 
 
@@ -104,6 +104,21 @@ class TestPrinting:
         for _ in range(200):
             e = random_expr(rng, n_vars=5, depth=4)
             assert parse_expr(to_text(e)) == e
+
+    # Var(True) printed xTrue, Var(2.0) x2.0 and Const(True) True: text parse_expr rejects
+    @pytest.mark.parametrize("index", [0, True, 2.0, "2"], ids=repr)
+    def test_var_index_must_be_a_positive_integer(self, index):
+        with pytest.raises(QubitCountError, match="must be an integer >= 1"):
+            Var(index)
+
+    @pytest.mark.parametrize("value", [2, True, 1.0, "1"], ids=repr)
+    def test_const_value_must_be_0_or_1(self, value):
+        with pytest.raises(ValueError, match="^constant must be 0 or 1"):
+            Const(value)
+
+    def test_numpy_integer_leaves_round_trip(self):
+        e = And((Var(np.int64(3)), Const(np.int64(1))))
+        assert to_text(e) == "x3 & 1" and parse_expr(to_text(e)) == e
 
 
 class TestEvaluation:
@@ -247,7 +262,7 @@ class TestPseudoBooleanObjective:
         with pytest.raises(Exception):
             PseudoBooleanObjective(1, ((1.0, Var(2)),))
 
-    @pytest.mark.parametrize("weight", [math.nan, math.inf, "2", True], ids=repr)
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, "2", True, pytest.param(10**400, id="10**400")], ids=repr)
     def test_weight_must_be_a_finite_real_number(self, weight):
         with pytest.raises(ValueError, match=r"^clauses\[1\] weight must be a finite real number"):
             PseudoBooleanObjective(2, ((1.0, Var(1)), (weight, Var(2))))

@@ -65,11 +65,12 @@ class TestGateValidation:
             lambda: Circuit(2, (), "0"),
             lambda: Gate("rz", (1,), True),
             lambda: Circuit(2, (), True),
+            lambda: Gate("rz", (1,), 10**400),
         ],
         ids=["float-qubit", "bool-qubit", "numpy-qubit", "negative-register",
              "float-register", "bool-register", "infinite-phase", "nan-phase",
              "string-angle", "complex-angle", "non-iterable-qubits", "string-phase",
-             "bool-angle", "bool-phase"],
+             "bool-angle", "bool-phase", "huge-int-angle"],
     )
     def test_rejects_what_parse_circuit_rejects(self, make):
         with pytest.raises(ValueError):
@@ -98,7 +99,7 @@ class TestEmitEvolution:
         circ = emit_evolution(DiagonalHamiltonian.zero(2), 1.3)
         assert circ.gates == () and circ.global_phase == 0.0
 
-    @pytest.mark.parametrize("gamma", [True, "1", math.nan, math.inf, 1j], ids=repr)
+    @pytest.mark.parametrize("gamma", [True, "1", math.nan, math.inf, 1j, pytest.param(10**400, id="10**400")], ids=repr)
     def test_gamma_must_be_a_finite_real_number(self, gamma):
         with pytest.raises(ValueError, match="^gamma must be a finite real number"):
             emit_evolution(DiagonalHamiltonian(1, {1: 0.5}), gamma)

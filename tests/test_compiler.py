@@ -211,11 +211,12 @@ class TestCompileQubo:
         with pytest.raises(ValueError):
             QuboInstance(2, 0.0, np.zeros(2), np.array([[1.0, 0.0], [0.0, 0.0]]))
 
-    @pytest.mark.parametrize("bad", [True, "2", math.nan, math.inf], ids=repr)
+    @pytest.mark.parametrize("bad", [True, "2", math.nan, math.inf, pytest.param(10**400, id="10**400")], ids=repr)
     @pytest.mark.parametrize("field", ["constant", "linear", "quadratic"])
     def test_rejects_a_number_that_is_not_a_finite_real(self, field, bad):
         # bool is an int and np.asarray(.., float) reads "2"; NaN and inf used
-        # to surface only when compile_qubo summed the coefficients
+        # to surface only when compile_qubo summed the coefficients; an int
+        # past the float range raised OverflowError
         fields = {
             "constant": bad,
             "linear": [0.0, bad],
@@ -223,6 +224,17 @@ class TestCompileQubo:
         }
         with pytest.raises(ValueError, match=f"^{field} .*finite real number"):
             QuboInstance(2, **{field: fields[field]})
+
+    @pytest.mark.parametrize(
+        "n", [-1, 64, 100, True, 2.5, "2"], ids=["negative", "64", "100", "bool", "float", "string"]
+    )
+    def test_n_vars_must_be_a_register_size(self, n):
+        # 100 used to compile to a 100-qubit operator; True and 2.5 raised TypeError
+        with pytest.raises(QubitCountError, match="^QUBO n_vars must be an integer in"):
+            QuboInstance(n)
+
+    def test_n_vars_may_be_a_numpy_integer(self):
+        assert compile_qubo(QuboInstance(np.int64(2), 1.0)) == DiagonalHamiltonian.identity(2)
 
     def test_json_round_trip(self, rng):
         q = random_qubo(rng, 4)
@@ -270,9 +282,10 @@ class TestPenalties:
         with pytest.raises(ValueError):
             PenaltySpec(DiagonalHamiltonian.zero(1), ((0.0, Var(1)),))
 
-    @pytest.mark.parametrize("w", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("w", [float("nan"), float("inf"), "2", True, pytest.param(10**400, id="10**400")])
     def test_nonfinite_weight_rejected(self, w):
-        with pytest.raises(ValueError):
+        # "2" raised TypeError and True was accepted as 1
+        with pytest.raises(ValueError, match="^penalty weights must be positive and finite"):
             PenaltySpec(DiagonalHamiltonian.zero(1), ((w, Var(1)),))
 
     def test_sum_size_guard(self, monkeypatch):

@@ -1,6 +1,6 @@
-"""compile_expr's switch from the sparse fold to the value table: the output
-is the fold's to the bit, sparse inputs never build a table, and the size
-cap keeps its meaning."""
+"""compile_expr's two paths: the value table where it has at most SIZE_CAP
+entries, the sparse fold above.  The output is the fold's to the bit, each
+register size takes one path, and the size cap keeps its meaning."""
 
 import numpy as np
 import pytest
@@ -12,32 +12,24 @@ from boolham.boolexpr import And, Const, Implies, Not, Or, Var, Xor, conjunction
 from boolham.compiler import compile_expr, compile_pseudo
 from boolham.errors import CapExceeded
 from boolham.verify import expression_checks
-from boolham.zpoly import DiagonalHamiltonian
+from boolham.zpoly import DiagonalHamiltonian, bit_projector
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
 
-def never_switching(e, n):
+def folded(e, n):
     return list(compiler._fold(e, n).items())
 
 
-def switches(e, n) -> bool:
-    try:
-        compiler._fold(e, n, compiler._switch_size(n))
-    except compiler._Dense:
-        return True
-    return False
+def refuse(monkeypatch, name):
+    def refused(e, n):
+        raise AssertionError(f"{name} called for n={n}")
 
-
-def no_tables(monkeypatch):
-    def refuse(e, n):
-        raise AssertionError(f"value table built for n={n}")
-
-    monkeypatch.setattr(compiler, "truth_table", refuse)
+    monkeypatch.setattr(compiler, name, refused)
 
 
 def wide_formulas(n: int):
-    # an n-ary node over n to 3n small clauses, so intermediates pass T(n)
+    # an n-ary node over n to 3n small clauses, so the fold's intermediates grow dense
     literal = st.integers(1, n).flatmap(lambda j: st.sampled_from([Var(j), Not(Var(j))]))
     node = st.sampled_from([And, Or, Xor])
     clause = st.tuples(node, st.lists(literal, min_size=2, max_size=4))
@@ -62,20 +54,7 @@ def planted_3cnf(rng: np.random.Generator, n: int, m: int):
 @given(st.sampled_from(range(1, 11)).flatmap(lambda n: st.tuples(wide_formulas(n), st.just(n))))
 def test_output_is_the_folds_to_the_bit(case):
     e, n = case
-    assert list(compile_expr(e, n).items()) == never_switching(e, n)
-
-
-def test_the_property_draws_cross_the_switch_size():
-    # the draws above exercise the table path, not only the fold
-    drawn = []
-
-    @settings(PROPERTY, max_examples=50)
-    @given(st.sampled_from(range(7, 11)).flatmap(lambda n: st.tuples(wide_formulas(n), st.just(n))))
-    def collect(case):
-        drawn.append(case)
-
-    collect()
-    assert sum(switches(e, n) for e, n in drawn) >= len(drawn) // 4
+    assert list(compile_expr(e, n).items()) == folded(e, n)
 
 
 @pytest.mark.parametrize("n", range(10, 15))
@@ -83,34 +62,30 @@ def test_planted_3cnf_matches_the_fold(n):
     rng = np.random.default_rng([2018, n])
     for ratio in (2.0, 4.3):
         e = planted_3cnf(rng, n, round(ratio * n))
-        assert switches(e, n)
-        assert list(compile_expr(e, n).items()) == never_switching(e, n)
+        assert list(compile_expr(e, n).items()) == folded(e, n)
 
 
-def test_switch_range():
-    assert [n for n in range(30) if compiler._switch_size(n) is not None] == list(range(7, 20))
-    assert compiler._switch_size(10) == 101
-    assert compiler._switch_size(0) is None
+def test_registers_up_to_19_qubits_take_the_table(monkeypatch):
+    refuse(monkeypatch, "_fold")
+    assert compile_expr(Const(1), 0) == DiagonalHamiltonian.identity(0)
+    for n in range(1, 20):
+        assert compile_expr(Var(n), n) == bit_projector(n, n)
 
 
 class TestSparseInputsStayOnTheFold:
-    def test_sparse_clause_at_24_qubits(self, monkeypatch):
-        no_tables(monkeypatch)
-        h = compile_expr(parse_expr("x1 | !x7 | x24"), 24)
-        assert h.size == 8 and h.identity_coeff == 7 / 8
+    """Above 19 qubits, and in clause sums at every register size."""
 
-    def test_small_registers(self, monkeypatch):
-        no_tables(monkeypatch)
-        parity = Xor(tuple(Var(j) for j in range(1, 7)))
-        assert compile_expr(parity, 6).size == 2
-        assert compile_expr(Or(tuple(Var(j) for j in range(1, 7))), 6).size == 64
+    def test_sparse_clause_at_24_qubits(self, monkeypatch):
+        refuse(monkeypatch, "truth_table")
+        for n in (20, 24):
+            h = compile_expr(parse_expr(f"x1 | !x7 | x{n}"), n)
+            assert h.size == 8 and h.identity_coeff == 7 / 8
 
     def test_clause_sums_never_switch(self, monkeypatch):
-        # one clause dense enough to switch in compile_expr
+        # a clause that compile_expr would send through the table
         dense = Or(tuple(Var(j) for j in range(1, 11)))
-        assert switches(dense, 10)
         expected = compile_expr(dense, 10).scaled(2.0)
-        no_tables(monkeypatch)
+        refuse(monkeypatch, "truth_table")
         assert compile_pseudo(compiler.PseudoBooleanObjective(10, ((2.0, dense),))) == expected
         # an OR of literals takes the closed form; a nested clause takes the fold
         nested = And((dense, Const(1)))
@@ -134,37 +109,33 @@ class TestEmptyRegister:
 
 class TestCap:
     def test_output_above_the_cap_still_raises(self, monkeypatch):
-        # 2^12 > 4000: no switch at n = 12, and OR's 4096 terms pass the cap
+        # 2^12 > 4000: the fold at n = 12, and OR's 4096 terms pass the cap
         wide_or = Or(tuple(Var(j) for j in range(1, 13)))
         assert compile_expr(wide_or, 12).size == 4096
         monkeypatch.setattr(compiler, "SIZE_CAP", 4000)
-        assert compiler._switch_size(12) is None and compiler._switch_size(11) is not None
         with pytest.raises(CapExceeded):
             compile_expr(wide_or, 12)
 
     def test_switched_outputs_fit_under_the_cap(self, monkeypatch):
+        # 2^11 <= 4000: the table at n = 11, whose 2048 terms fit
         monkeypatch.setattr(compiler, "SIZE_CAP", 4000)
+        refuse(monkeypatch, "_fold")
         wide_or = Or(tuple(Var(j) for j in range(1, 12)))
-        assert switches(wide_or, 11)
         assert compile_expr(wide_or, 11).size == 2048
 
 
 def test_verify_checks_the_fold_against_the_table():
     e = Or(tuple(Var(j) for j in range(1, 9)))
-    assert switches(e, 8)
     checks = {c.name: c for c in expression_checks("or8", e, 8)}
     assert checks["or8: transform paths agree"].passed
     assert checks["or8: model count"].passed
 
 
 def test_verify_names_a_fold_that_disagrees(monkeypatch):
-    e = Or(tuple(Var(j) for j in range(1, 9)))
-    # only the never-switching fold is broken; compile_expr takes the table
+    # only the fold is broken; compile_expr takes the table
     good = compiler._fold
-
-    def broken(e, n, switch=None):
-        return good(e, n).scaled(0.5) if switch is None else good(e, n, switch)
-
-    monkeypatch.setattr(compiler, "_fold", broken)
-    failed = [c.name for c in expression_checks("or8", e, 8) if not c.passed]
-    assert failed == ["or8: transform paths agree"]
+    monkeypatch.setattr(compiler, "_fold", lambda e, n: good(e, n).scaled(0.5))
+    for n in (3, 8):
+        e = Or(tuple(Var(j) for j in range(1, n + 1)))
+        failed = [c.name for c in expression_checks("or", e, n) if not c.passed]
+        assert failed == ["or: transform paths agree"]

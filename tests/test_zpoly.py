@@ -41,6 +41,14 @@ class TestConstruction:
             DiagonalHamiltonian(64)
         DiagonalHamiltonian(63)  # boundary allowed
 
+    @pytest.mark.parametrize(
+        "coeff", ["2", True, 10**400, 1j], ids=["string", "bool", "huge-int", "complex"]
+    )
+    def test_coefficient_must_be_a_finite_real_number(self, coeff):
+        # "2" and True used to be stored as 2.0 and 1.0
+        with pytest.raises(ValueError, match="^coefficient must be a finite real number"):
+            DiagonalHamiltonian(2, {1: coeff})
+
     def test_zero_is_empty_map(self):
         z = DiagonalHamiltonian.zero(3)
         assert z.size == 0 and z.degree == 0 and z.identity_coeff == 0.0

@@ -281,13 +281,25 @@ def eval_expr(e: BoolExpr, x: Assignment) -> int:
 
 
 def truth_table(e: BoolExpr, n: int) -> np.ndarray:
-    """All 2^n values as a float vector indexed by assignment (x_1 = LSB)."""
+    """All 2^n values as a float vector indexed by assignment (x_1 = LSB).
+
+    Each variable is checked against the register when the fold first reads
+    it, so the formula is walked once; a variable above n (or a negative n)
+    raises register_size's QubitCountError, which names the largest variable.
+    """
     check_table_cap(n)
-    register_size(e, n)
+    if n < 0:
+        register_size(e, n)
     idx = np.arange(1 << n, dtype=np.uint32)
     one = np.ones(1 << n, dtype=np.uint8)
+
     # compose never writes into its operands, so all uses of x_j share one column
-    var = functools.cache(lambda j: ((idx >> np.uint32(j - 1)) & 1).astype(np.uint8))
+    @functools.cache
+    def var(j: int) -> np.ndarray:
+        if j > n:
+            register_size(e, n)
+        return ((idx >> np.uint32(j - 1)) & 1).astype(np.uint8)
+
     table = fold(e, lambda node, values: compose(node, values, one, var), pairwise=True)
     return table.astype(np.float64)
 

@@ -21,7 +21,8 @@ that are valid by construction (their qubits come from operator masks,
 which DiagonalHamiltonian keeps inside the register), so they check only
 that emit_evolution's gamma, each rotation angle and its global phase are finite.
 Within one call they make each distinct CX gate once and share it across
-every ladder.
+every ladder, and grow each term's ladder from the ladder of its prefix
+(the term without its largest qubit), so a ladder costs one new CX.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .boolexpr import BoolExpr, register_size
+from .boolexpr import BoolExpr
 from .compiler import QuboInstance, compile_expr, compile_qubo
 from .errors import ParseError, QubitCountError
-from .zpoly import DiagonalHamiltonian, is_finite_real, qubits_of
+from .zpoly import DiagonalHamiltonian, is_finite_real
 
 # gate name -> number of qubit arguments, takes an angle
 _GATE_SHAPE = {
@@ -62,17 +63,23 @@ class Gate:
         if any(type(q) is not int for q in qubits):  # not isinstance: bool is an int
             raise ValueError(f"{self.name} qubit indices must be integers: {qubits}")
         object.__setattr__(self, "qubits", qubits)
-        arity, takes_angle = _GATE_SHAPE[self.name]
-        if len(self.qubits) != arity:
-            raise ValueError(f"{self.name} takes {arity} qubits, got {self.qubits}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"{self.name} qubits must be distinct: {self.qubits}")
-        if any(q < 1 for q in self.qubits):
-            raise QubitCountError(f"qubit indices are 1-based: {self.qubits}")
-        if takes_angle:
-            _require_finite(self.angle, f"{self.name} needs a finite angle")
-        elif self.angle is not None:
-            raise ValueError(f"{self.name} takes no angle")
+        _check_shape(self.name, qubits, self.angle)
+
+
+def _check_shape(name: str, qubits: tuple[int, ...], angle) -> None:
+    """The rules for a known gate name and a tuple of integer qubits: its
+    arity, distinct 1-based qubits, and a finite angle or none."""
+    arity, takes_angle = _GATE_SHAPE[name]
+    if len(qubits) != arity:
+        raise ValueError(f"{name} takes {arity} qubits, got {qubits}")
+    if len(set(qubits)) != arity:
+        raise ValueError(f"{name} qubits must be distinct: {qubits}")
+    if min(qubits) < 1:
+        raise QubitCountError(f"qubit indices are 1-based: {qubits}")
+    if takes_angle:
+        _require_finite(angle, f"{name} needs a finite angle")
+    elif angle is not None:
+        raise ValueError(f"{name} takes no angle")
 
 
 def _require_finite(value, message: str) -> None:
@@ -139,9 +146,11 @@ class Circuit:
 def _require_in_register(n_qubits: int, gates) -> None:
     for g in gates:
         if max(g.qubits) > n_qubits:
-            raise QubitCountError(
-                f"gate {g.name} touches qubit {max(g.qubits)} on a {n_qubits}-qubit circuit"
-            )
+            raise QubitCountError(_outside_message(g.name, g.qubits, n_qubits))
+
+
+def _outside_message(name: str, qubits: tuple[int, ...], n_qubits: int) -> str:
+    return f"gate {name} touches qubit {max(qubits)} on a {n_qubits}-qubit circuit"
 
 
 # -- trusted construction ----------------------------------------------------
@@ -185,15 +194,27 @@ class _CxGates(dict):
         return g
 
 
+class _Ladders(dict):
+    """Term mask -> (its CX ladder down the term's qubits, its largest
+    qubit), made on first use from the entry of the mask without its
+    largest qubit plus one CX; one per emitter call."""
+
+    def __init__(self):
+        super().__init__()
+        self.cxs = _CxGates()
+
+    def __missing__(self, mask: int) -> tuple[tuple[Gate, ...], int]:
+        top = mask.bit_length()
+        prefix = mask ^ (1 << (top - 1))
+        if prefix:
+            ladder, below = self[prefix]
+            entry = self[mask] = (ladder + (self.cxs[below, top],), top)
+        else:
+            entry = self[mask] = ((), top)
+        return entry
+
+
 # -- emitters ------------------------------------------------------------
-
-
-def _ladder_term(gates: list[Gate], cxs: _CxGates, qubits: tuple[int, ...], rotation: Gate) -> None:
-    """CNOT ladder down the term, the rotation on its largest qubit, reverse ladder."""
-    ladder = list(map(cxs.__getitem__, zip(qubits, qubits[1:])))
-    gates.extend(ladder)
-    gates.append(rotation)
-    gates.extend(reversed(ladder))  # gates are immutable, so every use shares one object
 
 
 def emit_evolution(ham: DiagonalHamiltonian, gamma: float) -> Circuit:
@@ -204,14 +225,18 @@ def emit_evolution(ham: DiagonalHamiltonian, gamma: float) -> Circuit:
     """
     _require_finite(gamma, "gamma must be a finite real number")
     gates: list[Gate] = []
-    cxs = _CxGates()
+    ladders = _Ladders()
     phase = 0.0
     for mask, w in ham.items():
         if mask == 0:
             phase -= gamma * w
             continue
-        qs = qubits_of(mask)
-        _ladder_term(gates, cxs, qs, _rotation("rz", qs[-1:], 2.0 * gamma * w))
+        # ladder, the rotation on the largest qubit, the reversed ladder;
+        # gates are immutable, so every use shares one object
+        ladder, top = ladders[mask]
+        gates += ladder
+        gates.append(_rotation("rz", (top,), 2.0 * gamma * w))
+        gates += ladder[::-1]
     _require_finite(phase, "global phase must be finite")  # gamma * w can pass the float range
     return _circuit(ham.n_qubits, gates, phase)
 
@@ -247,7 +272,7 @@ def emit_controlled_evolution(
     defaults to the largest variable used by f (constants need it given
     explicitly when a nonempty control register is wanted).
     """
-    hf = compile_expr(f, register_size(f, n_ctrl))
+    hf = compile_expr(f, n_ctrl)
     return emit_evolution(hf.tensor(ham), t)
 
 
@@ -259,12 +284,11 @@ def emit_bit_query(f: BoolExpr, n: int | None = None) -> Circuit:
     as CRZ-terminated ladders, and a closing H.  Exact including phase;
     f = x1 reduces to CNOT and f = x1 & x2 to the Toffoli gate.
     """
-    n = register_size(f, n)
     hf = compile_expr(f, n)
-    ancilla = n + 1
+    ancilla = hf.n_qubits + 1
     hadamard = _gate("h", (ancilla,))
     gates: list[Gate] = [hadamard]
-    cxs = _CxGates()
+    ladders = _Ladders()
     phase = 0.0
     for mask, w in hf.items():
         if mask == 0:
@@ -272,8 +296,10 @@ def emit_bit_query(f: BoolExpr, n: int | None = None) -> Circuit:
             gates.append(_rotation("rz", (ancilla,), -math.pi * w))
             phase -= math.pi * w / 2.0
             continue
-        qs = qubits_of(mask)
-        _ladder_term(gates, cxs, qs, _rotation("crz", (ancilla, qs[-1]), 2.0 * math.pi * w))
+        ladder, top = ladders[mask]
+        gates += ladder
+        gates.append(_rotation("crz", (ancilla, top), 2.0 * math.pi * w))
+        gates += ladder[::-1]
     gates.append(hadamard)
     return _circuit(ancilla, gates, phase)
 
@@ -374,24 +400,25 @@ def parse_circuit(text: str) -> Circuit:
     parsed: dict[str, Gate] = {}  # one checked gate per distinct line, in first-seen order
     for ln in body:
         if ln not in parsed:
-            parsed[ln] = _parse_gate(text, ln)
-    try:
-        _require_in_register(n, parsed.values())
-    except QubitCountError as exc:  # a gate above the register
-        bad = next(ln for ln, g in parsed.items() if max(g.qubits) > n)
-        raise _line_error(text, bad, str(exc)) from exc
+            parsed[ln] = _parse_gate(text, ln, n)
     return _circuit(n, map(parsed.__getitem__, body), phase)
 
 
-def _parse_gate(text: str, ln: str) -> Gate:
+def _parse_gate(text: str, ln: str, n_qubits: int) -> Gate:
+    """The gate on one line, checked by the Gate rules and the register bound."""
     fields = ln.split()
-    if fields[0] not in _GATE_SHAPE:
+    name = fields[0]
+    if name not in _GATE_SHAPE:
         raise _line_error(text, ln, "unknown gate")
-    arity, takes_angle = _GATE_SHAPE[fields[0]]
+    arity, takes_angle = _GATE_SHAPE[name]
     if len(fields) != 1 + arity + takes_angle:
         raise _line_error(text, ln, "wrong number of fields")
     try:
         qubits = tuple(map(int, fields[1 : 1 + arity]))
-        return Gate(fields[0], qubits, float(fields[-1]) if takes_angle else None)
+        angle = float(fields[-1]) if takes_angle else None
+        _check_shape(name, qubits, angle)
     except ValueError as exc:  # bad numbers, repeated qubits, non-finite angles
         raise _line_error(text, ln, str(exc)) from exc
+    if max(qubits) > n_qubits:
+        raise _line_error(text, ln, _outside_message(name, qubits, n_qubits))
+    return _gate(name, qubits, angle)

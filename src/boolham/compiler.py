@@ -140,9 +140,11 @@ def _clause_sum(
 
 def compile_expr(e: BoolExpr, n: int | None = None) -> DiagonalHamiltonian:
     """Hamiltonian representing a Boolean formula: eval(x) = f(x) for all x."""
-    n = register_size(e, n)
+    if n is None or n < 0:
+        n = register_size(e, n)
     if 1 << n <= SIZE_CAP:
-        return fourier_from_table(truth_table(e, n))
+        return fourier_from_table(truth_table(e, n))  # checks each variable as it reads it
+    register_size(e, n)
     return _fold(e, n)
 
 

@@ -1,9 +1,13 @@
 """Shared test oracles, independent of the library code paths they check."""
 
+import math
+
 import numpy as np
 import pytest
 
-from boolham.zpoly import DiagonalHamiltonian
+from boolham.circuits import Circuit, Gate
+from boolham.compiler import compile_expr
+from boolham.zpoly import DiagonalHamiltonian, qubits_of
 
 
 def brute_fourier(values) -> dict[int, float]:
@@ -98,6 +102,47 @@ def random_zham(rng: np.random.Generator, n_qubits: int, size: int) -> DiagonalH
     return DiagonalHamiltonian(
         n_qubits, {int(m): float(rng.uniform(-2.0, 2.0)) for m in masks}
     )
+
+
+def _reference_term(gates: list, cxs: dict, mask: int, rotation) -> None:
+    """The CX ladder down the sorted qubits of a term, rotation(its largest
+    qubit), the reversed ladder; one CX object per (control, target) pair."""
+    qs = qubits_of(mask)
+    ladder = [cxs.setdefault(pair, Gate("cx", pair)) for pair in zip(qs, qs[1:])]
+    gates += [*ladder, rotation(qs[-1]), *reversed(ladder)]
+
+
+def reference_evolution(h: DiagonalHamiltonian, gamma: float) -> Circuit:
+    """emit_evolution's circuit, each ladder built from its term's qubit list."""
+    gates: list = []
+    cxs: dict = {}
+    phase = 0.0
+    for mask, w in h.items():
+        if mask == 0:
+            phase -= gamma * w
+            continue
+        _reference_term(gates, cxs, mask, lambda top: Gate("rz", (top,), 2.0 * gamma * w))
+    return Circuit(h.n_qubits, gates, phase)
+
+
+def reference_bit_query(f, n: int | None = None) -> Circuit:
+    """emit_bit_query's circuit, each ladder built from its term's qubit list."""
+    hf = compile_expr(f, n)
+    ancilla = hf.n_qubits + 1
+    hadamard = Gate("h", (ancilla,))
+    gates: list = [hadamard]
+    cxs: dict = {}
+    phase = 0.0
+    for mask, w in hf.items():
+        if mask == 0:
+            gates.append(Gate("rz", (ancilla,), -math.pi * w))
+            phase -= math.pi * w / 2.0
+            continue
+        _reference_term(
+            gates, cxs, mask, lambda top: Gate("crz", (ancilla, top), 2.0 * math.pi * w)
+        )
+    gates.append(hadamard)
+    return Circuit(ancilla, gates, phase)
 
 
 @pytest.fixture

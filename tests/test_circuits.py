@@ -275,6 +275,15 @@ class TestSerialization:
         ):
             assert parse_circuit(serialize(circ)) == circ
 
+    def test_parsing_checks_each_line_without_the_gate_constructor(self, monkeypatch):
+        text = serialize(lower_basic(emit_bit_query(parse_expr("x1 & x2 | x3"), 3)))
+
+        def refused(gate):
+            raise AssertionError("Gate.__post_init__ called")
+
+        monkeypatch.setattr(Gate, "__post_init__", refused)
+        assert serialize(parse_circuit(text)) == text
+
     def test_parse_errors(self):
         with pytest.raises(ParseError):
             parse_circuit("phase 0\n")

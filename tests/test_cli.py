@@ -308,6 +308,22 @@ class TestRegisterSize:
         with pytest.raises(QubitCountError, match="^register size -1 is negative$"):
             register_size(Const(1), -1)
 
+    # the parser bounds -e's variables by -n and names the first one above it
+    @pytest.mark.parametrize(
+        "text, n, message",
+        [
+            ("x2 & x9 & x5", "4", "parse error: variable x9 exceeds declared count 4 (at position 5)"),
+            ("x2 & x9 & x5", "-1", "parse error: variable x2 exceeds declared count -1 (at position 0)"),
+            ("1", "-1", "error: register size -1 is negative"),
+            ("x3 | x25", "19", "parse error: variable x25 exceeds declared count 19 (at position 5)"),
+            ("x3 | x25", "20", "parse error: variable x25 exceeds declared count 20 (at position 5)"),
+        ],
+        ids=["above-4", "negative-n", "negative-n-constant", "table-path-19", "fold-path-20"],
+    )
+    @pytest.mark.parametrize("command", ["count", "verify"])
+    def test_variable_above_n(self, capsys, command, text, n, message):
+        assert run(capsys, command, "-e", text, "-n", n) == (1, "", f"boolham: {message}\n")
+
 
 class TestOneInput:
     @pytest.mark.parametrize(

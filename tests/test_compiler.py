@@ -98,6 +98,31 @@ class TestCompileExpr:
         with pytest.raises(QubitCountError):
             compile_expr(parse_expr("x3"), 2)
 
+    # the table path checks each variable when it first reads it, the fold
+    # path before it starts; the message names the largest variable either way
+    @pytest.mark.parametrize(
+        "text, n, message",
+        [
+            ("x2 & x9 & x5", 4, "formula uses x9 but register has 4 qubits"),
+            ("x5 & x2 & x9", 4, "formula uses x9 but register has 4 qubits"),
+            ("x2 & x9 & x5", -1, "register size -1 is negative"),
+            ("1", -1, "register size -1 is negative"),
+            ("x3 | x25", 19, "formula uses x25 but register has 19 qubits"),
+            ("x3 | x25", 20, "formula uses x25 but register has 20 qubits"),
+        ],
+        ids=["first-read-below-n", "first-read-above-n-not-largest",
+             "negative-n", "negative-n-constant", "table-path-19", "fold-path-20"],
+    )
+    @pytest.mark.parametrize("build", [compile_expr, truth_table], ids=lambda f: f.__name__)
+    def test_register_check_names_the_largest_variable(self, build, text, n, message):
+        with pytest.raises(QubitCountError, match=f"^{message}$"):
+            build(parse_expr(text), n)
+
+    def test_register_defaults_to_the_largest_variable(self):
+        e = parse_expr("x2 & x9 & x5")
+        assert compile_expr(e).n_qubits == 9
+        assert compile_expr(e) == compile_expr(e, 9)
+
     def test_size_guard(self, monkeypatch):
         wide_xor = parse_expr(" | ".join(f"x{j}" for j in range(1, 13)))
         monkeypatch.setattr(compiler, "SIZE_CAP", 100)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolham.boolexpr import parse_dimacs, parse_expr
-from boolham.circuits import parse_circuit
+from boolham.circuits import Gate, parse_circuit
 from boolham.cli import main
 from boolham.compiler import QuboInstance, augment_penalties, compile_qubo, penalty_spec_from_json
 from boolham.errors import BoolhamError, ParseError, QubitCountError
@@ -375,6 +375,26 @@ def test_malformed_circuit_names_the_line(text):
         parse_circuit(text)
 
 
+# each distinct gate line is checked whole, the register bound included, in
+# order of first appearance: the first faulty line is the one named
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("qubits 1\ncx 1 2\ncx 1 1\n",
+         "line 2: gate cx touches qubit 2 on a 1-qubit circuit: 'cx 1 2'"),
+        ("qubits 1\ncx 1 1\ncx 1 2\n", "line 2: cx qubits must be distinct: (1, 1): 'cx 1 1'"),
+        ("qubits 2\nh 1\nrz 3 0.5\nh 1\nrz 1 nan\n",
+         "line 3: gate rz touches qubit 3 on a 2-qubit circuit: 'rz 3 0.5'"),
+    ],
+    ids=["out-of-register-before-malformed", "malformed-before-out-of-register",
+         "out-of-register-before-nan-angle"],
+)
+def test_first_faulty_circuit_line_is_named(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_circuit(text)
+    assert str(info.value) == message
+
+
 # DIMACS numbers are plain ASCII digits: int() and float() also read "1_0"
 # and other scripts' digits
 @pytest.mark.parametrize(
@@ -428,6 +448,50 @@ EXPRESSION = ["x0", "x1", "x2", "x99999999999999999999", "x", "!", "&", "|", "^"
 ))
 def test_circuit_soup(text):
     raises_only_package_errors(parse_circuit, text)
+
+
+# name -> (arity, takes an angle), with one unknown name
+SHAPES = {"cx": (2, False), "rz": (1, True), "h": (1, False), "x": (1, False),
+          "crz": (2, True), "ccrz": (3, True), "foo": (2, True)}
+
+
+@st.composite
+def gate_lines(draw):
+    """A register size and a gate: any name, its own shape or 0-4 qubits and
+    an angle or not, qubits in -1..n+2 (repeats allowed), and any float
+    angle, nan and inf included."""
+    n = draw(st.integers(0, 5))
+    name = draw(st.sampled_from(sorted(SHAPES)))
+    other_shape = st.tuples(st.integers(0, 4), st.booleans())
+    size, has_angle = SHAPES[name] if draw(st.booleans()) else draw(other_shape)
+    qubits = tuple(draw(st.lists(st.integers(-1, n + 2), min_size=size, max_size=size)))
+    angles = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf]))
+    return n, name, qubits, draw(angles) if has_angle else None
+
+
+@FUZZ
+@given(gate_lines())
+def test_parse_circuit_accepts_what_gate_and_the_register_accept(case):
+    n, name, qubits, angle = case
+    line = " ".join([name, *map(str, qubits), *([] if angle is None else [repr(angle)])])
+    # without an angle field, the text also reads as the last qubit field being the angle
+    readings = [(qubits, angle)]
+    if angle is None and qubits:
+        readings.append((qubits[:-1], float(qubits[-1])))
+    accepted = []
+    for q, a in readings:
+        try:
+            gate = Gate(name, q, a)
+        except ValueError:
+            continue
+        if max(gate.qubits) <= n:
+            accepted.append(gate)
+    try:
+        circuit = parse_circuit(f"qubits {n}\n{line}\n")
+    except ParseError:
+        assert accepted == []
+    else:
+        assert circuit.gates == tuple(accepted)
 
 
 @FUZZ

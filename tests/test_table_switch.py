@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boolham import compiler
+from boolham import boolexpr, compiler
 from boolham.boolexpr import And, Const, Implies, Not, Or, Var, Xor, conjunction, parse_expr
 from boolham.compiler import compile_expr, compile_pseudo
 from boolham.errors import CapExceeded
@@ -70,6 +70,20 @@ def test_registers_up_to_19_qubits_take_the_table(monkeypatch):
     assert compile_expr(Const(1), 0) == DiagonalHamiltonian.identity(0)
     for n in range(1, 20):
         assert compile_expr(Var(n), n) == bit_projector(n, n)
+
+
+def test_the_table_path_walks_the_formula_once(monkeypatch):
+    # with n given, the table fold checks the variables: no max_var fold first
+    e = planted_3cnf(np.random.default_rng(10), 10, 43)
+    expected = compile_expr(e, 10)
+
+    def refused(e):
+        raise AssertionError("max_var called")
+
+    monkeypatch.setattr(boolexpr, "max_var", refused)
+    assert compile_expr(e, 10) == expected
+    for n in range(20):
+        assert compile_expr(Var(n) if n else Const(0), n).n_qubits == n
 
 
 class TestSparseInputsStayOnTheFold:

@@ -87,6 +87,11 @@ def _guard(size: int, value=None):
     return value
 
 
+def _takes_table(n: int) -> bool:
+    """Whether compile_expr composes n-qubit formulas on the value table."""
+    return 1 << n <= SIZE_CAP
+
+
 def _fold(e: BoolExpr, n: int) -> DiagonalHamiltonian:
     """H_e on n qubits by the composition rules; e must use no variable above n."""
     identity = DiagonalHamiltonian.identity(n)
@@ -142,7 +147,7 @@ def compile_expr(e: BoolExpr, n: int | None = None) -> DiagonalHamiltonian:
     """Hamiltonian representing a Boolean formula: eval(x) = f(x) for all x."""
     if n is None or n < 0:
         n = register_size(e, n)
-    if 1 << n <= SIZE_CAP:
+    if _takes_table(n):
         return fourier_from_table(truth_table(e, n))  # checks each variable as it reads it
     register_size(e, n)
     return _fold(e, n)

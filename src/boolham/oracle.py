@@ -7,7 +7,10 @@ significant bit, so a single-qubit operator on qubit j sits at Kronecker
 position j counting from the right.
 
 The dense register cap defaults to 12 qubits (a complex matrix is about
-256 MiB at n = 12) and is hard-limited to 14.  Matrix exponentials of
+256 MiB at n = 12) and is hard-limited to 14.  ``simulate_circuit`` keeps
+each run of CX, X, RZ, CRZ and CCRZ gates as a permutation and a phase
+vector, at O(2^n) per gate, and makes one dense pass per H gate and one at
+the end; an H-free circuit builds only its result.  Matrix exponentials of
 diagonal operators are computed entrywise.  A diagonal operator's values
 come from one Walsh-Hadamard transform of its coefficients
 (``fourier.table_from_fourier``).  Spectra are of diagonal operators only
@@ -42,6 +45,7 @@ Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 H2 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 _PAULI_2x2 = {"I": I2, "X": X2, "Y": Y2, "Z": Z2}
+_SIGNS = np.array([-1.0, 1.0])  # RZ's eigenvalue signs on |0> and |1>
 
 
 def _check_cap(n: int, cap: int | None) -> None:
@@ -68,31 +72,6 @@ def dense_of_pauli(p: PauliOperator, cap: int | None = None) -> np.ndarray:
 # -- circuit simulation ----------------------------------------------------
 
 
-def _rz_phases(idx: np.ndarray, qubit: int, angle: float) -> np.ndarray:
-    bit = (idx >> np.uint64(qubit - 1)) & 1
-    return np.exp(1j * (angle / 2.0) * (2.0 * bit.astype(np.float64) - 1.0))
-
-
-def _apply_gate(u: np.ndarray, gate, idx: np.ndarray, n: int) -> np.ndarray:
-    name = gate.name
-    if name in ("rz", "crz", "ccrz"):  # RZ on the last qubit where every other one is 1
-        *controls, tgt = gate.qubits
-        d = _rz_phases(idx, tgt, gate.angle)
-        for c in controls:
-            d = np.where(((idx >> np.uint64(c - 1)) & 1).astype(bool), d, 1.0)
-        return d[:, None] * u
-    if name == "cx":
-        ctrl, tgt = gate.qubits
-        perm = idx ^ (((idx >> np.uint64(ctrl - 1)) & 1) << np.uint64(tgt - 1))
-        return u[perm.astype(np.int64)]
-    if name == "x":
-        perm = idx ^ np.uint64(1 << (gate.qubits[0] - 1))
-        return u[perm.astype(np.int64)]
-    if name == "h":
-        return _hadamard_rows(u, gate.qubits[0], n)
-    raise ValueError(f"unknown gate {name!r}")
-
-
 def _hadamard_rows(u: np.ndarray, q: int, n: int) -> np.ndarray:
     """H on qubit q of an n-qubit register times u: a butterfly on the rows."""
     u = np.ascontiguousarray(u)  # the butterfly below edits a reshape view
@@ -105,14 +84,59 @@ def _hadamard_rows(u: np.ndarray, q: int, n: int) -> np.ndarray:
 
 
 def simulate_circuit(c: Circuit, cap: int | None = None) -> np.ndarray:
-    """Exact unitary of a circuit: gate product times e^(i global_phase)."""
+    """Exact unitary of a circuit: gate product times e^(i global_phase).
+
+    Every gate but H maps a basis state to one basis state times a phase,
+    so a run of them is kept as two 2^n vectors: column j's one entry sits
+    in row ``rows[j]`` with value ``vals[j]``.  CX and X flip bits of
+    ``rows``; RZ, CRZ and CCRZ scale ``vals`` by exp(-+i theta/2) where
+    every control of ``rows`` is 1.  Each costs O(2^n).  The dense matrix
+    costs one pass per H gate and one at the end: a run is scattered into
+    zeros if no H came before it, else gathered onto the matrix and scaled
+    in place.  The global phase scales ``vals``, so an H-free circuit
+    builds its result and nothing larger.
+    """
     _check_cap(c.n_qubits, cap)
     dim = 1 << c.n_qubits
-    idx = np.arange(dim, dtype=np.uint64)
-    u = np.eye(dim, dtype=complex)
+    idx = np.arange(dim)
+    u = None  # the identity, until the first H
+    rows, vals = idx.copy(), np.ones(dim, dtype=complex)
     for gate in c.gates:
-        u = _apply_gate(u, gate, idx, c.n_qubits)
-    return np.exp(1j * c.global_phase) * u
+        name, qubits = gate.name, gate.qubits
+        if name == "cx":
+            ctrl, tgt = qubits
+            bit = rows & (1 << (ctrl - 1))
+            rows ^= bit << (tgt - ctrl) if tgt > ctrl else bit >> (ctrl - tgt)
+        elif name == "x":
+            rows ^= 1 << (qubits[0] - 1)
+        elif name == "h":
+            u = _flush(u, rows, vals)  # rebound first: the old u is freed before H
+            u = _hadamard_rows(u, qubits[0], c.n_qubits)
+            rows, vals = idx.copy(), np.ones(dim, dtype=complex)
+        else:  # rz, crz, ccrz: RZ on the last qubit where every other one is 1
+            *controls, tgt = qubits
+            half = np.exp(1j * (gate.angle / 2.0) * _SIGNS)  # exp(-+i theta/2)
+            factor = half[(rows >> (tgt - 1)) & 1]
+            for q in controls:
+                factor[(rows >> (q - 1)) & 1 == 0] = 1.0
+            # factor first, as the dense gate-by-gate d * u: with FMA, complex
+            # products are not commutative to the bit
+            np.multiply(factor, vals, out=vals)
+    np.multiply(np.exp(1j * c.global_phase), vals, out=vals)
+    return _flush(u, rows, vals)
+
+
+def _flush(u: np.ndarray | None, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The monomial run (rows, vals) times u, u None for the identity:
+    row rows[j] of the product is vals[j] times row j of u."""
+    if u is None:
+        out = np.zeros((rows.size, rows.size), dtype=complex)
+        out[rows, np.arange(rows.size)] = vals
+        return out
+    inv = np.empty_like(rows)
+    inv[rows] = np.arange(rows.size)
+    out = u[inv]
+    return np.multiply(vals[inv][:, None], out, out=out)
 
 
 # -- controlled operators and exponentials -----------------------------------

@@ -297,9 +297,12 @@ def expression_checks(
         CheckResult(f"{name}: eval matches truth table", float(np.max(np.abs(values - table))), TOL)
     )
 
-    # the composition rules on sparse operators against the table's transform
-    dual = fourier.fourier_from_table(table)
-    sparse = compiler._fold(e, n)
+    # the composition rules on sparse operators against the table's transform;
+    # h is already one of the two, so only the other path runs
+    if compiler._takes_table(n):
+        dual, sparse = h, compiler._fold(e, n)
+    else:
+        dual, sparse = fourier.fourier_from_table(table), h
     out.append(CheckResult(f"{name}: transform paths agree", sparse.max_coeff_diff(dual), TOL))
 
     coeffs = np.array([c for _, c in h.items()])

@@ -7,6 +7,7 @@ import pytest
 
 from boolham.circuits import Circuit, Gate
 from boolham.compiler import compile_expr
+from boolham.oracle import _check_cap, _hadamard_rows
 from boolham.zpoly import DiagonalHamiltonian, qubits_of
 
 
@@ -143,6 +144,43 @@ def reference_bit_query(f, n: int | None = None) -> Circuit:
         )
     gates.append(hadamard)
     return Circuit(ancilla, gates, phase)
+
+
+def _rz_phases(idx: np.ndarray, qubit: int, angle: float) -> np.ndarray:
+    bit = (idx >> np.uint64(qubit - 1)) & 1
+    return np.exp(1j * (angle / 2.0) * (2.0 * bit.astype(np.float64) - 1.0))
+
+
+def _apply_gate(u: np.ndarray, gate, idx: np.ndarray, n: int) -> np.ndarray:
+    name = gate.name
+    if name in ("rz", "crz", "ccrz"):  # RZ on the last qubit where every other one is 1
+        *controls, tgt = gate.qubits
+        d = _rz_phases(idx, tgt, gate.angle)
+        for c in controls:
+            d = np.where(((idx >> np.uint64(c - 1)) & 1).astype(bool), d, 1.0)
+        return d[:, None] * u
+    if name == "cx":
+        ctrl, tgt = gate.qubits
+        perm = idx ^ (((idx >> np.uint64(ctrl - 1)) & 1) << np.uint64(tgt - 1))
+        return u[perm.astype(np.int64)]
+    if name == "x":
+        perm = idx ^ np.uint64(1 << (gate.qubits[0] - 1))
+        return u[perm.astype(np.int64)]
+    if name == "h":
+        return _hadamard_rows(u, gate.qubits[0], n)
+    raise ValueError(f"unknown gate {name!r}")
+
+
+def reference_simulate(c: Circuit, cap: int | None = None) -> np.ndarray:
+    """simulate_circuit gate by gate on the dense matrix: each CX and X a
+    row gather, each rotation a row scaling, each H the row butterfly."""
+    _check_cap(c.n_qubits, cap)
+    dim = 1 << c.n_qubits
+    idx = np.arange(dim, dtype=np.uint64)
+    u = np.eye(dim, dtype=complex)
+    for gate in c.gates:
+        u = _apply_gate(u, gate, idx, c.n_qubits)
+    return np.exp(1j * c.global_phase) * u
 
 
 @pytest.fixture

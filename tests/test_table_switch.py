@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boolham import boolexpr, compiler
+from boolham import boolexpr, compiler, fourier
 from boolham.boolexpr import And, Const, Implies, Not, Or, Var, Xor, conjunction, parse_expr
+from boolham.cli import main
 from boolham.compiler import compile_expr, compile_pseudo
 from boolham.errors import CapExceeded
 from boolham.verify import expression_checks
@@ -153,3 +154,22 @@ def test_verify_names_a_fold_that_disagrees(monkeypatch):
         e = Or(tuple(Var(j) for j in range(1, n + 1)))
         failed = [c.name for c in expression_checks("or", e, n) if not c.passed]
         assert failed == ["or: transform paths agree"]
+
+
+@pytest.mark.parametrize("n", [9, 19, 20])
+def test_verify_runs_each_transform_path_once(monkeypatch, capsys, n):
+    # compile_expr's H_f is the table's transform at n <= 19 and the fold
+    # above; "transform paths agree" computes only the other one
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or original(*args))
+
+    counted(compiler, "_fold")
+    counted(compiler, "fourier_from_table")  # compile_expr's own import
+    counted(fourier, "fourier_from_table")  # verify's, for the path check and h*h
+    assert main(["verify", "-e", f"(x1 | !x2) & x{n}", "-n", str(n)]) == 0
+    assert "transform paths agree" in capsys.readouterr().out
+    assert calls.count("_fold") == 1
+    assert calls.count("fourier_from_table") == 2

@@ -282,9 +282,15 @@ def emit_bit_query(f: BoolExpr, n: int | None = None) -> Circuit:
     Single-bit phase estimation: an H on the ancilla (qubit n+1), the
     ancilla-controlled phase query exp(-i pi x_a H_f) realized term by term
     as CRZ-terminated ladders, and a closing H.  Exact including phase;
-    f = x1 reduces to CNOT and f = x1 & x2 to the Toffoli gate.
+    f = x1 reduces to CNOT and f = x1 & x2 to the Toffoli gate.  The
+    circuit depends on f only through H_f (``_bit_query``).
     """
-    hf = compile_expr(f, n)
+    return _bit_query(compile_expr(f, n))
+
+
+def _bit_query(hf: DiagonalHamiltonian) -> Circuit:
+    """G_f = H_a Lambda_{x_a}(e^{-i pi H_f}) H_a, the ancilla a one qubit above
+    H_f's register."""
     ancilla = hf.n_qubits + 1
     hadamard = _gate("h", (ancilla,))
     gates: list[Gate] = [hadamard]

@@ -359,8 +359,12 @@ def ground_state_logic(f: BoolExpr, n: int | None = None) -> DiagonalHamiltonian
     Returns the (n+1)-qubit operator H = I (x) x_a + H_f (x) Z_a with the
     ancilla a = qubit n+1.  A basis state |x>|y> has eigenvalue 0 iff
     y = f(x) and eigenvalue 1 otherwise, so the ground space is exactly
-    span{|x>|f(x)>}.
+    span{|x>|f(x)>}.  It depends on f only through H_f (``_ground_state_logic``).
     """
-    hf = compile_expr(f, n)
+    return _ground_state_logic(compile_expr(f, n))
+
+
+def _ground_state_logic(hf: DiagonalHamiltonian) -> DiagonalHamiltonian:
+    """I (x) x_a + H_f (x) Z_a, the ancilla a one qubit above H_f's register."""
     ancilla = hf.n_qubits + 1
     return bit_projector(ancilla, ancilla) + hf.tensor(DiagonalHamiltonian(1, {1: 1.0}))

@@ -17,7 +17,9 @@ come from one Walsh-Hadamard transform of its coefficients
 and read the same value table, so they reach n = 24.
 
 The checks built from these matrices live in ``verify``; its kickback
-suite uses only the 2^(n+1)-square bit queries and the H butterfly.
+suite uses only the 2^(n+1)-square bit queries and the H butterfly.  The
+reference bit query (``bit_query_matrix``) takes f's value table, not f,
+so a caller that already holds the table builds no second one.
 """
 
 from __future__ import annotations
@@ -200,11 +202,13 @@ def maxdiff(a: np.ndarray, b: np.ndarray) -> float:
 # -- oracle-query reference ---------------------------------------------------
 
 
-def bit_query_matrix(f: BoolExpr, n: int, cap: int | None = None) -> np.ndarray:
-    """Reference permutation matrix |x>|a> -> |x>|a xor f(x)> built from the
-    truth table (independent of the circuit and Hamiltonian paths)."""
+def bit_query_matrix(table: np.ndarray, cap: int | None = None) -> np.ndarray:
+    """Reference permutation matrix |x>|a> -> |x>|a xor f(x)> from f's value
+    table (``truth_table(f, n)``, 2^n entries of 0 or 1), independent of the
+    circuit and Hamiltonian paths; the ancilla a is qubit n+1."""
+    n = (table.size - 1).bit_length()
     _check_cap(n + 1, cap)
-    fvals = truth_table(f, n).astype(np.uint64)
+    fvals = table.astype(np.uint64)
     dim = 1 << (n + 1)
     idx = np.arange(dim, dtype=np.uint64)
     data = idx & np.uint64((1 << n) - 1)

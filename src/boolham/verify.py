@@ -6,6 +6,11 @@ byte-identical reports.  Each check compares an independently constructed
 reference against the compiled/emitted object and records its residual in
 a CheckResult.  The oracle-query equivalence (kickback) suite is here too,
 built on no matrix larger than G_f (2^(n+1) square) from ``oracle``.
+
+A formula's suite compiles it once and tabulates it once.  The emitted bit
+query and the ground-state-logic operator are built from that H_f (the
+bodies of ``emit_bit_query`` and ``ground_state_logic``), and the reference
+G_f from that table, so each check still compares two independent paths.
 """
 
 from __future__ import annotations
@@ -67,79 +72,52 @@ class VerificationReport:
 # -- golden cases -----------------------------------------------------------
 
 
-def _ham(n: int, terms: dict[int, float]) -> DiagonalHamiltonian:
-    return DiagonalHamiltonian(n, terms)
-
-
 def basic_clause_cases(k: int = 5) -> list[tuple[str, str, DiagonalHamiltonian]]:
     """The ten basic-clause golden Hamiltonians; k sizes the n-ary rows."""
     full = (1 << k) - 1
-    and_k = {
-        mask: (-1.0) ** mask.bit_count() / (1 << k) for mask in range(1 << k)
-    }
+    and_k = {mask: (-1.0) ** mask.bit_count() / (1 << k) for mask in range(1 << k)}
     or_k = {mask: -1.0 / (1 << k) for mask in range(1, 1 << k)}
     or_k[0] = 1.0 - 1.0 / (1 << k)
+    n_ary = lambda op: f" {op} ".join(f"x{j}" for j in range(1, k + 1))
     return [
-        ("x", "x1", _ham(1, {0: 0.5, 1: -0.5})),
-        ("not x", "!x1", _ham(1, {0: 0.5, 1: 0.5})),
-        ("xor2", "x1 ^ x2", _ham(2, {0: 0.5, 3: -0.5})),
-        (
-            f"xor{k}",
-            " ^ ".join(f"x{j}" for j in range(1, k + 1)),
-            _ham(k, {0: 0.5, full: -0.5}),
-        ),
-        ("and2", "x1 & x2", _ham(2, {0: 0.25, 1: -0.25, 2: -0.25, 3: 0.25})),
-        (
-            f"and{k}",
-            " & ".join(f"x{j}" for j in range(1, k + 1)),
-            _ham(k, and_k),
-        ),
-        ("or2", "x1 | x2", _ham(2, {0: 0.75, 1: -0.25, 2: -0.25, 3: -0.25})),
-        (
-            f"or{k}",
-            " | ".join(f"x{j}" for j in range(1, k + 1)),
-            _ham(k, or_k),
-        ),
-        ("nand2", "!(x1 & x2)", _ham(2, {0: 0.75, 1: 0.25, 2: 0.25, 3: -0.25})),
-        ("implies", "x1 => x2", _ham(2, {0: 0.75, 1: 0.25, 2: -0.25, 3: 0.25})),
+        ("x", "x1", DiagonalHamiltonian(1, {0: 0.5, 1: -0.5})),
+        ("not x", "!x1", DiagonalHamiltonian(1, {0: 0.5, 1: 0.5})),
+        ("xor2", "x1 ^ x2", DiagonalHamiltonian(2, {0: 0.5, 3: -0.5})),
+        (f"xor{k}", n_ary("^"), DiagonalHamiltonian(k, {0: 0.5, full: -0.5})),
+        ("and2", "x1 & x2", DiagonalHamiltonian(2, {0: 0.25, 1: -0.25, 2: -0.25, 3: 0.25})),
+        (f"and{k}", n_ary("&"), DiagonalHamiltonian(k, and_k)),
+        ("or2", "x1 | x2", DiagonalHamiltonian(2, {0: 0.75, 1: -0.25, 2: -0.25, 3: -0.25})),
+        (f"or{k}", n_ary("|"), DiagonalHamiltonian(k, or_k)),
+        ("nand2", "!(x1 & x2)", DiagonalHamiltonian(2, {0: 0.75, 1: 0.25, 2: 0.25, 3: -0.25})),
+        ("implies", "x1 => x2", DiagonalHamiltonian(2, {0: 0.75, 1: 0.25, 2: -0.25, 3: 0.25})),
     ]
 
 
 def three_variable_cases() -> list[tuple[str, str, DiagonalHamiltonian]]:
     """MAJ, NAE, MOD3 and 1in3 golden Hamiltonians on three qubits."""
     eighth = 1.0 / 8.0
+    one_in_three = {0: 3 * eighth, 1: eighth, 2: eighth, 4: eighth}
+    one_in_three.update({3: -eighth, 5: -eighth, 6: -eighth, 7: -3 * eighth})
     return [
         (
             "maj3",
             "(x1 & x2) | (x1 & x3) | (x2 & x3)",
-            _ham(3, {0: 0.5, 1: -0.25, 2: -0.25, 4: -0.25, 7: 0.25}),
+            DiagonalHamiltonian(3, {0: 0.5, 1: -0.25, 2: -0.25, 4: -0.25, 7: 0.25}),
         ),
         (
             "nae3",
             "(x1 | x2 | x3) & (!x1 | !x2 | !x3)",
-            _ham(3, {0: 0.75, 3: -0.25, 5: -0.25, 6: -0.25}),
+            DiagonalHamiltonian(3, {0: 0.75, 3: -0.25, 5: -0.25, 6: -0.25}),
         ),
         (
             "mod3",
             "!((x1 | x2 | x3) & (!x1 | !x2 | !x3))",
-            _ham(3, {0: 0.25, 3: 0.25, 5: 0.25, 6: 0.25}),
+            DiagonalHamiltonian(3, {0: 0.25, 3: 0.25, 5: 0.25, 6: 0.25}),
         ),
         (
             "1in3",
             "(x1 & !x2 & !x3) | (!x1 & x2 & !x3) | (!x1 & !x2 & x3)",
-            _ham(
-                3,
-                {
-                    0: 3 * eighth,
-                    1: eighth,
-                    2: eighth,
-                    4: eighth,
-                    3: -eighth,
-                    5: -eighth,
-                    6: -eighth,
-                    7: -3 * eighth,
-                },
-            ),
+            DiagonalHamiltonian(3, one_in_three),
         ),
     ]
 
@@ -217,17 +195,19 @@ def verify_kickback_suite(
       bit_from_controlled_phase
 
     The first and third read the emitted circuit; the other two are built
-    from the truth table alone.  This builds H_f's diagonal, the truth
-    table and both G_f matrices for f; ``expression_checks`` passes the
-    ones it has already built to the same checks.
+    from the truth table alone.  f is compiled and tabulated once: the
+    emitted G_f comes from that H_f, the reference G_f from that table.
+    ``expression_checks`` passes the ones it has already built to the same
+    checks.
     """
     n = register_size(f, n)
     oracle._check_cap(n + 2, cap)
+    hf, table = compile_expr(f, n), truth_table(f, n)
     return _kickback_checks(
-        fourier.table_from_fourier(compile_expr(f, n)),
-        truth_table(f, n),
-        oracle.simulate_circuit(circuits.emit_bit_query(f, n), cap),  # data 1..n, ancilla n+1
-        oracle.bit_query_matrix(f, n, cap),
+        fourier.table_from_fourier(hf),
+        table,
+        oracle.simulate_circuit(circuits._bit_query(hf), cap),  # data 1..n, ancilla n+1
+        oracle.bit_query_matrix(table, cap),
     )
 
 
@@ -286,6 +266,7 @@ def expression_checks(
 
     Dense-matrix checks run only where they fit under ``dense_cap`` (the
     kickback suite needs two extra ancilla qubits, the bit query one).
+    Every check reads one H_f and one truth table of e.
     """
     n = register_size(e, n)
     h = compile_expr(e, n)
@@ -357,8 +338,8 @@ def expression_checks(
         out.append(CheckResult(f"{name}: Grover phase query", residual, TOL))
 
     if n <= min(6, dense_cap - 1):
-        g = oracle.simulate_circuit(circuits.emit_bit_query(e, n), cap=dense_cap)
-        g_ref = oracle.bit_query_matrix(e, n, cap=dense_cap)
+        g = oracle.simulate_circuit(circuits._bit_query(h), cap=dense_cap)
+        g_ref = oracle.bit_query_matrix(table, cap=dense_cap)
         out.append(CheckResult(f"{name}: bit query action", oracle.maxdiff(g, g_ref), TOL))
         out.append(
             CheckResult(
@@ -383,7 +364,7 @@ def expression_checks(
         out.append(
             CheckResult(f"{name}: kickback suite", max(c.residual for c in report.checks), TOL)
         )
-        hg = compiler.ground_state_logic(e, n)
+        hg = compiler._ground_state_logic(h)
         spec_g = oracle.spectrum(hg)
         expected_ground = sorted(
             basis_label(x, n) + ("1" if table[x] else "0") for x in range(1 << n)

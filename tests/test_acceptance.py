@@ -257,16 +257,16 @@ def test_criterion_10_bit_query():
         if n > 6:
             continue
         g = simulate_circuit(emit_bit_query(e, n))
-        g_ref = bit_query_matrix(e, n)
+        g_ref = bit_query_matrix(truth_table(e, n))
         worst = max(worst, maxdiff(g, g_ref))
         worst = max(worst, maxdiff(g @ g, np.eye(g.shape[0])))
         mean = compile_expr(e, n).identity_coeff
         tr = np.trace(g) / (1 << (n + 1))
         worst = max(worst, abs(tr.real - (1.0 - mean)) + abs(tr.imag))
     cnot = simulate_circuit(emit_bit_query(Var(1), 1))
-    cnot_ref = bit_query_matrix(Var(1), 1)
+    cnot_ref = bit_query_matrix(truth_table(Var(1), 1))
     toffoli = simulate_circuit(emit_bit_query(parse_expr("x1 & x2"), 2))
-    toffoli_ref = bit_query_matrix(parse_expr("x1 & x2"), 2)
+    toffoli_ref = bit_query_matrix(truth_table(parse_expr("x1 & x2"), 2))
     exact = maxdiff(cnot, cnot_ref) <= 1e-12 and maxdiff(toffoli, toffoli_ref) <= 1e-12
     report(
         10,

@@ -157,7 +157,7 @@ class TestSimulateCircuit:
 
     def test_bit_query_toffoli(self):
         u = simulate_circuit(emit_bit_query(parse_expr("x1 & x2"), 2))
-        assert maxdiff(u, bit_query_matrix(parse_expr("x1 & x2"), 2)) < 1e-12
+        assert maxdiff(u, bit_query_matrix(truth_table(parse_expr("x1 & x2"), 2))) < 1e-12
 
 
 class TestDenseControlled:
@@ -247,14 +247,14 @@ class TestKickbackSuite:
     def test_a_broken_bit_query_fails_the_checks_built_on_it(self, text, monkeypatch):
         # without its closing H the emitted G_f is wrong; the two checks built
         # from the truth table alone do not see the circuit and still pass
-        emit = circuits.emit_bit_query
+        emit = circuits._bit_query
 
-        def without_closing_h(f, n=None):
-            c = emit(f, n)
+        def without_closing_h(hf):
+            c = emit(hf)
             assert c.gates[-1].name == "h"
             return Circuit(c.n_qubits, c.gates[:-1], c.global_phase)
 
-        monkeypatch.setattr(circuits, "emit_bit_query", without_closing_h)
+        monkeypatch.setattr(circuits, "_bit_query", without_closing_h)
         report = verify_kickback_suite(parse_expr(text))
         passed = {c.name: c.passed for c in report.checks}
         assert passed == {
@@ -289,7 +289,7 @@ class TestKickbackSuite:
         diag = table_from_fourier(compile_expr(f, n))
         table = truth_table(f, n)
         circuit = emit_bit_query(f, n)
-        g_reference = bit_query_matrix(f, n)
+        g_reference = bit_query_matrix(truth_table(f, n))
         if corruption == "H_f diagonal":
             diag[1] += 0.1
         elif corruption == "table bit":

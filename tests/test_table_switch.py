@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boolham import boolexpr, compiler, fourier
+from boolham import boolexpr, circuits, cli, compiler, fourier, oracle, verify
 from boolham.boolexpr import And, Const, Implies, Not, Or, Var, Xor, conjunction, parse_expr
 from boolham.cli import main
 from boolham.compiler import compile_expr, compile_pseudo
@@ -20,6 +20,12 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples
 
 def folded(e, n):
     return list(compiler._fold(e, n).items())
+
+
+def counted(monkeypatch, calls, module, name):
+    """Patch module's own ``name`` to log each call in ``calls``."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(name) or original(*args))
 
 
 def refuse(monkeypatch, name):
@@ -161,15 +167,28 @@ def test_verify_runs_each_transform_path_once(monkeypatch, capsys, n):
     # compile_expr's H_f is the table's transform at n <= 19 and the fold
     # above; "transform paths agree" computes only the other one
     calls = []
-
-    def counted(module, name):
-        original = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or original(*args))
-
-    counted(compiler, "_fold")
-    counted(compiler, "fourier_from_table")  # compile_expr's own import
-    counted(fourier, "fourier_from_table")  # verify's, for the path check and h*h
+    counted(monkeypatch, calls, compiler, "_fold")
+    counted(monkeypatch, calls, compiler, "fourier_from_table")  # compile_expr's own import
+    counted(monkeypatch, calls, fourier, "fourier_from_table")  # verify's: path check, h*h
     assert main(["verify", "-e", f"(x1 | !x2) & x{n}", "-n", str(n)]) == 0
     assert "transform paths agree" in capsys.readouterr().out
     assert calls.count("_fold") == 1
     assert calls.count("fourier_from_table") == 2
+
+
+def test_verify_compiles_and_tabulates_each_formula_once(monkeypatch, capsys):
+    # the bit query, the ground-state logic and the reference G_f reuse the
+    # suite's H_f and truth table; compile_expr tabulates once itself (n <= 19)
+    calls = []
+    for module in (boolexpr, circuits, cli, compiler, oracle, verify):
+        for name in ("truth_table", "compile_expr"):
+            if hasattr(module, name):
+                counted(monkeypatch, calls, module, name)
+    assert main(["verify", "-e", "(x1 | !x2) & (x3 ^ x5) | x4", "-n", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "bit query action" in out and "kickback suite" in out
+    assert "ground-state logic spectrum" in out
+    assert (calls.count("truth_table"), calls.count("compile_expr")) == (2, 1)
+    calls.clear()
+    assert verify.verify_kickback_suite(parse_expr("(x1 & x2) | x3"), 3).passed
+    assert (calls.count("truth_table"), calls.count("compile_expr")) == (2, 1)

@@ -23,6 +23,16 @@ that emit_evolution's gamma, each rotation angle and its global phase are finite
 Within one call they make each distinct CX gate once and share it across
 every ladder, and grow each term's ladder from the ladder of its prefix
 (the term without its largest qubit), so a ladder costs one new CX.
+
+parse_circuit reads text that is ASCII and has no "_" (int() and float()
+read digit grouping and other scripts' digits).  A gate line is split at
+whitespace into its name and fields.  A qubit is what int() reads, signs
+and leading zeros included ("+01"); an angle is what float() reads ("-0",
+".5", "1e-3"), but a NaN or infinite one ("nan", "inf", "1e400") is
+rejected.  Each distinct line is read once, by the reader for its gate's
+shape, which converts the fields by position and tests the rules inline;
+a line it does not accept goes to _parse_gate, which words the ParseError,
+so the first faulty line is the one named.
 """
 
 from __future__ import annotations
@@ -378,8 +388,7 @@ def _line_error(text: str, line: str, message: str) -> ParseError:
 
 def parse_circuit(text: str) -> Circuit:
     """Read serialize() output back; a malformed line is a ParseError naming it."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not text.isascii() or "_" in text:  # int() and float() read "1_0" and non-ASCII digits
         for bad in (ln for ln in lines if not ln.isascii() or "_" in ln):
             raise _line_error(text, bad, "numbers must be plain ASCII digits")
@@ -406,8 +415,71 @@ def parse_circuit(text: str) -> Circuit:
     parsed: dict[str, Gate] = {}  # one checked gate per distinct line, in first-seen order
     for ln in body:
         if ln not in parsed:
-            parsed[ln] = _parse_gate(text, ln, n)
+            fields = ln.split()
+            reader = _READERS.get(fields[0])
+            try:
+                g = reader(fields, n) if reader else None
+            except ValueError:  # a field that int() or float() cannot read
+                g = None
+            parsed[ln] = _parse_gate(text, ln, n) if g is None else g
     return _circuit(n, map(parsed.__getitem__, body), phase)
+
+
+# -- one reader per gate shape -----------------------------------------------
+# Each takes the fields of a split line, the gate name first, converts them by
+# position and tests the Gate rules and the register bound inline.  It returns
+# None for a line that breaks one, and _parse_gate then names the fault.
+
+
+def _read_q(f: list[str], n: int) -> Gate | None:
+    if len(f) == 2:
+        q = int(f[1])
+        if 0 < q <= n:
+            return _gate(f[0], (q,))
+    return None
+
+
+def _read_q_angle(f: list[str], n: int) -> Gate | None:
+    if len(f) == 3:
+        q, angle = int(f[1]), float(f[2])
+        if 0 < q <= n and math.isfinite(angle):
+            return _gate(f[0], (q,), angle)
+    return None
+
+
+def _read_qq(f: list[str], n: int) -> Gate | None:
+    if len(f) == 3:
+        a, b = int(f[1]), int(f[2])
+        if a != b and 0 < a <= n and 0 < b <= n:
+            return _gate(f[0], (a, b))
+    return None
+
+
+def _read_qq_angle(f: list[str], n: int) -> Gate | None:
+    if len(f) == 4:
+        a, b, angle = int(f[1]), int(f[2]), float(f[3])
+        if a != b and 0 < a <= n and 0 < b <= n and math.isfinite(angle):
+            return _gate(f[0], (a, b), angle)
+    return None
+
+
+def _read_qqq_angle(f: list[str], n: int) -> Gate | None:
+    if len(f) == 5:
+        a, b, c, angle = int(f[1]), int(f[2]), int(f[3]), float(f[4])
+        if (a != b != c != a and 0 < a <= n and 0 < b <= n and 0 < c <= n
+                and math.isfinite(angle)):
+            return _gate(f[0], (a, b, c), angle)
+    return None
+
+
+_READ_SHAPE = {
+    (1, False): _read_q,
+    (1, True): _read_q_angle,
+    (2, False): _read_qq,
+    (2, True): _read_qq_angle,
+    (3, True): _read_qqq_angle,
+}
+_READERS = {name: _READ_SHAPE[shape] for name, shape in _GATE_SHAPE.items()}
 
 
 def _parse_gate(text: str, ln: str, n_qubits: int) -> Gate:

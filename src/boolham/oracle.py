@@ -75,13 +75,15 @@ def dense_of_pauli(p: PauliOperator, cap: int | None = None) -> np.ndarray:
 
 
 def _hadamard_rows(u: np.ndarray, q: int, n: int) -> np.ndarray:
-    """H on qubit q of an n-qubit register times u: a butterfly on the rows."""
+    """H on qubit q of an n-qubit register times u: a butterfly on the rows,
+    in place, with one half-size temporary."""
     u = np.ascontiguousarray(u)  # the butterfly below edits a reshape view
     v = u.reshape(1 << (n - q), 2, -1)
-    top = v[:, 0, :].copy()
-    bottom = v[:, 1, :]
-    v[:, 0, :] = (top + bottom) / math.sqrt(2)
-    v[:, 1, :] = (top - bottom) / math.sqrt(2)
+    top, bottom = v[:, 0, :], v[:, 1, :]
+    difference = top - bottom
+    np.add(top, bottom, out=top)
+    np.divide(top, math.sqrt(2), out=top)
+    np.divide(difference, math.sqrt(2), out=bottom)
     return u
 
 
@@ -95,8 +97,10 @@ def simulate_circuit(c: Circuit, cap: int | None = None) -> np.ndarray:
     every control of ``rows`` is 1.  Each costs O(2^n).  The dense matrix
     costs one pass per H gate and one at the end: a run is scattered into
     zeros if no H came before it, else gathered onto the matrix and scaled
-    in place.  The global phase scales ``vals``, so an H-free circuit
-    builds its result and nothing larger.
+    in place, or only scaled in place if its rows are the identity.  The
+    global phase scales ``vals``, so an H-free circuit builds its result
+    and nothing larger, and a bit query holds one matrix and a half-size
+    butterfly temporary.
     """
     _check_cap(c.n_qubits, cap)
     dim = 1 << c.n_qubits
@@ -130,13 +134,18 @@ def simulate_circuit(c: Circuit, cap: int | None = None) -> np.ndarray:
 
 def _flush(u: np.ndarray | None, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """The monomial run (rows, vals) times u, u None for the identity:
-    row rows[j] of the product is vals[j] times row j of u."""
+    row rows[j] of the product is vals[j] times row j of u.  A run whose
+    rows are the identity (a bit query's, between its H gates) scales u in
+    place; any other gathers a copy."""
+    idx = np.arange(rows.size)
     if u is None:
         out = np.zeros((rows.size, rows.size), dtype=complex)
-        out[rows, np.arange(rows.size)] = vals
+        out[rows, idx] = vals
         return out
+    if np.array_equal(rows, idx):
+        return np.multiply(vals[:, None], u, out=u)
     inv = np.empty_like(rows)
-    inv[rows] = np.arange(rows.size)
+    inv[rows] = idx
     out = u[inv]
     return np.multiply(vals[inv][:, None], out, out=out)
 

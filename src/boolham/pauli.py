@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from .errors import QubitCountError
 from .zpoly import (
     PAULI_LETTERS,
-    DiagonalHamiltonian,
     PauliSum,
     check_register,
     format_coeff,
+    is_finite_number,
     json_list,
     json_number,
     parse_pauli_label,
@@ -128,6 +128,10 @@ class PauliOperator(PauliSum):
 
     @staticmethod
     def _term(n: int, string: PauliString, coeff) -> tuple[PauliString, complex]:
+        if not isinstance(string, PauliString):
+            raise ValueError(f"term key must be a PauliString, got {string!r}")
+        if not (isinstance(coeff, (float, complex)) or is_finite_number(coeff)):  # _table names a NaN or inf
+            raise ValueError(f"coefficient must be a finite number, got {coeff!r}")
         if string.n_qubits != n:
             raise QubitCountError(f"string on {string.n_qubits} qubits added to {n}-qubit operator")
         return string.canonical(), complex(coeff) * string.phase
@@ -141,13 +145,6 @@ class PauliOperator(PauliSum):
     @classmethod
     def single(cls, n_qubits: int, letter: str, j: int, coeff: complex = 1.0):
         return cls(n_qubits, {PauliString.single(n_qubits, letter, j): coeff})
-
-    @classmethod
-    def from_diagonal(cls, h: DiagonalHamiltonian) -> "PauliOperator":
-        return cls(
-            h.n_qubits,
-            ((PauliString(h.n_qubits, 0, mask), c) for mask, c in h.items()),
-        )
 
     # -- inspection ---------------------------------------------------
 

@@ -144,19 +144,6 @@ def random_expr(rng: np.random.Generator, n_vars: int, depth: int) -> BoolExpr:
     return node(children)
 
 
-def random_cnf(
-    rng: np.random.Generator, n_vars: int, n_clauses: int, max_width: int = 3
-) -> str:
-    """Random DIMACS CNF text."""
-    lines = [f"p cnf {n_vars} {n_clauses}"]
-    for _ in range(n_clauses):
-        width = int(rng.integers(1, min(max_width, n_vars) + 1))
-        vars_ = rng.choice(np.arange(1, n_vars + 1), size=width, replace=False)
-        lits = [int(v) if rng.random() < 0.5 else -int(v) for v in vars_]
-        lines.append(" ".join(map(str, lits)) + " 0")
-    return "\n".join(lines) + "\n"
-
-
 def random_qubo(rng: np.random.Generator, n_vars: int) -> QuboInstance:
     quad = np.zeros((n_vars, n_vars))
     for j in range(n_vars):

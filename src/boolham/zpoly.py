@@ -27,6 +27,13 @@ coefficient (an overflowed sum or product) as a ParseError.
 Every JSON document (operator, QUBO, penalty spec, ``fourier`` vector) is
 read through ``load_json``, ``json_field``, ``json_list`` and ``json_number``
 here: a value of the wrong JSON type is a ParseError, never converted.
+
+Term labels are ASCII.  ``term_label`` spells a mask from a tuple of the
+names "Z1".."Z63", and ``parse_pauli_label`` reads that spelling ("Z3 Z17",
+atoms separated by any ASCII whitespace) through a table of its atoms.  Any
+other label goes through the regex reader, which also accepts atoms run
+together ("X1Z3"), leading zeros ("Z01"), X and Y atoms and "I", and words
+every ParseError.
 """
 
 from __future__ import annotations
@@ -72,11 +79,35 @@ def qubits_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+_Z_NAMES = tuple(f"Z{j}" for j in range(1, MAX_QUBITS + 1))  # qubit j at index j - 1
+_Z_ATOM_BIT = {name: 1 << j for j, name in enumerate(_Z_NAMES)}
+
+
 def term_label(mask: int, sep: str = "") -> str:
     """Human-readable label, e.g. mask 0b101 -> 'Z1Z3' (or 'Z1 Z3' with sep=' ')."""
     if mask == 0:
         return "I"
-    return sep.join(f"Z{j}" for j in qubits_of(mask))
+    names = []
+    while mask:
+        low = mask & -mask  # lowest set bit
+        names.append(_Z_NAMES[low.bit_length() - 1])
+        mask ^= low
+    return sep.join(names)
+
+
+def _z_label_mask(label, n_qubits: int) -> int | None:
+    """The term mask of a label spelled as term_label(mask, " ") spells it
+    ("Z3 Z17": atoms "Z<j>", j without leading zeros, each qubit once, all on
+    the register, split by whitespace); None for any other label."""
+    if type(label) is not str or not label.isascii():  # str.split splits at non-ASCII spaces
+        return None
+    mask = 0
+    for atom in label.split():
+        bit = _Z_ATOM_BIT.get(atom, 0)
+        if not bit or mask & bit:
+            return None
+        mask |= bit
+    return mask if mask >> n_qubits == 0 else None
 
 
 # one atom per match: a letter and its qubit digits, or a bad atom, which runs
@@ -85,7 +116,15 @@ _PAULI_ATOM = re.compile(r"([XYZ])([0-9]+)(?![^\sXYZ])|(\S[^\sXYZ]*)")
 
 
 def parse_pauli_label(label: str, n_qubits: int) -> tuple[int, int]:
-    """(x_mask, z_mask) of a label like 'X1 Z3' or 'X1Z3'; 'I' is the identity."""
+    """(x_mask, z_mask) of a label like 'X1 Z3' or 'X1Z3'; 'I' is the identity.
+
+    A label in term_label's spelling is read through a table of its atoms;
+    every other label (X and Y atoms, atoms run together as 'X1Z3', leading
+    zeros as 'Z01', and every faulty label) goes through the regex reader,
+    which words each ParseError."""
+    z_mask = _z_label_mask(label, n_qubits)
+    if z_mask is not None:
+        return 0, z_mask
     if not isinstance(label, str) or not label.isascii():  # int() reads other scripts' digits
         raise ParseError(f"Pauli label must be an ASCII string, got {label!r}")
     label = label.strip()
@@ -127,6 +166,13 @@ def is_finite_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def is_finite_number(value) -> bool:
+    """``is_finite_real`` extended to the complex numbers."""
+    if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
+        return cmath.isfinite(value)
+    return is_finite_real(value)
 
 
 def is_integer(value) -> bool:

@@ -1,14 +1,17 @@
 """Shared test oracles, independent of the library code paths they check."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from boolham.circuits import Circuit, Gate
+from boolham.circuits import Circuit, Gate, _circuit, _line_error, _parse_gate
 from boolham.compiler import compile_expr
+from boolham.errors import ParseError
 from boolham.oracle import _check_cap, _hadamard_rows
-from boolham.zpoly import DiagonalHamiltonian, qubits_of
+from boolham.pauli import PauliOperator, PauliString
+from boolham.zpoly import DiagonalHamiltonian, qubit_bit, qubits_of
 
 
 def brute_fourier(values) -> dict[int, float]:
@@ -181,6 +184,87 @@ def reference_simulate(c: Circuit, cap: int | None = None) -> np.ndarray:
     for gate in c.gates:
         u = _apply_gate(u, gate, idx, c.n_qubits)
     return np.exp(1j * c.global_phase) * u
+
+
+def random_cnf(
+    rng: np.random.Generator, n_vars: int, n_clauses: int, max_width: int = 3
+) -> str:
+    """Random DIMACS CNF text."""
+    lines = [f"p cnf {n_vars} {n_clauses}"]
+    for _ in range(n_clauses):
+        width = int(rng.integers(1, min(max_width, n_vars) + 1))
+        vars_ = rng.choice(np.arange(1, n_vars + 1), size=width, replace=False)
+        lits = [int(v) if rng.random() < 0.5 else -int(v) for v in vars_]
+        lines.append(" ".join(map(str, lits)) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+def from_diagonal(h: DiagonalHamiltonian) -> PauliOperator:
+    """A diagonal operator as a Pauli sum: Z strings, the same coefficients."""
+    return PauliOperator(
+        h.n_qubits,
+        ((PauliString(h.n_qubits, 0, mask), c) for mask, c in h.items()),
+    )
+
+
+def reference_parse_circuit(text: str) -> Circuit:
+    """parse_circuit with every distinct gate line read by _parse_gate alone,
+    the generic reader that words each ParseError."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not text.isascii() or "_" in text:
+        for bad in (ln for ln in lines if not ln.isascii() or "_" in ln):
+            raise _line_error(text, bad, "numbers must be plain ASCII digits")
+    if not lines or not lines[0].startswith("qubits "):
+        raise ParseError("circuit text must start with a 'qubits N' line")
+    header, body = lines[0], lines[1:]
+    try:
+        _, count = header.split()
+        n = int(count)
+    except ValueError as exc:
+        raise _line_error(text, header, "bad qubits line") from exc
+    if n < 0:
+        raise _line_error(text, header, "negative qubit count")
+    phase = 0.0
+    if body and body[0].startswith("phase "):
+        try:
+            _, value = body[0].split()
+            phase = float(value)
+        except ValueError as exc:
+            raise _line_error(text, body[0], "bad phase line") from exc
+        if not math.isfinite(phase):
+            raise _line_error(text, body[0], "phase must be finite")
+        body = body[1:]
+    parsed: dict = {}
+    for ln in body:
+        if ln not in parsed:
+            parsed[ln] = _parse_gate(text, ln, n)
+    return _circuit(n, map(parsed.__getitem__, body), phase)
+
+
+_REFERENCE_PAULI_ATOM = re.compile(r"([XYZ])([0-9]+)(?![^\sXYZ])|(\S[^\sXYZ]*)")
+
+
+def reference_parse_pauli_label(label: str, n_qubits: int) -> tuple[int, int]:
+    """parse_pauli_label with every label read by the regex reader alone."""
+    if not isinstance(label, str) or not label.isascii():
+        raise ParseError(f"Pauli label must be an ASCII string, got {label!r}")
+    label = label.strip()
+    if label in ("I", ""):
+        return 0, 0
+    x_mask = z_mask = 0
+    for letter, digits, bad in _REFERENCE_PAULI_ATOM.findall(label):
+        if bad:
+            raise ParseError(f"bad Pauli atom {bad!r} in label {label!r}")
+        j = int(digits)
+        bit = qubit_bit(j, n_qubits)
+        if (x_mask | z_mask) & bit:
+            raise ParseError(f"qubit {j} appears twice in label {label!r}")
+        if letter != "Z":
+            x_mask |= bit
+        if letter != "X":
+            z_mask |= bit
+    return x_mask, z_mask
 
 
 @pytest.fixture

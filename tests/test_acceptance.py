@@ -47,7 +47,6 @@ from boolham.oracle import (
 from boolham.pauli import PauliOperator, jordan_wigner, spin_lowering
 from boolham.verify import (
     bundled_corpus,
-    random_cnf,
     random_expr,
     random_qubo,
     basic_clause_cases,
@@ -55,7 +54,7 @@ from boolham.verify import (
     verify_kickback_suite,
 )
 from boolham.zpoly import DiagonalHamiltonian, basis_label, bit_projector
-from conftest import expm_hermitian, random_zham, zham_diagonal
+from conftest import expm_hermitian, from_diagonal, random_cnf, random_zham, zham_diagonal
 
 SEED = 987654321
 
@@ -369,7 +368,7 @@ def test_criterion_14_jordan_wigner():
                     ),
                 )
     b = spin_lowering(1, 1)
-    number_exact = (b.adjoint() * b) == PauliOperator.from_diagonal(bit_projector(1, 1))
+    number_exact = (b.adjoint() * b) == from_diagonal(bit_projector(1, 1))
     report(
         14,
         "canonical anticommutation relations hold densely up to n=6",

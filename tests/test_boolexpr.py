@@ -201,7 +201,7 @@ class TestDimacs:
         assert objective.clauses[0][1] == Const(0)
 
     def test_dual_view_consistency(self, rng):
-        from boolham.verify import random_cnf
+        from conftest import random_cnf
 
         for _ in range(20):
             n = int(rng.integers(2, 6))

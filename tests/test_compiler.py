@@ -32,9 +32,9 @@ from boolham.compiler import (
 )
 from boolham.errors import CapExceeded, QubitCountError
 from boolham.fourier import fourier_from_table
-from boolham.verify import random_cnf, random_expr, random_qubo, basic_clause_cases, three_variable_cases
+from boolham.verify import random_expr, random_qubo, basic_clause_cases, three_variable_cases
 from boolham.zpoly import DiagonalHamiltonian
-from conftest import allclose
+from conftest import allclose, random_cnf
 
 
 class TestGoldenTables:

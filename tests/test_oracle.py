@@ -29,7 +29,7 @@ from boolham.oracle import (
 from boolham.pauli import PauliOperator
 from boolham.verify import _kickback_checks, expression_checks, random_expr, verify_kickback_suite
 from boolham.zpoly import DiagonalHamiltonian, bit_projector
-from conftest import dense_of_zham, expm_hermitian, kron_chain, random_zham, zham_diagonal
+from conftest import dense_of_zham, expm_hermitian, from_diagonal, kron_chain, random_zham, zham_diagonal
 
 
 class TestDenseRealizations:
@@ -59,7 +59,7 @@ class TestDenseRealizations:
     def test_diagonal_pauli_consistency(self, rng):
         ham = random_zham(rng, 3, 5)
         assert np.allclose(
-            dense_of_pauli(PauliOperator.from_diagonal(ham)), dense_of_zham(ham)
+            dense_of_pauli(from_diagonal(ham)), dense_of_zham(ham)
         )
 
     def test_trace_is_identity_coeff(self, rng):

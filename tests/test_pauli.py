@@ -13,7 +13,7 @@ from boolham.pauli import (
     spin_raising,
 )
 from boolham.zpoly import DiagonalHamiltonian, bit_projector
-from conftest import kron_chain
+from conftest import from_diagonal, kron_chain
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -126,9 +126,29 @@ class TestPauliOperator:
         with pytest.raises(QubitCountError):
             PauliOperator.identity(1) * PauliOperator.identity(2)
 
+    @pytest.mark.parametrize(
+        "coeff", [True, "2", 10**400, None], ids=["bool", "string", "huge-int", "none"]
+    )
+    def test_coefficient_must_be_a_finite_number(self, coeff):
+        # True and "2" used to be stored as 1 and 2; 10**400 raised OverflowError
+        x1 = PauliString.single(1, "X", 1)
+        with pytest.raises(ValueError, match="^coefficient must be a finite number, got") as err:
+            PauliOperator(1, {x1: coeff})
+        assert "\n" not in str(err.value)
+
+    def test_numbers_of_every_kind_are_coefficients(self):
+        x1 = PauliString.single(1, "X", 1)
+        for coeff in (2, 2.0, 2 + 0j, np.int64(2), np.float32(2), np.complex64(2)):
+            assert PauliOperator(1, {x1: coeff}).to_text() == "2 X1"
+
+    def test_term_key_must_be_a_pauli_string(self):
+        # a str key used to raise AttributeError
+        with pytest.raises(ValueError, match="^term key must be a PauliString, got 'Z1'$"):
+            PauliOperator(1, {"Z1": 1.0})
+
     def test_from_diagonal(self):
         h = DiagonalHamiltonian(2, {0: 0.75, 1: -0.25, 3: -0.25})
-        op = PauliOperator.from_diagonal(h)
+        op = from_diagonal(h)
         diag = np.array([h.eval(x) for x in range(4)])
         assert np.allclose(operator_matrix(op), np.diag(diag))
 
@@ -149,7 +169,7 @@ class TestPauliOperator:
         # the two operator types share their arithmetic but not their terms:
         # a diagonal operator enters a Pauli sum through from_diagonal
         h = bit_projector(2, 1)
-        p = PauliOperator.from_diagonal(h)
+        p = from_diagonal(h)
         for a, b in ((h, p), (p, h)):
             with pytest.raises(TypeError):
                 a + b
@@ -168,7 +188,7 @@ class TestSpinOperators:
     def test_number_operator(self):
         b = spin_lowering(1, 1)
         number = b.adjoint() * b
-        assert number == PauliOperator.from_diagonal(bit_projector(1, 1))
+        assert number == from_diagonal(bit_projector(1, 1))
 
     def test_anticommutator_is_identity(self):
         b = spin_lowering(1, 1)

@@ -27,7 +27,7 @@ from boolham.oracle import expm_zham, simulate_circuit, spectrum
 from boolham.pauli import PauliOperator, PauliString
 from boolham.verify import bundled_corpus
 from boolham.zpoly import DiagonalHamiltonian, basis_label
-from conftest import allclose, zham_diagonal
+from conftest import allclose, from_diagonal, zham_diagonal
 from test_fold import PROPERTY, formula_and_size, formulas
 
 coeffs = st.floats(-2.0, 2.0, allow_nan=False)
@@ -71,7 +71,7 @@ def test_fwht_round_trip(values):
 @given(hamiltonian_pairs(6), coeffs)
 def test_pauli_form_commutes_with_the_shared_arithmetic(pair, w):
     a, b = pair
-    pauli = PauliOperator.from_diagonal
+    pauli = from_diagonal
     assert pauli(a + b) == pauli(a) + pauli(b)
     assert pauli(a - b) == pauli(a) - pauli(b)
     assert pauli(-a) == -pauli(a)

@@ -152,7 +152,9 @@ def test_h_free_circuit_builds_one_matrix():
 
 
 @pytest.mark.parametrize("text", ["x1 & x2", "(x1 | !x3) ^ x8"])
-def test_bit_query_holds_at_most_two_matrices(text):
+def test_bit_query_holds_one_and_a_half_matrices(text):
+    # the matrix, scaled in place between the H gates, and a half-size
+    # butterfly temporary
     c = emit_bit_query(parse_expr(text), N_MEMORY - 1)
     assert c.n_qubits == N_MEMORY
-    assert peak_in_matrices(c) <= 2.1
+    assert peak_in_matrices(c) <= 1.6

@@ -15,7 +15,7 @@ from boolham.zpoly import (
     qubits_of,
     term_label,
 )
-from conftest import allclose, brute_fourier
+from conftest import allclose, brute_fourier, from_diagonal
 
 
 def ham(n, terms):
@@ -271,7 +271,7 @@ class TestFiniteCoefficients:
     def test_finite_coefficients_with_an_infinite_total_are_kept(self):
         h = ham(2, {0: 1e308, 1: 1e308, 3: 1e308})
         assert [c for _, c in (h + ham(2, {2: 1e308})).items()] == [1e308] * 4
-        assert PauliOperator.from_diagonal(h).size == 3
+        assert from_diagonal(h).size == 3
 
     @pytest.mark.parametrize("eps", [NAN, -1.0, -INF], ids=["nan", "negative", "minus-inf"])
     def test_prune_epsilon_is_non_negative(self, eps):

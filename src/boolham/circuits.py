@@ -21,8 +21,10 @@ that are valid by construction (their qubits come from operator masks,
 which DiagonalHamiltonian keeps inside the register), so they check only
 that emit_evolution's gamma, each rotation angle and its global phase are finite.
 Within one call they make each distinct CX gate once and share it across
-every ladder, and grow each term's ladder from the ladder of its prefix
-(the term without its largest qubit), so a ladder costs one new CX.
+every ladder, grow each term's ladder from the ladder of its prefix (the
+term without its largest qubit), so a ladder costs one new CX, and make one
+rotation per distinct (largest qubit, coefficient), shared by every term
+that has both.  serialize formats each gate object once.
 
 parse_circuit reads text that is ASCII and has no "_" (int() and float()
 read digit grouping and other scripts' digits).  A gate line is split at
@@ -204,24 +206,48 @@ class _CxGates(dict):
         return g
 
 
-class _Ladders(dict):
-    """Term mask -> (its CX ladder down the term's qubits, its largest
-    qubit), made on first use from the entry of the mask without its
-    largest qubit plus one CX; one per emitter call."""
+def _ladder(ladders: dict, cxs: _CxGates, mask: int) -> tuple[Gate, ...]:
+    """The CX ladder down mask's qubits, stored in ``ladders``: its prefix's
+    ladder (the mask without its largest qubit, made first if missing) plus one CX."""
+    top = mask.bit_length()
+    prefix = mask ^ (1 << (top - 1))
+    ladder = ladders.get(prefix)
+    if ladder is None:
+        ladder = _ladder(ladders, cxs, prefix)
+    if prefix:
+        ladder += (cxs[prefix.bit_length(), top],)
+    ladders[mask] = ladder
+    return ladder
 
-    def __init__(self):
-        super().__init__()
-        self.cxs = _CxGates()
 
-    def __missing__(self, mask: int) -> tuple[tuple[Gate, ...], int]:
+def _append_terms(gates: list[Gate], ham: DiagonalHamiltonian, rotation) -> None:
+    """Append, per term of ham but the identity and in mask order, the CX ladder
+    down its qubits, ``rotation(top, w)`` on its largest qubit ``top`` and the
+    reversed ladder.  Gates are immutable, so every use shares one object: one
+    CX per (control, target) and one rotation per (top, w), made on first use;
+    the key is the coefficient, not the angle, since 0.0 == -0.0."""
+    cxs = _CxGates()
+    ladders: dict[int, tuple[Gate, ...]] = {0: ()}  # mask -> its ladder
+    rotations: dict[tuple[int, float], Gate] = {}
+    terms = ham.items()
+    if ham.identity_coeff:  # stored coefficients are nonzero; mask 0 comes first
+        next(terms)
+    for mask, w in terms:
         top = mask.bit_length()
         prefix = mask ^ (1 << (top - 1))
+        # in mask order the prefix's ladder is usually made already
+        ladder = ladders.get(prefix)
+        if ladder is None:
+            ladder = _ladder(ladders, cxs, prefix)
         if prefix:
-            ladder, below = self[prefix]
-            entry = self[mask] = (ladder + (self.cxs[below, top],), top)
-        else:
-            entry = self[mask] = ((), top)
-        return entry
+            ladder += (cxs[prefix.bit_length(), top],)
+        ladders[mask] = ladder
+        r = rotations.get((top, w))
+        if r is None:
+            r = rotations[top, w] = rotation(top, w)
+        gates += ladder
+        gates.append(r)
+        gates += ladder[::-1]
 
 
 # -- emitters ------------------------------------------------------------
@@ -232,21 +258,12 @@ def emit_evolution(ham: DiagonalHamiltonian, gamma: float) -> Circuit:
 
     Exact as an operator (global phase included).  Per term: identity ->
     phase shift, otherwise a CNOT ladder + RZ (a bare RZ for one qubit).
+    Terms with the same largest qubit and coefficient share one RZ object.
     """
     _require_finite(gamma, "gamma must be a finite real number")
+    phase = 0.0 - gamma * ham.identity_coeff  # 0.0 - x, never -0.0
     gates: list[Gate] = []
-    ladders = _Ladders()
-    phase = 0.0
-    for mask, w in ham.items():
-        if mask == 0:
-            phase -= gamma * w
-            continue
-        # ladder, the rotation on the largest qubit, the reversed ladder;
-        # gates are immutable, so every use shares one object
-        ladder, top = ladders[mask]
-        gates += ladder
-        gates.append(_rotation("rz", (top,), 2.0 * gamma * w))
-        gates += ladder[::-1]
+    _append_terms(gates, ham, lambda top, w: _rotation("rz", (top,), 2.0 * gamma * w))
     _require_finite(phase, "global phase must be finite")  # gamma * w can pass the float range
     return _circuit(ham.n_qubits, gates, phase)
 
@@ -304,18 +321,14 @@ def _bit_query(hf: DiagonalHamiltonian) -> Circuit:
     ancilla = hf.n_qubits + 1
     hadamard = _gate("h", (ancilla,))
     gates: list[Gate] = [hadamard]
-    ladders = _Ladders()
     phase = 0.0
-    for mask, w in hf.items():
-        if mask == 0:
-            # exp(-i pi w x_a) = e^(-i pi w / 2) RZ_a(-pi w)
-            gates.append(_rotation("rz", (ancilla,), -math.pi * w))
-            phase -= math.pi * w / 2.0
-            continue
-        ladder, top = ladders[mask]
-        gates += ladder
-        gates.append(_rotation("crz", (ancilla, top), 2.0 * math.pi * w))
-        gates += ladder[::-1]
+    w0 = hf.identity_coeff
+    if w0:  # exp(-i pi w0 x_a) = e^(-i pi w0 / 2) RZ_a(-pi w0)
+        gates.append(_rotation("rz", (ancilla,), -math.pi * w0))
+        phase -= math.pi * w0 / 2.0
+    _append_terms(
+        gates, hf, lambda top, w: _rotation("crz", (ancilla, top), 2.0 * math.pi * w)
+    )
     gates.append(hadamard)
     return _circuit(ancilla, gates, phase)
 

@@ -279,7 +279,8 @@ class PauliSum:
 
     def __init__(self, n_qubits: int, terms: Union[Mapping, Iterable[tuple]] = ()):
         check_register(n_qubits)
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        # a type() test first: the Mapping ABC test costs several times more
+        items = terms.items() if type(terms) is dict or isinstance(terms, Mapping) else terms
         self._n = n_qubits
         self._terms = self._table(_summed(self._term(n_qubits, key, c) for key, c in items))
 
@@ -410,6 +411,10 @@ class DiagonalHamiltonian(PauliSum):
 
     @staticmethod
     def _term(n: int, mask: int, coeff) -> tuple[int, float]:
+        if type(mask) is not int:  # first: is_integer's ABC test costs more
+            if not is_integer(mask):
+                raise ValueError(f"term mask must be an integer, got {mask!r}")
+            mask = int(mask)  # a numpy integer
         if not 0 <= mask < (1 << n):
             raise QubitCountError(f"term mask {mask:#x} out of range for {n} qubits")
         if not (isinstance(coeff, float) or is_finite_real(coeff)):  # _table names a NaN or inf

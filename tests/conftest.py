@@ -108,24 +108,31 @@ def random_zham(rng: np.random.Generator, n_qubits: int, size: int) -> DiagonalH
     )
 
 
-def _reference_term(gates: list, cxs: dict, mask: int, rotation) -> None:
+def _reference_term(gates: list, cxs: dict, rotations: dict, mask: int, w: float,
+                    rotation) -> None:
     """The CX ladder down the sorted qubits of a term, rotation(its largest
-    qubit), the reversed ladder; one CX object per (control, target) pair."""
+    qubit), the reversed ladder; one CX object per (control, target) pair and
+    one rotation per (largest qubit, coefficient w)."""
     qs = qubits_of(mask)
     ladder = [cxs.setdefault(pair, Gate("cx", pair)) for pair in zip(qs, qs[1:])]
-    gates += [*ladder, rotation(qs[-1]), *reversed(ladder)]
+    if (qs[-1], w) not in rotations:
+        rotations[qs[-1], w] = rotation(qs[-1])
+    gates += [*ladder, rotations[qs[-1], w], *reversed(ladder)]
 
 
 def reference_evolution(h: DiagonalHamiltonian, gamma: float) -> Circuit:
     """emit_evolution's circuit, each ladder built from its term's qubit list."""
     gates: list = []
     cxs: dict = {}
+    rotations: dict = {}
     phase = 0.0
     for mask, w in h.items():
         if mask == 0:
             phase -= gamma * w
             continue
-        _reference_term(gates, cxs, mask, lambda top: Gate("rz", (top,), 2.0 * gamma * w))
+        _reference_term(
+            gates, cxs, rotations, mask, w, lambda top: Gate("rz", (top,), 2.0 * gamma * w)
+        )
     return Circuit(h.n_qubits, gates, phase)
 
 
@@ -136,6 +143,7 @@ def reference_bit_query(f, n: int | None = None) -> Circuit:
     hadamard = Gate("h", (ancilla,))
     gates: list = [hadamard]
     cxs: dict = {}
+    rotations: dict = {}
     phase = 0.0
     for mask, w in hf.items():
         if mask == 0:
@@ -143,7 +151,8 @@ def reference_bit_query(f, n: int | None = None) -> Circuit:
             phase -= math.pi * w / 2.0
             continue
         _reference_term(
-            gates, cxs, mask, lambda top: Gate("crz", (ancilla, top), 2.0 * math.pi * w)
+            gates, cxs, rotations, mask, w,
+            lambda top: Gate("crz", (ancilla, top), 2.0 * math.pi * w),
         )
     gates.append(hadamard)
     return Circuit(ancilla, gates, phase)

@@ -1,7 +1,8 @@
 """emit_evolution and emit_bit_query grow each term's CX ladder from the
 ladder of its prefix.  Their circuits equal the reference in conftest, which
 builds every ladder from its term's qubit list: the same gates in the same
-order, the same CX objects shared, and the same circuit text."""
+order, the same CX objects and rotations shared (one rotation per largest
+qubit and coefficient), and the same circuit text."""
 
 import math
 
@@ -12,10 +13,11 @@ from hypothesis import strategies as st
 
 from boolham.boolexpr import parse_dimacs, parse_expr
 from boolham.circuits import Circuit, emit_bit_query, emit_evolution, serialize
-from boolham.compiler import compile_pseudo
+from boolham.compiler import compile_expr, compile_pseudo
 from boolham.zpoly import DiagonalHamiltonian
 from conftest import reference_bit_query, reference_evolution
 from test_fold import PROPERTY, formula_and_size
+from test_table_switch import planted_3cnf
 
 gammas = st.floats(-4.0, 4.0, allow_nan=False)
 
@@ -80,6 +82,41 @@ def test_dense_operators(n):
         assert_same_circuit(emit_evolution(h, gamma), reference_evolution(h, gamma))
     every_mask = parse_expr(" | ".join(f"x{j}" for j in range(1, n + 1)) or "1")
     assert_same_circuit(emit_bit_query(every_mask, n), reference_bit_query(every_mask, n))
+
+
+@pytest.mark.parametrize("ratio", [2.0, 4.3])
+def test_dense_boolean_operator(ratio):
+    # a planted 3-CNF at n = 10: most of the 2^10 masks, few distinct coefficients
+    e = planted_3cnf(np.random.default_rng([22, round(10 * ratio)]), 10, round(10 * ratio))
+    h = compile_expr(e, 10)
+    assert h.size > 700
+    for gamma in (math.pi, 0.37):
+        c = emit_evolution(h, gamma)
+        assert_same_circuit(c, reference_evolution(h, gamma))
+        assert len({id(g) for g in c.gates if g.name == "rz"}) < h.size // 4
+    assert_same_circuit(emit_bit_query(e, 10), reference_bit_query(e, 10))
+
+
+def test_zero_gamma_keeps_the_sign_of_each_coefficient():
+    # 0.0 == -0.0: a rotation shared per angle would print "rz 3 0" for every term
+    h = DiagonalHamiltonian(3, {0b100: 0.5, 0b101: -0.5, 0b110: 0.5, 0b111: -0.25, 0b011: -0.5})
+    c = emit_evolution(h, 0.0)
+    assert_same_circuit(c, reference_evolution(h, 0.0))
+    assert [ln for ln in serialize(c).splitlines() if ln.startswith("rz")] == [
+        "rz 2 -0", "rz 3 0", "rz 3 -0", "rz 3 0", "rz 3 -0"
+    ]
+
+
+@pytest.mark.parametrize("emit", [emit_evolution, reference_evolution])
+def test_overflow_past_the_first_term(emit):
+    # the first non-finite angle in mask order is named, before the phase
+    h = DiagonalHamiltonian(3, {0: 1e308, 1: 2.0, 0b011: 1.0, 0b110: -1e308, 0b111: 1e308})
+    with pytest.raises(ValueError, match=r"^rz needs a finite angle, got inf\Z"):
+        emit(h, -10.0)
+    with pytest.raises(ValueError, match=r"^rz needs a finite angle, got -inf\Z"):
+        emit(h, 10.0)
+    with pytest.raises(ValueError, match=r"^global phase must be finite, got -inf\Z"):
+        emit(DiagonalHamiltonian(3, {0: 1e308, 0b101: 2.0}), 10.0)
 
 
 @pytest.mark.parametrize(

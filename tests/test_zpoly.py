@@ -1,7 +1,9 @@
 """Unit tests for the sparse diagonal Z-polynomial algebra."""
 
 import json
+import types
 
+import numpy as np
 import pytest
 
 from boolham.errors import ParseError, QubitCountError
@@ -48,6 +50,30 @@ class TestConstruction:
         # "2" and True used to be stored as 2.0 and 1.0
         with pytest.raises(ValueError, match="^coefficient must be a finite real number"):
             DiagonalHamiltonian(2, {1: coeff})
+
+    @pytest.mark.parametrize(
+        "mask", [1.5, 1.0, True, "3", None], ids=["float", "whole-float", "bool", "string", "none"]
+    )
+    def test_mask_must_be_an_integer(self, mask):
+        # 1.5 used to be stored (its repr then raised), True stored as mask 1
+        with pytest.raises(ValueError, match=r"^term mask must be an integer, got .*\Z"):
+            DiagonalHamiltonian(2, {mask: 1.0})
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint8, np.int32])
+    def test_numpy_integer_masks_are_stored_as_int(self, kind):
+        h = DiagonalHamiltonian(3, [(kind(5), 1.0), (kind(0), 0.5)])
+        assert list(h.items()) == [(0, 0.5), (5, 1.0)]
+        assert all(type(mask) is int for mask, _ in h.items())
+
+    def test_terms_of_any_mapping(self):
+        class Terms(dict):
+            pass
+
+        terms = {0: 0.5, 4: -0.5}
+        want = DiagonalHamiltonian(5, list(terms.items()))
+        assert DiagonalHamiltonian(5, terms) == want
+        assert DiagonalHamiltonian(5, Terms(terms)) == want
+        assert DiagonalHamiltonian(5, types.MappingProxyType(terms)) == want
 
     def test_zero_is_empty_map(self):
         z = DiagonalHamiltonian.zero(3)

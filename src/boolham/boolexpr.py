@@ -1,10 +1,12 @@
 """Boolean formula ASTs, the infix expression parser, and DIMACS/WCNF input.
 
 Every walk over a formula is one iterative post-order ``fold``.  ``compose``
-holds the composition rules once; ``eval_expr`` (ints), ``truth_table``
-(uint8 vectors, which ``compiler.compile_expr`` transforms into H_f) and
+holds the composition rules once; ``eval_expr`` (ints) and
 ``compiler._fold`` (Z-polynomials, for registers past the table's size cap
-and for clause sums) apply them.
+and for clause sums) apply them.  ``truth_table``, which
+``compiler.compile_expr`` transforms into H_f, holds f's table as one int
+of 2^n bits and applies each connective as one bitwise operation on it, so
+the table that verify checks the fold against shares no arithmetic with it.
 
 Grammar for the infix parser::
 
@@ -280,28 +282,55 @@ def eval_expr(e: BoolExpr, x: Assignment) -> int:
     return fold(e, lambda node, values: compose(node, values, 1, var))
 
 
+_LOW_COLUMNS = (0xAA, 0xCC, 0xF0)  # x1, x2, x3 across the 8 assignments of one byte
+
+
 def truth_table(e: BoolExpr, n: int) -> np.ndarray:
     """All 2^n values as a float vector indexed by assignment (x_1 = LSB).
 
-    Each variable is checked against the register when the fold first reads
-    it, so the formula is walked once; a variable above n (or a negative n)
-    raises register_size's QubitCountError, which names the largest variable.
+    The fold holds f's table as one int of 2^n bits, bit x being f(x), so
+    each connective is one bitwise operation; the bits become floats once,
+    at the end.  Each variable is checked against the register when the
+    fold first reads it, so the formula is walked once; a variable above n
+    (or a negative n) raises register_size's QubitCountError, which names
+    the largest variable.
     """
     check_table_cap(n)
     if n < 0:
         register_size(e, n)
-    idx = np.arange(1 << n, dtype=np.uint32)
-    one = np.ones(1 << n, dtype=np.uint8)
+    size = 1 << n
+    nbytes = (size + 7) >> 3
+    full = (1 << size) - 1
 
-    # compose never writes into its operands, so all uses of x_j share one column
+    # one column per variable, however often the formula reads it
     @functools.cache
-    def var(j: int) -> np.ndarray:
+    def var(j: int) -> int:
         if j > n:
             register_size(e, n)
-        return ((idx >> np.uint32(j - 1)) & 1).astype(np.uint8)
+        if j <= 3:  # the pattern repeats inside one byte
+            return int.from_bytes(bytes((_LOW_COLUMNS[j - 1],)) * nbytes, "little") & full
+        k = 1 << (j - 4)  # k zero bytes then k 0xff bytes, repeated
+        return int.from_bytes((bytes(k) + b"\xff" * k) * (nbytes // (2 * k)), "little")
 
-    table = fold(e, lambda node, values: compose(node, values, one, var), pairwise=True)
-    return table.astype(np.float64)
+    def combine(node: BoolExpr, values: Sequence[int]) -> int:
+        # n-ary nodes arrive pairwise: values is (acc, next operand)
+        if isinstance(node, Var):
+            return var(node.index)
+        if isinstance(node, Or):
+            return values[0] | values[1]
+        if isinstance(node, And):
+            return values[0] & values[1]
+        if isinstance(node, Not):
+            return full ^ values[0]
+        if isinstance(node, Xor):
+            return values[0] ^ values[1]
+        if isinstance(node, Implies):
+            return (full ^ values[0]) | values[1]
+        return full if node.value else 0
+
+    bits = fold(e, combine, pairwise=True)
+    packed = np.frombuffer(bits.to_bytes(nbytes, "little"), np.uint8)
+    return np.unpackbits(packed, bitorder="little")[:size].astype(np.float64)
 
 
 # -- printing ----------------------------------------------------------
@@ -475,10 +504,19 @@ class PseudoBooleanObjective:
         return sum(w * eval_expr(e, x) for w, e in self.clauses)
 
 
-def _clause_expr(lits: Sequence[int]) -> BoolExpr:
+class _Literals(dict):
+    """DIMACS literal -> its node, made on first use; one per parse, so every
+    clause that reads a literal shares it (nodes are immutable)."""
+
+    def __missing__(self, lit: int) -> BoolExpr:
+        node = self[lit] = Var(lit) if lit > 0 else Not(self[-lit])
+        return node
+
+
+def _clause_expr(lits: Sequence[int], literals: _Literals) -> BoolExpr:
     if not lits:
         return Const(0)  # empty clause is unsatisfiable
-    parts = tuple(Var(l) if l > 0 else Not(Var(-l)) for l in lits)
+    parts = tuple(map(literals.__getitem__, lits))
     return parts[0] if len(parts) == 1 else Or(parts)
 
 
@@ -565,6 +603,7 @@ def parse_dimacs(text: str) -> tuple[PseudoBooleanObjective, BoolExpr]:
             f"header declares {n_clauses_declared} clauses, found {len(clause_lits)}"
         )
 
-    clause_exprs = [_clause_expr(lits) for lits in clause_lits]
+    literals = _Literals()
+    clause_exprs = [_clause_expr(lits, literals) for lits in clause_lits]
     objective = PseudoBooleanObjective._from_checked(n_vars, tuple(zip(weights, clause_exprs)))
     return objective, conjunction(clause_exprs)

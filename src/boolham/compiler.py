@@ -1,6 +1,12 @@
 """Compile formulas and pseudo-Boolean objectives into Z-polynomials.
 
-``compile_expr`` applies the composition rules of ``boolexpr.compose``
+``compile_expr`` takes one of two paths, chosen once from the register
+size.  Where the value table has at most ``SIZE_CAP`` entries
+(2^n <= SIZE_CAP, n <= 19) it tabulates f (``truth_table``, one bitwise
+operation on 2^n bits per connective) and one Walsh-Hadamard transform
+turns f's values into H_f: the transform's cost is fixed by n, whatever
+the formula.  Above that it applies the composition rules of
+``boolexpr.compose``
 
     H_!f     = I - H_f
     H_(f&g)  = H_f H_g
@@ -8,13 +14,8 @@
     H_(f^g)  = H_f + H_g - 2 H_f H_g
     H_(f=>g) = I - H_f + H_f H_g
 
-with H_0 = 0, H_1 = I and H_xj = (I - Z_j)/2, on one of two rings, chosen
-once from the register size.  Where the value table has at most
-``SIZE_CAP`` entries (2^n <= SIZE_CAP, n <= 19) it composes 0/1 vectors
-(``truth_table``) and one Walsh-Hadamard transform turns f's values into
-H_f: its cost is fixed by n, whatever the formula.  Above that it folds
-sparse Z-polynomials (``_fold``), pairwise for n-ary nodes, each operand as
-it finishes; a product of two operators with up to T terms each costs up
+with H_0 = 0, H_1 = I and H_xj = (I - Z_j)/2 to sparse Z-polynomials
+(``_fold``), pairwise for n-ary nodes, each operand as it finishes; a product of two operators with up to T terms each costs up
 to T^2 term products, so the fold is the path for formulas that stay
 sparse on a large register.  Both paths are exact, so the output is the
 same to the bit: the table sums integers, and every partial sum in the fold
@@ -23,8 +24,9 @@ are 0/1 functions, whose coefficient vectors have norm at most 1), which
 takes at most 2n + 2 bits.  The cap keeps its meaning: no table is larger
 than ``SIZE_CAP``, and only the fold at n >= 20 can build an intermediate
 operator above ``SIZE_CAP`` terms (general formulas can be exponentially
-dense).  Formulas that stay sparse on a large register pay for the table:
-x1 & x19 takes about 16 ms, against 0.06 ms on the fold.
+dense).  Formulas that stay sparse on a large register pay for the
+transform: x1 & x19 takes about 8 ms (0.5 ms of it the table), against
+0.02 ms on the fold.
 
 Weighted clause sums (``compile_pseudo``, ``augment_penalties``) add every
 clause into one term table and prune once.  A clause that is a literal or

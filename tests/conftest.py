@@ -1,17 +1,19 @@
 """Shared test oracles, independent of the library code paths they check."""
 
+import functools
 import math
 import re
 
 import numpy as np
 import pytest
 
+from boolham.boolexpr import Const, Not, Or, Var, compose, fold, register_size
 from boolham.circuits import Circuit, Gate, _circuit, _line_error, _parse_gate
 from boolham.compiler import compile_expr
 from boolham.errors import ParseError
 from boolham.oracle import _check_cap, _hadamard_rows
 from boolham.pauli import PauliOperator, PauliString
-from boolham.zpoly import DiagonalHamiltonian, qubit_bit, qubits_of
+from boolham.zpoly import DiagonalHamiltonian, check_table_cap, qubit_bit, qubits_of
 
 
 def brute_fourier(values) -> dict[int, float]:
@@ -56,6 +58,34 @@ def brute_table(expr_eval, n: int) -> list[int]:
     """Truth table via per-assignment recursive evaluation (not the
     vectorized path)."""
     return [expr_eval(x) for x in range(1 << n)]
+
+
+def reference_truth_table(e, n: int) -> np.ndarray:
+    """The composition rules (``compose``) on 0/1 uint8 vectors, one column
+    per variable, pairwise for n-ary nodes: the vector form of truth_table,
+    with its cap and register checks."""
+    check_table_cap(n)
+    if n < 0:
+        register_size(e, n)
+    idx = np.arange(1 << n, dtype=np.uint32)
+    one = np.ones(1 << n, dtype=np.uint8)
+
+    @functools.cache
+    def var(j: int) -> np.ndarray:
+        if j > n:
+            register_size(e, n)
+        return ((idx >> np.uint32(j - 1)) & 1).astype(np.uint8)
+
+    table = fold(e, lambda node, values: compose(node, values, one, var), pairwise=True)
+    return table.astype(np.float64)
+
+
+def reference_clause_expr(lits):
+    """A DIMACS clause built from fresh nodes, one per occurrence of a literal."""
+    if not lits:
+        return Const(0)
+    parts = tuple(Var(l) if l > 0 else Not(Var(-l)) for l in lits)
+    return parts[0] if len(parts) == 1 else Or(parts)
 
 
 def kron_chain(mats) -> np.ndarray:

@@ -90,7 +90,8 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
 
 def formulas(n: int):
-    leaves = st.one_of(st.integers(1, n).map(Var), st.sampled_from([Const(0), Const(1)]))
+    constants = st.sampled_from([Const(0), Const(1)])
+    leaves = st.one_of(st.integers(1, n).map(Var), constants) if n else constants
 
     def extend(kids):
         operands = st.lists(kids, min_size=2, max_size=3).map(tuple)

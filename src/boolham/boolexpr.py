@@ -1,12 +1,17 @@
 """Boolean formula ASTs, the infix expression parser, and DIMACS/WCNF input.
 
-Every walk over a formula is one iterative post-order ``fold``.  ``compose``
-holds the composition rules once; ``eval_expr`` (ints) and
-``compiler._fold`` (Z-polynomials, for registers past the table's size cap
-and for clause sums) apply them.  ``truth_table``, which
-``compiler.compile_expr`` transforms into H_f, holds f's table as one int
-of 2^n bits and applies each connective as one bitwise operation on it, so
-the table that verify checks the fold against shares no arithmetic with it.
+Every walk over a formula is one iterative post-order ``fold``: it keeps
+an explicit stack of frames, one per node on the path from the root (the
+node, its operands, the next operand's index, and the values gathered so
+far or a pairwise accumulator), and dispatches on the node's type.
+Equality, hashing, ``max_var``, ``eval_expr``, ``to_text`` and
+``truth_table`` all go through it.  ``compose`` holds the composition
+rules once; ``eval_expr`` (ints) and ``compiler._fold`` (Z-polynomials,
+for registers past the table's size cap and for clause sums) apply them.
+``truth_table``, which ``compiler.compile_expr`` transforms into H_f,
+holds f's table as one int of 2^n bits and applies each connective as one
+bitwise operation on it, so the table that verify checks the fold against
+shares no arithmetic with it.
 
 Grammar for the infix parser::
 
@@ -21,6 +26,11 @@ Precedence from tightest to loosest: ! & ^ | =>.  N-ary And/Or/Xor nodes
 are flattened, so "x1 & x2 & x3" is a single And with three children.
 Parentheses nest at most MAX_NESTING deep.
 
+``parse_dimacs`` reads DIMACS CNF and WCNF text in one pass: comment and
+blank lines are dropped, the body is split into tokens once, each distinct
+token is read once, and each clause node is built on its literals' shared
+nodes as given.  The line of a fault is found only when one is raised.
+
 Assignments follow the package-wide convention: an integer assignment has
 x_1 as its least significant bit; sequences list (x_1, x_2, ...).
 """
@@ -31,7 +41,8 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TypeVar, Union
+from itertools import accumulate, chain
+from typing import Callable, Container, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -118,6 +129,15 @@ class _NAry(BoolExpr):
         if len(self.children) < 2:
             raise ValueError(f"{type(self).__name__} needs at least two children")
 
+    @classmethod
+    def _of(cls, children: tuple[BoolExpr, ...]) -> "_NAry":
+        """A node on ``children`` as given, for callers that know there are
+        two or more and none is of type cls: __post_init__ would change
+        nothing."""
+        node = object.__new__(cls)
+        object.__setattr__(node, "children", children)
+        return node
+
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class And(_NAry):
@@ -143,57 +163,62 @@ class Implies(BoolExpr):
 # -- the fold ------------------------------------------------------------
 
 
-def _operands(node: BoolExpr) -> tuple[BoolExpr, ...]:
-    if isinstance(node, (Var, Const)):
-        return ()
-    if isinstance(node, Not):
-        return (node.child,)
-    if isinstance(node, _NAry):
-        return node.children
-    if isinstance(node, Implies):
-        return (node.lhs, node.rhs)
-    raise TypeError(f"not a BoolExpr node: {node!r}")
+# operand count by node type: 0 leaf, 1 Not, 2 Implies, 3 And/Or/Xor (any count)
+_KIND = {Var: 0, Const: 0, Not: 1, Implies: 2, And: 3, Or: 3, Xor: 3}
 
 
 def fold(
     e: BoolExpr, combine: Callable[[BoolExpr, Sequence[T]], T], pairwise: bool = False
 ) -> T:
     """Post-order fold: combine(node, values of its operands, in order) at
-    every node, operands first.  Iterative, so depth costs memory only.
+    every node, operands first; a leaf gets ().  Iterative, so depth costs
+    memory only.
 
-    With ``pairwise``, an And/Or/Xor node takes its operands as they finish:
-    acc = combine(node, (acc, value)) for each operand after the first, and
-    the last acc is the node's value.  For ``compose`` that is the same
-    arithmetic in the same order, with one pending operand per node instead
-    of all of them.
+    The walk keeps one frame per node on the path from the root: the node,
+    its operands, the index of the next operand to visit, and the values
+    its finished operands gave.  A finished value goes into the top frame;
+    the frame then descends into its next operand, or, when it has none
+    left, is popped and combined.  A node that is not a BoolExpr raises
+    TypeError when the walk reaches it.
+
+    With ``pairwise``, an And/Or/Xor frame holds an accumulator instead of
+    the values: acc = combine(node, (acc, value)) as each operand after the
+    first finishes, and the last acc is the node's value.  For ``compose``
+    that is the same arithmetic in the same order, with one pending operand
+    per node instead of all of them.
     """
-    order: list[tuple[BoolExpr, int]] = []
-    pending: list = [e]  # nodes to expand, and (node, 2) pairwise steps
-    while pending:
-        node = pending.pop()
-        if type(node) is tuple:
-            order.append(node)
+    frames: list[list] = []  # [node, operands, next index, values or acc, pairwise]
+    node = e
+    while True:
+        kind = _KIND.get(type(node))
+        if kind:  # descend into the first operand
+            if kind == 3:
+                operands = node.children
+                frames.append([node, operands, 1, None if pairwise else [], pairwise])
+            else:
+                operands = (node.child,) if kind == 1 else (node.lhs, node.rhs)
+                frames.append([node, operands, 1, [], False])
+            node = operands[0]
             continue
-        operands = _operands(node)
-        if pairwise and isinstance(node, _NAry):
-            pending.append(operands[0])
-            for operand in operands[1:]:
-                pending.append(operand)
-                pending.append((node, 2))
+        if kind is None:
+            raise TypeError(f"not a BoolExpr node: {node!r}")
+        value = combine(node, ())
+        while frames:  # hand the value up until a frame has an operand left
+            frame = frames[-1]
+            i = frame[2]
+            if frame[4]:
+                frame[3] = value if i == 1 else combine(frame[0], (frame[3], value))
+            else:
+                frame[3].append(value)
+            operands = frame[1]
+            if i < len(operands):
+                frame[2] = i + 1
+                node = operands[i]
+                break
+            frames.pop()
+            value = frame[3] if frame[4] else combine(frame[0], frame[3])
         else:
-            order.append((node, len(operands)))
-            pending.extend(operands)
-    # reversed pre-order with the last operand expanded first is a
-    # left-to-right post-order: each node's operand values end the stack
-    values: list = []
-    for node, arity in reversed(order):
-        if arity:
-            args = values[-arity:]
-            del values[-arity:]
-        else:
-            args = ()
-        values.append(combine(node, args))
-    return values[0]
+            return value
 
 
 def compose(
@@ -238,7 +263,8 @@ def _structure(e: BoolExpr) -> tuple:
     key: list[tuple] = []
 
     def tag(node: BoolExpr, values: Sequence) -> None:
-        key.append((type(node), getattr(node, "index", getattr(node, "value", len(values)))))
+        t = type(node)
+        key.append((t, node.index if t is Var else node.value if t is Const else len(values)))
 
     fold(e, tag)
     return tuple(key)
@@ -247,7 +273,7 @@ def _structure(e: BoolExpr) -> tuple:
 def max_var(e: BoolExpr) -> int:
     """Largest variable index appearing in the formula (0 if none)."""
     return fold(
-        e, lambda node, values: node.index if isinstance(node, Var) else max(values, default=0)
+        e, lambda node, values: node.index if type(node) is Var else max(values, default=0)
     )
 
 
@@ -314,17 +340,18 @@ def truth_table(e: BoolExpr, n: int) -> np.ndarray:
 
     def combine(node: BoolExpr, values: Sequence[int]) -> int:
         # n-ary nodes arrive pairwise: values is (acc, next operand)
-        if isinstance(node, Var):
+        t = type(node)
+        if t is Var:
             return var(node.index)
-        if isinstance(node, Or):
+        if t is Or:
             return values[0] | values[1]
-        if isinstance(node, And):
+        if t is And:
             return values[0] & values[1]
-        if isinstance(node, Not):
+        if t is Not:
             return full ^ values[0]
-        if isinstance(node, Xor):
+        if t is Xor:
             return values[0] ^ values[1]
-        if isinstance(node, Implies):
+        if t is Implies:
             return (full ^ values[0]) | values[1]
         return full if node.value else 0
 
@@ -457,7 +484,11 @@ class _Parser:
         if tok in ("0", "1"):
             return Const(int(tok))
         if tok.startswith("x"):
-            j = int(tok[1:])
+            try:
+                j = int(tok[1:])
+            except ValueError:  # past int()'s limit on digits
+                digits = len(tok) - 1
+                raise ParseError(f"variable index of {digits} digits is too long", where) from None
             if j < 1:
                 raise ParseError(f"variable index must be >= 1: {tok}", where)
             if self.n_vars is not None and j > self.n_vars:
@@ -513,13 +544,6 @@ class _Literals(dict):
         return node
 
 
-def _clause_expr(lits: Sequence[int], literals: _Literals) -> BoolExpr:
-    if not lits:
-        return Const(0)  # empty clause is unsatisfiable
-    parts = tuple(map(literals.__getitem__, lits))
-    return parts[0] if len(parts) == 1 else Or(parts)
-
-
 def conjunction(clauses: Sequence[BoolExpr]) -> BoolExpr:
     """And of all clause expressions (Const(1) for an empty list)."""
     if not clauses:
@@ -529,81 +553,175 @@ def conjunction(clauses: Sequence[BoolExpr]) -> BoolExpr:
     return And(tuple(clauses))
 
 
+class _Unread(Exception):
+    """A DIMACS clause body holds a token that its place does not accept."""
+
+
+def _read_clauses(
+    tokens: list[str], starts: Container[int], n_vars: int
+) -> tuple[list[float], list[BoolExpr], bool]:
+    """The clauses in a body's tokens: their weights, their nodes, and
+    whether a clause is left open at the end.  A clause is the literals up
+    to a 0 and may span lines.  A clause that starts at a token index in
+    ``starts`` (where a WCNF line starts) takes that token as its weight;
+    any other clause has weight 1.  Each distinct token is read once, and
+    each literal gets one node, which every clause that reads it shares.
+    Raises _Unread for a literal that int() cannot read or that is past
+    n_vars, and for a weight that float() cannot read or that is not
+    finite."""
+    value: dict[str, int] = {}
+    for token in set(tokens):
+        try:
+            lit = int(token)
+        except ValueError:
+            continue
+        if abs(lit) <= n_vars:
+            value[token] = lit
+    literals = _Literals()
+    node = {token: literals[lit] for token, lit in value.items() if lit}
+    values = list(map(value.get, tokens))  # None: not a literal
+    nodes = list(map(node.get, tokens))
+    weights: list[float] = []
+    clauses: list[BoolExpr] = []
+    weights_unread = 0  # weight tokens that no literal reads: the only Nones allowed
+    p = 0
+    size = len(tokens)
+    left_open = False
+    while p < size:
+        weight = 1.0
+        if p in starts:
+            try:
+                weight = float(tokens[p])
+            except ValueError:
+                raise _Unread from None
+            if not math.isfinite(weight):
+                raise _Unread
+            weights_unread += values[p] is None
+            p += 1
+        try:
+            end = values.index(0, p)
+        except ValueError:  # no 0 left: the clause is open
+            left_open = True
+            break
+        parts = nodes[p:end]
+        if len(parts) > 1:  # literals are never Or nodes
+            clauses.append(Or._of(tuple(parts)))
+        else:  # the empty clause is unsatisfiable
+            clauses.append(parts[0] if parts else Const(0))
+        weights.append(weight)
+        p = end + 1
+    if values.count(None) != weights_unread:
+        raise _Unread
+    return weights, clauses, left_open
+
+
+def _dimacs_error(text: str, k: int, message: str) -> ParseError:
+    """A ParseError naming the line of the k-th (0-based) line of text that
+    is neither blank nor a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and line[0] != "c":
+            if not k:
+                return ParseError(f"line {lineno}: {message}")
+            k -= 1
+    raise AssertionError("no such line")
+
+
+def _plain(line: str) -> bool:
+    # int() and float() also read "1_0" and digits of other scripts
+    return line.isascii() and "_" not in line
+
+
+def _read_header(text: str, line: str) -> tuple[int, int, bool]:
+    """(variable count, declared clause count, whether it is WCNF) from the
+    first line that is neither blank nor a comment."""
+    if not _plain(line):
+        raise _dimacs_error(text, 0, f"numbers must be plain ASCII digits: {line!r}")
+    if line[0] != "p":
+        raise _dimacs_error(text, 0, "clause before 'p cnf' header")
+    fields = line.split()
+    if len(fields) != 4 or fields[1] not in ("cnf", "wcnf"):
+        raise _dimacs_error(text, 0, f"malformed header {line!r}")
+    try:
+        n_vars, n_declared = int(fields[2]), int(fields[3])
+    except ValueError as exc:
+        raise _dimacs_error(text, 0, f"malformed header {line!r}") from exc
+    if n_vars < 0 or n_declared < 0:
+        raise _dimacs_error(text, 0, "negative counts in header")
+    return n_vars, n_declared, fields[1] == "wcnf"
+
+
+def _line_fault(line: str, n_vars: int, takes_weight: bool) -> tuple[str | None, bool]:
+    """The first fault in one body line, or None, and whether a clause is
+    open after it (for a line without a fault)."""
+    if not _plain(line):
+        return f"numbers must be plain ASCII digits: {line!r}", False
+    if line[0] == "p":
+        return "duplicate problem line", False
+    fields = line.split()
+    if takes_weight:
+        token = fields.pop(0)
+        try:
+            weight = float(token)
+        except ValueError:
+            return f"bad clause weight {token!r}", False
+        if not math.isfinite(weight):
+            return f"clause weight {token!r} must be finite", False
+    lit = None
+    for token in fields:
+        try:
+            lit = int(token)
+        except ValueError:
+            return f"bad literal {token!r}", False
+        if abs(lit) > n_vars:
+            return f"literal {lit} out of range (n={n_vars})", False
+    return None, lit != 0  # a weight alone leaves its clause open
+
+
+def _first_fault(text: str, body: list[str], n_vars: int, weighted: bool) -> ParseError:
+    """The error of the first faulty body line, found line by line."""
+    is_open = False  # a clause is open where the line starts
+    for k, line in enumerate(body):
+        fault, is_open = _line_fault(line, n_vars, weighted and not is_open)
+        if fault:
+            return _dimacs_error(text, k + 1, fault)
+    raise AssertionError("no faulty line")
+
+
 def parse_dimacs(text: str) -> tuple[PseudoBooleanObjective, BoolExpr]:
     """Parse DIMACS CNF (or WCNF with per-clause leading weights).
 
     Returns both views of the formula: the MAX-SAT objective (one weighted
     OR-clause per input clause, unit weights for plain CNF) and the single
     conjunction expression (the SAT view).
+
+    One pass: blank and comment lines are dropped, the first line left is
+    the header, and the rest is split into tokens once.  Each distinct
+    token is read as a literal once, and each clause is the slice up to its
+    0.  The line of a fault is found only when one is raised.
     """
-    n_vars = None
-    n_clauses_declared = None
-    weighted = False
-    weights: list[float] = []
-    clause_lits: list[list[int]] = []
-    current: list[int] = []
-    current_weight: float | None = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if not line.isascii() or "_" in line:  # int() and float() read "1_0" and non-ASCII digits
-            raise ParseError(f"line {lineno}: numbers must be plain ASCII digits: {line!r}")
-        if line.startswith("p"):
-            if n_vars is not None:
-                raise ParseError(f"line {lineno}: duplicate problem line")
-            fields = line.split()
-            if len(fields) != 4 or fields[1] not in ("cnf", "wcnf"):
-                raise ParseError(f"line {lineno}: malformed header {line!r}")
-            try:
-                n_vars = int(fields[2])
-                n_clauses_declared = int(fields[3])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: malformed header {line!r}") from exc
-            if n_vars < 0 or n_clauses_declared < 0:
-                raise ParseError(f"line {lineno}: negative counts in header")
-            weighted = fields[1] == "wcnf"
-            continue
-        if n_vars is None:
-            raise ParseError(f"line {lineno}: clause before 'p cnf' header")
-        fields = line.split()
-        start = 0
-        if weighted and current_weight is None and not current:
-            try:
-                current_weight = float(fields[0])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad clause weight {fields[0]!r}") from exc
-            if not math.isfinite(current_weight):
-                raise ParseError(f"line {lineno}: clause weight {fields[0]!r} must be finite")
-            start = 1
-        for tok in fields[start:]:
-            try:
-                lit = int(tok)
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad literal {tok!r}") from exc
-            if lit == 0:
-                clause_lits.append(current)
-                weights.append(1.0 if current_weight is None else current_weight)
-                current = []
-                current_weight = None
-            else:
-                if abs(lit) > n_vars:
-                    raise ParseError(
-                        f"line {lineno}: literal {lit} out of range (n={n_vars})"
-                    )
-                current.append(lit)
-
-    if n_vars is None:
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "c"]
+    if not lines:
         raise ParseError("missing 'p cnf' header")
-    if current or current_weight is not None:
+    n_vars, n_declared, weighted = _read_header(text, lines[0])
+    body = lines[1:]
+    joined = " ".join(body)
+    if weighted:  # a clause that starts a line starts with its weight
+        rows = list(map(str.split, body))
+        tokens = list(chain.from_iterable(rows))
+        starts = set(accumulate(map(len, rows), initial=0))
+    else:
+        tokens, starts = joined.split(), ()
+    try:
+        if not _plain(joined):
+            raise _Unread
+        weights, exprs, left_open = _read_clauses(tokens, starts, n_vars)
+    except _Unread:
+        raise _first_fault(text, body, n_vars, weighted) from None
+    if left_open:
         raise ParseError("last clause is missing its terminating 0")
-    if n_clauses_declared is not None and len(clause_lits) != n_clauses_declared:
-        raise ParseError(
-            f"header declares {n_clauses_declared} clauses, found {len(clause_lits)}"
-        )
-
-    literals = _Literals()
-    clause_exprs = [_clause_expr(lits, literals) for lits in clause_lits]
-    objective = PseudoBooleanObjective._from_checked(n_vars, tuple(zip(weights, clause_exprs)))
-    return objective, conjunction(clause_exprs)
+    if len(exprs) != n_declared:
+        raise ParseError(f"header declares {n_declared} clauses, found {len(exprs)}")
+    objective = PseudoBooleanObjective._from_checked(n_vars, tuple(zip(weights, exprs)))
+    # clauses are literals, Const(0) or Or nodes, never And nodes
+    return objective, And._of(tuple(exprs)) if len(exprs) > 1 else conjunction(exprs)

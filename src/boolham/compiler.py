@@ -90,8 +90,10 @@ def _guard(size: int, value=None):
 
 
 def _takes_table(n: int) -> bool:
-    """Whether compile_expr composes n-qubit formulas on the value table."""
-    return 1 << n <= SIZE_CAP
+    """Whether compile_expr composes n-qubit formulas on the value table:
+    2^n <= SIZE_CAP, n <= 19.  It compares n, not 2^n, so a huge register
+    reaches the register check instead of building a 2^n-bit int."""
+    return n <= SIZE_CAP.bit_length() - 1
 
 
 def _fold(e: BoolExpr, n: int) -> DiagonalHamiltonian:

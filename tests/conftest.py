@@ -7,7 +7,18 @@ import re
 import numpy as np
 import pytest
 
-from boolham.boolexpr import Const, Not, Or, Var, compose, fold, register_size
+from boolham.boolexpr import (
+    And,
+    Const,
+    Implies,
+    Not,
+    Or,
+    PseudoBooleanObjective,
+    Var,
+    Xor,
+    compose,
+    register_size,
+)
 from boolham.circuits import Circuit, Gate, _circuit, _line_error, _parse_gate
 from boolham.compiler import compile_expr
 from boolham.errors import ParseError
@@ -60,6 +71,51 @@ def brute_table(expr_eval, n: int) -> list[int]:
     return [expr_eval(x) for x in range(1 << n)]
 
 
+def _reference_operands(node) -> tuple:
+    if isinstance(node, (Var, Const)):
+        return ()
+    if isinstance(node, Not):
+        return (node.child,)
+    if isinstance(node, (And, Or, Xor)):
+        return node.children
+    if isinstance(node, Implies):
+        return (node.lhs, node.rhs)
+    raise TypeError(f"not a BoolExpr node: {node!r}")
+
+
+def reference_fold(e, combine, pairwise: bool = False):
+    """boolexpr.fold as a pre-order list of (node, arity) steps, replayed in
+    reverse on a value stack; a pairwise And/Or/Xor adds a (node, 2) step
+    after each operand past the first."""
+    order: list = []
+    pending: list = [e]  # nodes to expand, and (node, 2) pairwise steps
+    while pending:
+        node = pending.pop()
+        if type(node) is tuple:
+            order.append(node)
+            continue
+        operands = _reference_operands(node)
+        if pairwise and isinstance(node, (And, Or, Xor)):
+            pending.append(operands[0])
+            for operand in operands[1:]:
+                pending.append(operand)
+                pending.append((node, 2))
+        else:
+            order.append((node, len(operands)))
+            pending.extend(operands)
+    # reversed pre-order with the last operand expanded first is a
+    # left-to-right post-order: each node's operand values end the stack
+    values: list = []
+    for node, arity in reversed(order):
+        if arity:
+            args = values[-arity:]
+            del values[-arity:]
+        else:
+            args = ()
+        values.append(combine(node, args))
+    return values[0]
+
+
 def reference_truth_table(e, n: int) -> np.ndarray:
     """The composition rules (``compose``) on 0/1 uint8 vectors, one column
     per variable, pairwise for n-ary nodes: the vector form of truth_table,
@@ -76,7 +132,7 @@ def reference_truth_table(e, n: int) -> np.ndarray:
             register_size(e, n)
         return ((idx >> np.uint32(j - 1)) & 1).astype(np.uint8)
 
-    table = fold(e, lambda node, values: compose(node, values, one, var), pairwise=True)
+    table = reference_fold(e, lambda node, values: compose(node, values, one, var), pairwise=True)
     return table.astype(np.float64)
 
 
@@ -86,6 +142,89 @@ def reference_clause_expr(lits):
         return Const(0)
     parts = tuple(Var(l) if l > 0 else Not(Var(-l)) for l in lits)
     return parts[0] if len(parts) == 1 else Or(parts)
+
+
+def reference_parse_dimacs(text: str):
+    """parse_dimacs line by line: each line that is neither blank nor a
+    comment is checked and read on its own, in order; one node per distinct
+    literal, shared by the clauses that read it."""
+    n_vars = None
+    n_clauses_declared = None
+    weighted = False
+    weights: list[float] = []
+    clause_lits: list[list[int]] = []
+    current: list[int] = []
+    current_weight = None
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if not line.isascii() or "_" in line:
+            raise ParseError(f"line {lineno}: numbers must be plain ASCII digits: {line!r}")
+        if line.startswith("p"):
+            if n_vars is not None:
+                raise ParseError(f"line {lineno}: duplicate problem line")
+            fields = line.split()
+            if len(fields) != 4 or fields[1] not in ("cnf", "wcnf"):
+                raise ParseError(f"line {lineno}: malformed header {line!r}")
+            try:
+                n_vars = int(fields[2])
+                n_clauses_declared = int(fields[3])
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: malformed header {line!r}") from exc
+            if n_vars < 0 or n_clauses_declared < 0:
+                raise ParseError(f"line {lineno}: negative counts in header")
+            weighted = fields[1] == "wcnf"
+            continue
+        if n_vars is None:
+            raise ParseError(f"line {lineno}: clause before 'p cnf' header")
+        fields = line.split()
+        start = 0
+        if weighted and current_weight is None and not current:
+            try:
+                current_weight = float(fields[0])
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: bad clause weight {fields[0]!r}") from exc
+            if not math.isfinite(current_weight):
+                raise ParseError(f"line {lineno}: clause weight {fields[0]!r} must be finite")
+            start = 1
+        for tok in fields[start:]:
+            try:
+                lit = int(tok)
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: bad literal {tok!r}") from exc
+            if lit == 0:
+                clause_lits.append(current)
+                weights.append(1.0 if current_weight is None else current_weight)
+                current = []
+                current_weight = None
+            else:
+                if abs(lit) > n_vars:
+                    raise ParseError(f"line {lineno}: literal {lit} out of range (n={n_vars})")
+                current.append(lit)
+
+    if n_vars is None:
+        raise ParseError("missing 'p cnf' header")
+    if current or current_weight is not None:
+        raise ParseError("last clause is missing its terminating 0")
+    if len(clause_lits) != n_clauses_declared:
+        raise ParseError(f"header declares {n_clauses_declared} clauses, found {len(clause_lits)}")
+
+    nodes: dict = {}
+
+    def literal(l: int):
+        if l not in nodes:
+            nodes[l] = Var(l) if l > 0 else Not(literal(-l))
+        return nodes[l]
+
+    exprs = []
+    for lits in clause_lits:
+        parts = tuple(map(literal, lits))
+        exprs.append(Const(0) if not parts else parts[0] if len(parts) == 1 else Or(parts))
+    objective = PseudoBooleanObjective(n_vars, tuple(zip(weights, exprs)))
+    conj = Const(1) if not exprs else exprs[0] if len(exprs) == 1 else And(tuple(exprs))
+    return objective, conj
 
 
 def kron_chain(mats) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""The formula fold: deep formulas, parser limits, and the composition
-rules as properties over random formulas."""
+"""The formula fold: deep formulas, parser limits, the frame walk against
+the reference walk, and the composition rules as properties over random
+formulas."""
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from boolham.boolexpr import (
     Var,
     Xor,
     eval_expr,
+    fold,
     max_var,
     parse_expr,
     to_text,
@@ -24,6 +26,7 @@ from boolham.cli import main
 from boolham.compiler import compile_expr
 from boolham.errors import ParseError
 from boolham.zpoly import bit_projector
+from conftest import reference_fold
 
 DEPTH = 5000
 
@@ -60,6 +63,49 @@ class TestDeepFormulas:
         assert truth_table(e, 2).tolist() == [eval_expr(e, x) for x in range(4)]
         with pytest.raises(ParseError, match="nested deeper"):
             parse_expr(to_text(e))
+
+
+    @pytest.mark.parametrize("shape", ["nary-last-operand", "implies-lhs"])
+    def test_chain(self, shape):
+        def build():
+            e = Var(1)
+            for i in range(DEPTH):
+                if shape == "implies-lhs":
+                    e = Implies(e, Var(2))
+                else:  # alternating types, so no node flattens into its parent
+                    e = (And if i % 2 else Or)((Var(2), Not(Var(1)), e))
+            return e
+
+        e = build()
+        table = [eval_expr(e, x) for x in range(4)]
+        assert truth_table(e, 2).tolist() == table
+        h = compile_expr(e, 2)
+        assert [h.eval(x) for x in range(4)] == table
+        sparse = compile_expr(e, 24)  # past the table's size cap: the fold
+        assert [sparse.eval(x) for x in range(4)] == table
+        assert [(mask, c.hex()) for mask, c in sparse.items()] == [
+            (mask, c.hex()) for mask, c in h.items()
+        ]
+        assert max_var(e) == 2
+        text = to_text(e)
+        assert text.count("x1") == 1 + (DEPTH if shape != "implies-lhs" else 0)
+        twin = build()
+        assert e == twin and hash(e) == hash(twin) and {e: 1}[twin] == 1
+        assert e != Not(twin)
+
+    @pytest.mark.parametrize(
+        "e",
+        [And((Var(1), 5)), Not(None), Implies(Var(1), "x2"), Or((Xor((Var(1), Var(2))), Not(3.0)))],
+        ids=["nary", "not", "implies", "nested"],
+    )
+    def test_non_node_operand_is_a_type_error(self, e):
+        for pairwise in (False, True):
+            with pytest.raises(TypeError, match="not a BoolExpr node"):
+                fold(e, lambda node, values: 0, pairwise)
+        with pytest.raises(TypeError, match="not a BoolExpr node"):
+            truth_table(e, 2)
+        with pytest.raises(TypeError, match="not a BoolExpr node"):
+            max_var(e)
 
 
 class TestParserLimits:
@@ -137,3 +183,46 @@ def test_parseval(case):
     e, n = case
     h = compile_expr(e, n)
     assert abs(sum(c * c for _, c in h.items()) - h.identity_coeff) <= 1e-9
+
+
+# -- the frame walk against the reference walk --------------------------------
+
+NODE_TYPES = ["not", "implies", "and", "or", "xor"]
+
+
+@st.composite
+def shared_formulas(draw):
+    """A formula over x1..x4 built bottom-up from a pool of nodes: each new
+    node takes its operands from the pool with repeats, so subtrees are
+    shared; And/Or/Xor take 2-6 operands."""
+    pool = draw(st.lists(st.sampled_from([Var(1), Var(2), Var(3), Var(4), Const(0), Const(1)]),
+                         min_size=1, max_size=4))
+    for kind in draw(st.lists(st.sampled_from(NODE_TYPES), min_size=1, max_size=14)):
+        pick = st.sampled_from(pool)
+        if kind == "not":
+            node = Not(draw(pick))
+        elif kind == "implies":
+            node = Implies(draw(pick), draw(pick))
+        else:
+            operands = tuple(draw(st.lists(pick, min_size=2, max_size=6)))
+            node = {"and": And, "or": Or, "xor": Xor}[kind](operands)
+        pool.append(node)
+    return pool[-1]
+
+
+def recorded_fold(walk, e, pairwise):
+    """The combine calls walk makes, as (node id, operand values); each call
+    returns its own index, so the values name the calls that made them."""
+    calls = []
+
+    def combine(node, values):
+        calls.append((id(node), tuple(values)))
+        return len(calls) - 1
+
+    return walk(e, combine, pairwise), calls
+
+
+@PROPERTY
+@given(shared_formulas(), st.booleans())
+def test_frame_walk_makes_the_reference_walks_calls(e, pairwise):
+    assert recorded_fold(fold, e, pairwise) == recorded_fold(reference_fold, e, pairwise)

@@ -3,6 +3,11 @@ from the CLI, ParseError or QubitCountError from the library."""
 
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -415,6 +420,76 @@ def test_malformed_dimacs_names_the_line(text, tmp_path, capsys):
     code, out, err = run(capsys, "count", "--dimacs", str(path))
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("boolham: parse error:")
+
+
+# numbers longer than int() converts (4300 digits) are parse errors that say
+# where they are
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "source, text, message",
+    [
+        ("-e", f"x1 & x{LONG}", "variable index of 5000 digits is too long (at position 5)"),
+        ("-e", f"!x{LONG}", "variable index of 5000 digits is too long (at position 1)"),
+        ("--dimacs", f"p cnf 2 1\n1 {LONG} 0\n", f"line 2: bad literal '{LONG}'"),
+    ],
+    ids=["expression", "negated-expression", "dimacs-literal"],
+)
+def test_overlong_number_is_a_parse_error(source, text, message, tmp_path, capsys):
+    read = parse_expr if source == "-e" else parse_dimacs
+    with pytest.raises(ParseError) as info:
+        read(text)
+    assert str(info.value) == message
+    if source == "--dimacs":
+        path = tmp_path / "f.cnf"
+        path.write_text(text)
+        text = str(path)
+    code, out, err = run(capsys, "count", source, text)
+    assert (code, out, err) == (1, "", f"boolham: parse error: {message}\n")
+
+
+# A register of 10^11 qubits ends in the one line that 64 qubits gets; no
+# command builds anything of size 2^n first.  Each command runs in a child
+# process under an address-space limit, so a build of 2^n bits fails there
+# with a MemoryError instead of taking the machine's memory.
+HUGE = 100_000_000_000
+ADDRESS_SPACE = 1_500_000_000
+
+
+def run_limited(tmp_path, *argv) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from boolham.cli import main; sys.exit(main())", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE)),
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "-e", f"x{HUGE}"],
+        ["compile", "-e", "x1", "-n", str(HUGE)],
+        ["count", "--dimacs", "huge.cnf"],
+        ["compile", "--dimacs", "huge.cnf", "--mode", "sat"],
+        ["verify", "-e", f"x{HUGE}"],
+        ["circuit", "--gamma", "1", "-e", f"x{HUGE}"],
+        ["gslogic", "-e", f"x{HUGE}"],
+    ],
+    ids=["compile-variable", "compile-n", "count-dimacs", "compile-dimacs", "verify", "circuit",
+         "gslogic"],
+)
+def test_huge_register_exits_1_with_one_line(argv, tmp_path):
+    (tmp_path / "huge.cnf").write_text(f"p cnf {HUGE} 1\n1 0\n")
+    result = run_limited(tmp_path, *argv)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == f"boolham: error: qubit count {HUGE} outside [0, 63]\n"
 
 
 # -- token soup: parsers raise only the package's own errors ----------------

@@ -41,8 +41,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
-from typing import Callable, Container, Sequence, TypeVar, Union
+from typing import Callable, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -394,7 +393,7 @@ def to_text(e: BoolExpr) -> str:
 
 # -- infix parser ------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(x\d+|=>|[!&|^()01])")
+_TOKEN_RE = re.compile(r"\s*(x[0-9]+|=>|[!&|^()01])")  # not \d, which reads other scripts' digits
 _BINARY = ((Or, "|"), (Xor, "^"), (And, "&"))  # loosest first
 
 
@@ -558,14 +557,14 @@ class _Unread(Exception):
 
 
 def _read_clauses(
-    tokens: list[str], starts: Container[int], n_vars: int
+    tokens: list[str], weighted: bool, n_vars: int
 ) -> tuple[list[float], list[BoolExpr], bool]:
     """The clauses in a body's tokens: their weights, their nodes, and
     whether a clause is left open at the end.  A clause is the literals up
-    to a 0 and may span lines.  A clause that starts at a token index in
-    ``starts`` (where a WCNF line starts) takes that token as its weight;
-    any other clause has weight 1.  Each distinct token is read once, and
-    each literal gets one node, which every clause that reads it shares.
+    to a 0 and may span lines.  In WCNF (``weighted``) the first token of
+    every clause is its weight; in CNF every clause has weight 1.  Each
+    distinct token is read once, and each literal gets one node, which
+    every clause that reads it shares.
     Raises _Unread for a literal that int() cannot read or that is past
     n_vars, and for a weight that float() cannot read or that is not
     finite."""
@@ -589,7 +588,7 @@ def _read_clauses(
     left_open = False
     while p < size:
         weight = 1.0
-        if p in starts:
+        if weighted:
             try:
                 weight = float(tokens[p])
             except ValueError:
@@ -651,45 +650,49 @@ def _read_header(text: str, line: str) -> tuple[int, int, bool]:
     return n_vars, n_declared, fields[1] == "wcnf"
 
 
-def _line_fault(line: str, n_vars: int, takes_weight: bool) -> tuple[str | None, bool]:
+def _line_fault(
+    line: str, n_vars: int, weighted: bool, is_open: bool
+) -> tuple[str | None, bool]:
     """The first fault in one body line, or None, and whether a clause is
-    open after it (for a line without a fault)."""
+    open after it (for a line without a fault), given whether one is open
+    where the line starts.  In WCNF a token that starts a clause is its
+    weight."""
     if not _plain(line):
         return f"numbers must be plain ASCII digits: {line!r}", False
     if line[0] == "p":
         return "duplicate problem line", False
-    fields = line.split()
-    if takes_weight:
-        token = fields.pop(0)
-        try:
-            weight = float(token)
-        except ValueError:
-            return f"bad clause weight {token!r}", False
-        if not math.isfinite(weight):
-            return f"clause weight {token!r} must be finite", False
-    lit = None
-    for token in fields:
+    for token in line.split():
+        if weighted and not is_open:
+            try:
+                weight = float(token)
+            except ValueError:
+                return f"bad clause weight {token!r}", False
+            if not math.isfinite(weight):
+                return f"clause weight {token!r} must be finite", False
+            is_open = True  # a weight alone leaves its clause open
+            continue
         try:
             lit = int(token)
         except ValueError:
             return f"bad literal {token!r}", False
         if abs(lit) > n_vars:
             return f"literal {lit} out of range (n={n_vars})", False
-    return None, lit != 0  # a weight alone leaves its clause open
+        is_open = lit != 0
+    return None, is_open
 
 
 def _first_fault(text: str, body: list[str], n_vars: int, weighted: bool) -> ParseError:
     """The error of the first faulty body line, found line by line."""
     is_open = False  # a clause is open where the line starts
     for k, line in enumerate(body):
-        fault, is_open = _line_fault(line, n_vars, weighted and not is_open)
+        fault, is_open = _line_fault(line, n_vars, weighted, is_open)
         if fault:
             return _dimacs_error(text, k + 1, fault)
     raise AssertionError("no faulty line")
 
 
 def parse_dimacs(text: str) -> tuple[PseudoBooleanObjective, BoolExpr]:
-    """Parse DIMACS CNF (or WCNF with per-clause leading weights).
+    """Parse DIMACS CNF (or WCNF, where every clause starts with its weight).
 
     Returns both views of the formula: the MAX-SAT objective (one weighted
     OR-clause per input clause, unit weights for plain CNF) and the single
@@ -706,16 +709,10 @@ def parse_dimacs(text: str) -> tuple[PseudoBooleanObjective, BoolExpr]:
     n_vars, n_declared, weighted = _read_header(text, lines[0])
     body = lines[1:]
     joined = " ".join(body)
-    if weighted:  # a clause that starts a line starts with its weight
-        rows = list(map(str.split, body))
-        tokens = list(chain.from_iterable(rows))
-        starts = set(accumulate(map(len, rows), initial=0))
-    else:
-        tokens, starts = joined.split(), ()
     try:
         if not _plain(joined):
             raise _Unread
-        weights, exprs, left_open = _read_clauses(tokens, starts, n_vars)
+        weights, exprs, left_open = _read_clauses(joined.split(), weighted, n_vars)
     except _Unread:
         raise _first_fault(text, body, n_vars, weighted) from None
     if left_open:

@@ -6,6 +6,13 @@ with S.x = popcount(S & x).  The fast Walsh-Hadamard transform computes all
 Sylvester Hadamard block of at most 16 x 16 along a group of up to 4 index
 bits (a BLAS matrix product).  It works in place: its extra memory is one
 fixed scratch block of 2^15 entries (256 KiB of float64), whatever n is.
+The inverse transform of a sparse Z-polynomial (``table_from_fourier``)
+prunes its passes: a pass skips the blocks that no term mask has reached
+yet, which stay zero, while fewer than half the blocks are reached, and
+gathers the others through the same scratch block.  The table is the
+full transform's to the bit.  It is scanned for an overflow only when the
+coefficients' 1-norm, which bounds every value, may reach 1e300 (the
+bound taken is the term count times the largest |coefficient|).
 The 2^-n normalization is applied only on the table -> coefficients
 direction, so applying the raw transform twice returns 2^n times the input.
 On integer and dyadic tables the result is exact; on other tables it matches
@@ -37,6 +44,9 @@ MAX_NORM_BOUND = 1.0 / 3.0
 PROJECTOR_TOL = 1e-6  # largest defect count_models accepts before rounding
 _BLOCK_BITS = 4  # each transform pass applies a Hadamard block of at most 16 x 16
 _SCRATCH = 1 << 15  # entries of the one scratch block all passes work through
+# a coefficient 1-norm below this keeps every value and partial sum of the
+# inverse transform far inside the float range (about 1.8e308)
+_NORM_SAFE = 1e300
 # Sylvester order, entry (i, j) = (-1)^popcount(i & j); each pass's H_k is its
 # top-left corner.  Building it costs more than a small transform, so it is built once.
 _ROWS = np.arange(1 << _BLOCK_BITS)
@@ -65,13 +75,35 @@ def fwht_inplace(a: np.ndarray) -> None:
     """Unnormalized Walsh-Hadamard transform, in place, length 2^n.
 
     Output[S] = sum_x input[x] * (-1)^popcount(S & x).  Self-inverse up to
-    the factor 2^n.
+    the factor 2^n.  Every pass works on the whole array, and nothing is
+    checked for overflow.  ``table_from_fourier`` runs the same passes but
+    skips the blocks its term masks have not reached, and scans for an
+    overflow only when the coefficients' 1-norm may reach 1e300.
     """
     if a.ndim != 1:
         raise ValueError(f"the transform takes a 1-D array, got shape {a.shape}")
     m = a.shape[0]
     if m & (m - 1) or m == 0:
         raise ValueError(f"length must be a power of two, got {m}")
+    _transform(a, None)
+
+
+def _transform(a: np.ndarray, live: np.ndarray | None) -> None:
+    """fwht_inplace of a, which is zero outside the ascending indices in
+    ``live`` (None: it may be nonzero anywhere).
+
+    Pass p sees a as (hi, size, lo) blocks and transforms their size axis.
+    Block hi is still all zeros unless some index in ``live``, shifted right
+    by the bits transformed through pass p, is hi.  While fewer than half
+    the blocks are live, only the live ones are transformed: gathered into
+    one half of the scratch, transformed into the other half and scattered
+    back, or, when one block is larger than half the scratch, transformed
+    through views of it as the full pass does.  A dead block stays +0.0, as
+    the full pass would leave it.  The live share never falls from one pass
+    to the next, so from the first pass where it reaches half every pass is
+    the full one.
+    """
+    m = a.shape[0]
     n = m.bit_length() - 1
     passes = -(-n // _BLOCK_BITS)
     hadamard = _HADAMARD.astype(a.dtype, copy=False)  # int and complex tables stay exact
@@ -80,22 +112,57 @@ def fwht_inplace(a: np.ndarray) -> None:
     for p in range(passes):
         # sizes 2^k: the k add up to n, differ by at most 1, largest first (on
         # the low bits, where lo is small and each product is short)
-        size = 1 << ((n + passes - 1 - p) // passes)
+        k = (n + passes - 1 - p) // passes
+        size = 1 << k
         h = hadamard[:size, :size]
         view = a.reshape(-1, size, lo)  # a view, as any 1-D reshape is: writes land in a
-        # blocks of the (hi, size, lo) view, whole rows of it when one fits the scratch
-        rows = max(1, _SCRATCH // (size * lo))
-        cols = min(lo, _SCRATCH // size)
-        for r in range(0, view.shape[0], rows):
+        if live is not None:
+            live = _live_blocks(live, k, view.shape[0])
+        # blocks of the (hi, size, lo) view, whole rows of it when they fit
+        # the room: the scratch, or half of it while live blocks are gathered
+        # into the other half (a block larger than that half is a view)
+        gather = live is not None and 2 * size * lo <= scratch.size
+        room = scratch.size // 2 if gather else scratch.size
+        rows = max(1, room // (size * lo))
+        cols = min(lo, room // size)
+        if gather:
+            chunks = [live[i : i + rows] for i in range(0, live.size, rows)]
+        elif live is None:
+            chunks = [slice(r, r + rows) for r in range(0, view.shape[0], rows)]
+        else:
+            chunks = [slice(r, r + 1) for r in live.tolist()]
+        for chunk in chunks:
             for c in range(0, lo, cols):
-                block = view[r : r + rows, :, c : c + cols]
+                if gather:  # whole blocks of a C-contiguous view: take copies only them
+                    block = scratch[room : room + chunk.size * size * lo].reshape(-1, size, lo)
+                    np.take(view, chunk, axis=0, out=block, mode="clip")
+                else:
+                    block = view[chunk, :, c : c + cols]
                 out = scratch[: block.size].reshape(block.shape)
                 if lo == 1:  # one (rows, size) @ H gemm, not a gemv per row
                     np.matmul(block[:, :, 0], h, out=out[:, :, 0])
                 else:
                     np.matmul(h, block, out=out)
-                block[...] = out
+                if gather:
+                    view[chunk] = out
+                else:
+                    block[...] = out
         lo *= size
+
+
+def _live_blocks(live: np.ndarray, k: int, blocks: int) -> np.ndarray | None:
+    """The distinct entries of ``live >> k``, ascending, or None when they
+    are at least half of ``blocks``.  ``live`` is ascending and distinct, so
+    at least live.size / 2^k of them are distinct: they are counted only
+    when that is under half, and listed only when the count is.  (np.unique
+    would sort, and its first call pages in about 1 MB of sort code.)"""
+    if 2 * -(-live.size >> k) >= blocks:
+        return None
+    hi = live >> k
+    steps = hi[1:] - hi[:-1]
+    if 2 * (1 + np.count_nonzero(steps)) >= blocks:
+        return None
+    return np.concatenate((hi[:1], hi[1:][np.flatnonzero(steps)]))
 
 
 def fourier_from_table(table: np.ndarray) -> DiagonalHamiltonian:
@@ -117,17 +184,26 @@ def fourier_from_table(table: np.ndarray) -> DiagonalHamiltonian:
 
 
 def table_from_fourier(h: DiagonalHamiltonian) -> np.ndarray:
-    """Exact inverse transform: all 2^n function values of a Z-polynomial."""
+    """Exact inverse transform: all 2^n function values of a Z-polynomial.
+
+    The transform skips the blocks that no term mask has reached yet
+    (``_transform``).  Every value and partial sum is a signed sum of the
+    coefficients, at most their 1-norm in size, which is at most the term
+    count times the largest |coefficient|: while that bound is below
+    _NORM_SAFE nothing can overflow, and only above it are the values
+    scanned for an overflow.
+    """
     n = h.n_qubits
     check_table_cap(n)
     vec = np.zeros(1 << n, dtype=np.float64)
     terms = h._terms
-    vec[np.fromiter(terms.keys(), np.intp, len(terms))] = np.fromiter(
-        terms.values(), np.float64, len(terms)
-    )
+    masks = np.fromiter(terms.keys(), np.intp, len(terms))
+    coeffs = np.fromiter(terms.values(), np.float64, len(terms))
+    vec[masks] = coeffs
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        fwht_inplace(vec)
-    if not np.isfinite(vec).all():
+        _transform(vec, masks)
+        bound = coeffs.size * np.abs(coeffs).max(initial=0.0)
+    if not bound < _NORM_SAFE and not np.isfinite(vec).all():
         raise ParseError("function values overflow the float range")
     return vec
 

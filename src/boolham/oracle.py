@@ -233,9 +233,10 @@ def bit_query_matrix(table: np.ndarray, cap: int | None = None) -> np.ndarray:
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues of a diagonal operator: its 2^n value table (entry x =
-    eval(x)), and ``values``, sorted on first use.  A state's place among
-    the labels is its place in a stable sort of the table: by value, ties
-    by index.  Labels are built only for the states a query returns."""
+    eval(x)), and ``values``, ``min_value`` and ``max_value``, each read
+    from the table on first use and kept.  A state's place among the labels
+    is its place in a stable sort of the table: by value, ties by index.
+    Labels are built only for the states a query returns."""
 
     table: np.ndarray
 
@@ -243,11 +244,11 @@ class Spectrum:
     def values(self) -> np.ndarray:
         return np.sort(self.table)
 
-    @property
+    @cached_property
     def min_value(self) -> float:
         return float(self.table.min())
 
-    @property
+    @cached_property
     def max_value(self) -> float:
         return float(self.table.max())
 

@@ -179,17 +179,15 @@ def reference_parse_dimacs(text: str):
             continue
         if n_vars is None:
             raise ParseError(f"line {lineno}: clause before 'p cnf' header")
-        fields = line.split()
-        start = 0
-        if weighted and current_weight is None and not current:
-            try:
-                current_weight = float(fields[0])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad clause weight {fields[0]!r}") from exc
-            if not math.isfinite(current_weight):
-                raise ParseError(f"line {lineno}: clause weight {fields[0]!r} must be finite")
-            start = 1
-        for tok in fields[start:]:
+        for tok in line.split():
+            if weighted and current_weight is None:  # a WCNF clause starts with its weight
+                try:
+                    current_weight = float(tok)
+                except ValueError as exc:
+                    raise ParseError(f"line {lineno}: bad clause weight {tok!r}") from exc
+                if not math.isfinite(current_weight):
+                    raise ParseError(f"line {lineno}: clause weight {tok!r} must be finite")
+                continue
             try:
                 lit = int(tok)
             except ValueError as exc:

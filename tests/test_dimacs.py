@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from boolham import boolexpr
 from boolham.boolexpr import And, Not, Or, parse_dimacs
+from boolham.errors import ParseError
 from conftest import reference_parse_dimacs
 from test_fold import PROPERTY
 
@@ -46,15 +47,14 @@ def dimacs_texts(draw):
     lines = [f"p {'wcnf' if weighted else 'cnf'} {n} {len(clauses)}"]
     row: list[str] = []
     for lits in clauses:
-        # in WCNF a weight is read where a line starts; a clause that starts
-        # after another clause's 0 on the same line has weight 1
-        if row and (weighted or draw(st.booleans())) and draw(st.booleans()):
+        if row and draw(st.booleans()):
             lines.append(draw(st.sampled_from(SPACES)).join(row))
             row = []
-        if weighted and not row:
+        if weighted:  # every WCNF clause starts with its weight, wherever it starts
             row.append(draw(weights))
-            if draw(st.integers(0, 4)) == 0:  # the weight alone on its line
-                lines.append(row.pop())
+            if draw(st.integers(0, 4)) == 0:  # the weight ends its line
+                lines.append(draw(st.sampled_from(SPACES)).join(row))
+                row = []
         for lit in lits:
             row.append(literal_token(draw, lit))
             if draw(st.integers(0, 5)) == 0:  # the clause goes on on the next line
@@ -153,3 +153,36 @@ def test_accepted_text_takes_no_second_pass(text, monkeypatch):
     monkeypatch.setattr(boolexpr, "_first_fault", second_pass)
     monkeypatch.setattr(boolexpr, "_dimacs_error", second_pass)
     assert assert_same_parse(text) is None
+
+
+@pytest.mark.parametrize(
+    "text, weights, clauses",
+    [
+        ("p wcnf 5 2\n3 1 0 2 5 0\n", ["3", "2"], ["x1", "x5"]),
+        ("p wcnf 3 3\n1 1 0 2\n-2 0 4 3 -1 0\n", ["1", "2", "4"], ["x1", "!x2", "x3 | !x1"]),
+        ("p wcnf 2 2\n0.5 1\n0 7 0\n", ["0.5", "7"], ["x1", "0"]),
+    ],
+    ids=["second-on-a-line", "clause-across-lines", "empty-clause-after-0"],
+)
+def test_every_wcnf_clause_starts_with_its_weight(text, weights, clauses):
+    objective, _ = parse_dimacs(text)
+    assert [w for w, _ in objective.clauses] == [float(w) for w in weights]
+    assert [boolexpr.to_text(c) for _, c in objective.clauses] == clauses
+    assert assert_same_parse(text) is None
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p wcnf 2 2\n1 1 0 heavy 2 0\n", "line 2: bad clause weight 'heavy'"),
+        ("p wcnf 2 3\n1 1 0\n2 -1 0 nan 2 0\n", "line 3: clause weight 'nan' must be finite"),
+        ("p wcnf 2 2\n1 1 0 2\n2.5 0\n", "line 3: bad literal '2.5'"),
+        ("p wcnf 2 2\n1 1 0 3 0 x\n", "line 2: bad clause weight 'x'"),
+    ],
+    ids=["weight-mid-line", "nan-mid-line", "literal-after-weight-line", "weight-after-second-0"],
+)
+def test_a_weight_fault_mid_line_names_the_line(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_dimacs(text)
+    assert str(info.value) == message
+    assert assert_same_parse(text) == (ParseError, message)

@@ -1,7 +1,11 @@
 """Unit tests for the Walsh-Hadamard transforms and derived checkers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolham.boolexpr import parse_expr, truth_table
 from boolham.compiler import compile_expr
@@ -19,6 +23,7 @@ from boolham.oracle import spectrum
 from boolham.verify import random_expr
 from boolham.zpoly import DiagonalHamiltonian
 from conftest import allclose, brute_fourier, butterfly_fwht
+from test_fold import PROPERTY
 
 
 class TestFWHT:
@@ -172,6 +177,75 @@ class TestTableFromFourier:
         for terms in ({0: 1e308, 1: 1e308}, {0: 1e308, 1: 1e308, 2: 1e308, 3: 1e308}):
             with pytest.raises(ParseError, match="overflow the float range"):
                 read(DiagonalHamiltonian(len(terms) // 2, terms))
+
+
+@st.composite
+def sparse_operators(draw):
+    """A Z-polynomial on n = 0-18 qubits whose support is one term, a few
+    random or low-degree masks, masks in the high bits only, or every mask;
+    coefficients are dyadic or arbitrary floats of mixed magnitude."""
+    n = draw(st.integers(0, 18))
+    size = 1 << n
+    kind = draw(st.sampled_from(["one", "random", "local", "high", "dense"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "one":
+        masks = [draw(st.integers(0, size - 1))]
+    elif kind == "random":
+        masks = rng.integers(0, size, draw(st.integers(1, 3000)))
+    elif kind == "local":  # clause-sum terms: degree at most 3
+        bits = rng.integers(0, max(n, 1), (draw(st.integers(1, 600)), 3))
+        masks = np.bitwise_or.reduce(1 << bits, axis=1)
+    elif kind == "high":
+        masks = rng.integers(0, size, draw(st.integers(1, 200))) & -(1 << (n // 2))
+    else:  # every block live in the first pass
+        masks = np.arange(min(size, 1 << 14))
+    masks = np.unique(np.asarray(masks, dtype=np.int64) % size)
+    if draw(st.booleans()):
+        coeffs = rng.integers(-64, 65, masks.size) / 8.0
+    else:
+        coeffs = rng.normal(size=masks.size) * 10.0 ** rng.uniform(-6, 6, masks.size)
+    return DiagonalHamiltonian(n, dict(zip(masks.tolist(), coeffs.tolist())))
+
+
+class TestPrunedInverse:
+    """table_from_fourier transforms only the blocks its terms have reached:
+    the table is fwht_inplace of the scattered coefficients, to the byte."""
+
+    @settings(PROPERTY, max_examples=120)
+    @given(sparse_operators())
+    def test_equals_the_full_transform(self, h):
+        full = np.zeros(1 << h.n_qubits)
+        for mask, coeff in h.items():
+            full[mask] = coeff
+        fwht_inplace(full)
+        assert table_from_fourier(h).tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("n", [17, 20])
+    def test_extra_memory_is_the_scratch(self, n):
+        # live blocks in every pass but the last, under half of them; at n = 20
+        # a block of the fourth pass is larger than the scratch's half
+        masks = [0, 0b11, 1 << 5, 1 << 9, *(1 << b for b in range(n - 6, n))]
+        h = DiagonalHamiltonian(n, {m: 1.0 + i for i, m in enumerate(masks)})
+        table_from_fourier(h)
+        tracemalloc.start()
+        try:
+            table_from_fourier(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table, scratch = 8 << n, 8 << 15
+        assert peak <= table + scratch + 16_384  # and a few small per-term arrays
+
+    @pytest.mark.parametrize("n", [3, 17])
+    def test_values_near_the_float_limit(self, n):
+        far = [0, 1 << (n - 1), 3]  # far apart: live blocks are pruned at n = 17
+        with pytest.raises(ParseError, match="^function values overflow the float range$"):
+            table_from_fourier(DiagonalHamiltonian(n, {m: 1e308 for m in far[:2]}))
+        with pytest.raises(ParseError, match="^function values overflow the float range$"):
+            table_from_fourier(DiagonalHamiltonian(n, {far[0]: 9e307, far[1]: -9e307, far[2]: 9e307}))
+        # a 1-norm past 1e300 whose values all fit is read as it is
+        table = table_from_fourier(DiagonalHamiltonian(n, {far[0]: 1e308, far[1]: -5e307}))
+        assert set(table.tolist()) == {5e307, 1.5e308}
 
 
 class TestParseval:

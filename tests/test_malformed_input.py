@@ -422,6 +422,22 @@ def test_malformed_dimacs_names_the_line(text, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("boolham: parse error:")
 
 
+# variable indices are ASCII digits too: a regex \d would read x١ as x1
+@pytest.mark.parametrize(
+    "text, position",
+    [("x\u0661", 0), ("x1 & x\u0662", 5), ("!x\u0967", 1), ("x1\u0661", 2)],
+    ids=["arabic-indic", "after-operator", "devanagari-negated", "trailing"],
+)
+def test_non_ascii_digits_in_an_expression_are_a_parse_error(text, position, capsys):
+    with pytest.raises(ParseError) as info:
+        parse_expr(text)
+    assert info.value.position == position
+    code, out, err = run(capsys, "compile", "-e", text)
+    assert (code, out) == (1, "")
+    assert err == f"boolham: parse error: {info.value}\n"
+    assert err.endswith(f"(at position {position})\n")
+
+
 # numbers longer than int() converts (4300 digits) are parse errors that say
 # where they are
 LONG = "9" * 5000

@@ -23,12 +23,13 @@ from boolham.oracle import (
     expm_zham,
     maxdiff,
     phase_aligned_maxdiff,
+    Spectrum,
     simulate_circuit,
     spectrum,
 )
 from boolham.pauli import PauliOperator
 from boolham.verify import _kickback_checks, expression_checks, random_expr, verify_kickback_suite
-from boolham.zpoly import DiagonalHamiltonian, bit_projector
+from boolham.zpoly import DiagonalHamiltonian, basis_label, bit_projector
 from conftest import dense_of_zham, expm_hermitian, from_diagonal, kron_chain, random_zham, zham_diagonal
 
 
@@ -322,6 +323,38 @@ class TestSpectrum:
         assert len(spec.ground_states()) == 8
         assert spec.min_value == pytest.approx(0.0, abs=1e-12)
 
+
+    @pytest.mark.parametrize("source", ["majority", "random"])
+    def test_extremes_are_read_once(self, source, rng):
+        class CountingTable(np.ndarray):
+            scans = 0
+
+            def max(self, *args, **kwargs):
+                CountingTable.scans += 1
+                return super().max(*args, **kwargs)
+
+            def min(self, *args, **kwargs):
+                CountingTable.scans += 1
+                return super().min(*args, **kwargs)
+
+        if source == "majority":  # ties at both ends
+            h = compile_expr(parse_expr("(x1 & x2) | (x1 & x3) | (x2 & x3) | x4"))
+        else:
+            h = random_zham(rng, 5, 12)
+        table = table_from_fourier(h)
+        spec = Spectrum(table.copy().view(CountingTable))
+        reads = [(spec.max_value, spec.top_states(), spec.min_value, spec.ground_states())
+                 for _ in range(3)]
+        assert CountingTable.scans == 2  # one max and one min, however often they are read
+        # labels by value, ties by index, as a stable sort of the table orders them
+        order = np.argsort(table, kind="stable")
+        top = [basis_label(int(x), h.n_qubits)
+               for x in order if table[x] >= table.max() - 1e-9]
+        ground = [basis_label(int(x), h.n_qubits)
+                  for x in order if table[x] <= table.min() + 1e-9]
+        expected = (float(table.max()), tuple(top), float(table.min()), tuple(ground))
+        assert reads == [expected] * 3
+        assert spectrum(h).top_states() == expected[1]
 
 class TestPhaseAlignment:
     def test_detects_real_difference(self):

@@ -409,6 +409,8 @@ class _Parser:
                 if text[scan:].strip() == "":
                     break
                 bad = len(text) - len(text[scan:].lstrip())
+                if text.startswith("x", bad) and bad + 1 < len(text):  # not an ASCII digit after it
+                    raise ParseError(f"unexpected character {text[bad + 1]!r} after 'x'", bad)
                 raise ParseError(f"unexpected character {text[bad]!r}", bad)
             self.tokens.append((m.group(1), m.start(1)))
             scan = m.end()

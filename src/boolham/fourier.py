@@ -5,14 +5,19 @@ with S.x = popcount(S & x).  The fast Walsh-Hadamard transform computes all
 2^n coefficients in ceil(n/4) passes, each multiplying the table by a
 Sylvester Hadamard block of at most 16 x 16 along a group of up to 4 index
 bits (a BLAS matrix product).  It works in place: its extra memory is one
-fixed scratch block of 2^15 entries (256 KiB of float64), whatever n is.
+scratch block of 2^15 entries (256 KiB of float64) per thread, whatever n
+is, allocated on the thread's first float64 transform and reused by every
+later one (a table of another dtype gets a block of its own per call).
 The inverse transform of a sparse Z-polynomial (``table_from_fourier``)
 prunes its passes: a pass skips the blocks that no term mask has reached
 yet, which stay zero, while fewer than half the blocks are reached, and
-gathers the others through the same scratch block.  The table is the
-full transform's to the bit.  It is scanned for an overflow only when the
-coefficients' 1-norm, which bounds every value, may reach 1e300 (the
-bound taken is the term count times the largest |coefficient|).
+gathers the others through the same scratch block.  Its table is written
+with zeros before the transform reads it, so each fresh page faults once
+(a page first read maps the shared zero page and faults again when
+written).  The table is the full transform's to the bit.  It is scanned
+for an overflow only when the coefficients' 1-norm, which bounds every
+value, may reach 1e300 (the bound taken is the term count times the
+largest |coefficient|).
 The 2^-n normalization is applied only on the table -> coefficients
 direction, so applying the raw transform twice returns 2^n times the input.
 On integer and dyadic tables the result is exact; on other tables it matches
@@ -25,6 +30,8 @@ capped at n = 24 (128 MiB of float64 values).
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -44,6 +51,10 @@ MAX_NORM_BOUND = 1.0 / 3.0
 PROJECTOR_TOL = 1e-6  # largest defect count_models accepts before rounding
 _BLOCK_BITS = 4  # each transform pass applies a Hadamard block of at most 16 x 16
 _SCRATCH = 1 << 15  # entries of the one scratch block all passes work through
+# .scratch: this thread's float64 scratch block, made on its first transform.
+# Per thread, as matmul releases the GIL: threads transforming at once would
+# otherwise write through each other's blocks.
+_PER_THREAD = threading.local()
 # a coefficient 1-norm below this keeps every value and partial sum of the
 # inverse transform far inside the float range (about 1.8e308)
 _NORM_SAFE = 1e300
@@ -101,13 +112,18 @@ def _transform(a: np.ndarray, live: np.ndarray | None) -> None:
     through views of it as the full pass does.  A dead block stays +0.0, as
     the full pass would leave it.  The live share never falls from one pass
     to the next, so from the first pass where it reaches half every pass is
-    the full one.
+    the full one.  A float64 a works through this thread's scratch block
+    (``_float_scratch``), sliced to at most m entries; another dtype
+    through a block allocated for the call.
     """
     m = a.shape[0]
     n = m.bit_length() - 1
     passes = -(-n // _BLOCK_BITS)
     hadamard = _HADAMARD.astype(a.dtype, copy=False)  # int and complex tables stay exact
-    scratch = np.empty(min(m, _SCRATCH), dtype=a.dtype)
+    if a.dtype == np.float64:
+        scratch = _float_scratch()[: min(m, _SCRATCH)]
+    else:
+        scratch = np.empty(min(m, _SCRATCH), dtype=a.dtype)
     lo = 1  # 2^(number of low bits already transformed)
     for p in range(passes):
         # sizes 2^k: the k add up to n, differ by at most 1, largest first (on
@@ -148,6 +164,15 @@ def _transform(a: np.ndarray, live: np.ndarray | None) -> None:
                 else:
                     block[...] = out
         lo *= size
+
+
+def _float_scratch() -> np.ndarray:
+    """This thread's float64 scratch block of _SCRATCH entries, allocated on
+    its first call: its pages fault once, not on every transform."""
+    scratch = getattr(_PER_THREAD, "scratch", None)
+    if scratch is None:
+        scratch = _PER_THREAD.scratch = np.empty(_SCRATCH)
+    return scratch
 
 
 def _live_blocks(live: np.ndarray, k: int, blocks: int) -> np.ndarray | None:
@@ -191,11 +216,14 @@ def table_from_fourier(h: DiagonalHamiltonian) -> np.ndarray:
     coefficients, at most their 1-norm in size, which is at most the term
     count times the largest |coefficient|: while that bound is below
     _NORM_SAFE nothing can overflow, and only above it are the values
-    scanned for an overflow.
+    scanned for an overflow.  The table is zero-filled before the
+    coefficients are scattered into it: a freshly mapped page that the
+    transform reads first and writes after faults twice, a written one once.
     """
     n = h.n_qubits
     check_table_cap(n)
-    vec = np.zeros(1 << n, dtype=np.float64)
+    vec = np.empty(1 << n, dtype=np.float64)
+    vec.fill(0.0)  # not np.zeros, whose pages the transform would read before writing
     terms = h._terms
     masks = np.fromiter(terms.keys(), np.intp, len(terms))
     coeffs = np.fromiter(terms.values(), np.float64, len(terms))

@@ -1,5 +1,8 @@
 """Unit tests for the Walsh-Hadamard transforms and derived checkers."""
 
+import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boolham import fourier
 from boolham.boolexpr import parse_expr, truth_table
 from boolham.compiler import compile_expr
 from boolham.errors import CapExceeded, ParseError, VerificationError
@@ -220,12 +224,15 @@ class TestPrunedInverse:
         fwht_inplace(full)
         assert table_from_fourier(h).tobytes() == full.tobytes()
 
-    @pytest.mark.parametrize("n", [17, 20])
-    def test_extra_memory_is_the_scratch(self, n):
+    @staticmethod
+    def pruned_but_last(n):
         # live blocks in every pass but the last, under half of them; at n = 20
         # a block of the fourth pass is larger than the scratch's half
         masks = [0, 0b11, 1 << 5, 1 << 9, *(1 << b for b in range(n - 6, n))]
-        h = DiagonalHamiltonian(n, {m: 1.0 + i for i, m in enumerate(masks)})
+        return DiagonalHamiltonian(n, {m: 1.0 + i for i, m in enumerate(masks)})
+
+    @staticmethod
+    def second_call_peak(h):
         table_from_fourier(h)
         tracemalloc.start()
         try:
@@ -233,8 +240,68 @@ class TestPrunedInverse:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak
+
+    @pytest.mark.parametrize("n", [17, 20])
+    def test_extra_memory_is_the_scratch(self, n):
+        peak = self.second_call_peak(self.pruned_but_last(n))
         table, scratch = 8 << n, 8 << 15
         assert peak <= table + scratch + 16_384  # and a few small per-term arrays
+
+    @pytest.mark.parametrize("n", [17, 20])
+    def test_a_warm_call_reuses_the_scratch(self, n):
+        # the first call made this thread's scratch; the second allocates none
+        assert self.second_call_peak(self.pruned_but_last(n)) <= (8 << n) + 16_384
+
+    def test_threads_transform_at_once_through_scratches_of_their_own(self):
+        # matmul releases the GIL, so these transforms overlap in time: a
+        # scratch shared between threads would mix their blocks
+        rng = np.random.default_rng(26)
+        operators = []
+        for _ in range(4):
+            ops = []
+            for n in (17, 20):  # clause-sum-like supports: degree <= 3, pruned passes
+                bits = rng.integers(0, n, (4 * n, 3))
+                masks = np.unique(np.bitwise_or.reduce(1 << bits, axis=1))
+                coeffs = rng.integers(-64, 65, masks.size) / 8.0
+                ops.append(DiagonalHamiltonian(n, dict(zip(masks.tolist(), coeffs.tolist()))))
+            operators.append(ops)
+
+        def results(h):  # digests of the table and of fwht_inplace applied to it
+            table = table_from_fourier(h)
+            assert table.flags.owndata and table.flags.writeable
+            assert not np.shares_memory(table, fourier._float_scratch())
+            first = hashlib.sha256(table).digest()
+            fwht_inplace(table)
+            return first, hashlib.sha256(table).digest()
+
+        serial = [[results(h) for h in ops] for ops in operators]
+        start = threading.Barrier(len(operators))
+        got = [[] for _ in operators]
+        errors = []
+
+        def work(i):
+            try:
+                start.wait(timeout=60)
+                for _ in range(3):
+                    got[i].append([results(h) for h in operators[i]])
+            except Exception as exc:  # re-raised below, in the test's thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(operators))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside the Python parts of a pass too
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        if errors:
+            raise errors[0]
+        assert got == [[expected] * 3 for expected in serial]
 
     @pytest.mark.parametrize("n", [3, 17])
     def test_values_near_the_float_limit(self, n):

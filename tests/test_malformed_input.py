@@ -424,14 +424,20 @@ def test_malformed_dimacs_names_the_line(text, tmp_path, capsys):
 
 # variable indices are ASCII digits too: a regex \d would read x١ as x1
 @pytest.mark.parametrize(
-    "text, position",
-    [("x\u0661", 0), ("x1 & x\u0662", 5), ("!x\u0967", 1), ("x1\u0661", 2)],
+    "text, position, named",
+    [
+        ("x\u0661", 0, "'\u0661' after 'x'"),
+        ("x1 & x\u0662", 5, "'\u0662' after 'x'"),
+        ("!x\u0967", 1, "'\u0967' after 'x'"),
+        ("x1\u0661", 2, "'\u0661'"),
+    ],
     ids=["arabic-indic", "after-operator", "devanagari-negated", "trailing"],
 )
-def test_non_ascii_digits_in_an_expression_are_a_parse_error(text, position, capsys):
+def test_non_ascii_digits_in_an_expression_are_a_parse_error(text, position, named, capsys):
     with pytest.raises(ParseError) as info:
         parse_expr(text)
     assert info.value.position == position
+    assert str(info.value) == f"unexpected character {named} (at position {position})"
     code, out, err = run(capsys, "compile", "-e", text)
     assert (code, out) == (1, "")
     assert err == f"boolham: parse error: {info.value}\n"

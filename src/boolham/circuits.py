@@ -24,17 +24,23 @@ Within one call they make each distinct CX gate once and share it across
 every ladder, grow each term's ladder from the ladder of its prefix (the
 term without its largest qubit), so a ladder costs one new CX, and make one
 rotation per distinct (largest qubit, coefficient), shared by every term
-that has both.  serialize formats each gate object once.
+that has both.  serialize writes the line of each distinct gate object
+once, by a writer for its shape, and formats each distinct angle once per
+call, from one repr where that gives the text the 15/16/17-digit search
+would (_format_angle).
 
 parse_circuit reads text that is ASCII and has no "_" (int() and float()
-read digit grouping and other scripts' digits).  A gate line is split at
-whitespace into its name and fields.  A qubit is what int() reads, signs
-and leading zeros included ("+01"); an angle is what float() reads ("-0",
-".5", "1e-3"), but a NaN or infinite one ("nan", "inf", "1e400") is
-rejected.  Each distinct line is read once, by the reader for its gate's
-shape, which converts the fields by position and tests the rules inline;
-a line it does not accept goes to _parse_gate, which words the ParseError,
-so the first faulty line is the one named.
+read digit grouping and other scripts' digits).  Every line is split at
+whitespace into its name and fields; the header lines are the first one,
+named "qubits", and the next if it is named "phase".  A qubit is what
+int() reads, signs and leading zeros included ("+01"); an angle is what
+float() reads ("-0", ".5", "1e-3"), but a NaN or infinite one ("nan",
+"inf", "1e400") is rejected.  Each distinct line is read once, by the
+reader for its gate's shape, which reads canonical qubit tokens ("1" to
+"N") through a table of the tokens seen in the call, converts the angle by
+float() and tests the rules inline; a line it does not accept, a
+non-canonical qubit token included, goes to _parse_gate, which reads it or
+words the ParseError, so the first faulty line is the one named.
 """
 
 from __future__ import annotations
@@ -368,7 +374,7 @@ def lower_basic(c: Circuit) -> Circuit:
 # -- text serialization ----------------------------------------------------
 
 
-def _format_angle(a: float) -> str:
+def _format_angle_loop(a: float) -> str:
     # shortest of 15/16/17 significant digits that parses back exactly,
     # so serialize -> parse is lossless
     for precision in (15, 16, 17):
@@ -378,109 +384,204 @@ def _format_angle(a: float) -> str:
     return repr(a)
 
 
+def _format_angle(a: float) -> str:
+    """_format_angle_loop's text, read off repr(a) where that is the same text.
+
+    repr is the shortest text that parses back to a, and of those the
+    nearest to a.  With p <= 15 significant digits, rounding a to 15 digits
+    gives those digits, as each 15-digit decimal has a double of its own.
+    With p = 16 or 17, no shorter form parses back, and the nearest 16- or
+    17-digit decimal does, so it is repr's; that takes a rounding interval
+    as wide below a as above it, which holds unless a is +-2^k, and those
+    in repr's fixed notation below 1e15 (2^-13 to 2^49) have p <= 15.  In
+    that notation %g writes the digits as repr does, less repr's trailing
+    ".0"; every other form goes to the loop.
+    """
+    text = repr(a)
+    if type(a) is not float or "e" in text or not -1e15 < a < 1e15:
+        return _format_angle_loop(a)
+    return text[:-2] if text.endswith(".0") else text
+
+
+class _AngleText(dict):
+    """angle -> its text, formatted on first use; one per serialize call.  A
+    zero is not stored, as 0.0 == -0.0 would share its key: each is formatted."""
+
+    def __missing__(self, a) -> str:
+        text = _format_angle(a)
+        if a:
+            self[a] = text
+        return text
+
+
+# one writer per gate shape: a gate's line, its angle's text from ``angles``
+
+
+def _write_q(g: Gate, angles: _AngleText) -> str:
+    return f"{g.name} {g.qubits[0]}\n"
+
+
+def _write_q_angle(g: Gate, angles: _AngleText) -> str:
+    return f"{g.name} {g.qubits[0]} {angles[g.angle]}\n"
+
+
+def _write_qq(g: Gate, angles: _AngleText) -> str:
+    a, b = g.qubits
+    return f"{g.name} {a} {b}\n"
+
+
+def _write_qq_angle(g: Gate, angles: _AngleText) -> str:
+    a, b = g.qubits
+    return f"{g.name} {a} {b} {angles[g.angle]}\n"
+
+
+def _write_qqq_angle(g: Gate, angles: _AngleText) -> str:
+    a, b, c = g.qubits
+    return f"{g.name} {a} {b} {c} {angles[g.angle]}\n"
+
+
+_WRITE_SHAPE = {
+    (1, False): _write_q,
+    (1, True): _write_q_angle,
+    (2, False): _write_qq,
+    (2, True): _write_qq_angle,
+    (3, True): _write_qqq_angle,
+}
+_WRITERS = {name: _WRITE_SHAPE[shape] for name, shape in _GATE_SHAPE.items()}
+
+
 def serialize(c: Circuit) -> str:
     """Line-oriented text form: 'qubits N', 'phase <radians>', one gate per line."""
-    lines = [f"qubits {c.n_qubits}", f"phase {_format_angle(c.global_phase)}"]
-    text_of: dict[int, str] = {}  # id of a gate object -> its line; c keeps every gate alive
-    for g in c.gates:
-        line = text_of.get(id(g))
-        if line is None:
-            parts = [g.name, *map(str, g.qubits)]
-            if g.angle is not None:
-                parts.append(_format_angle(g.angle))
-            line = text_of[id(g)] = " ".join(parts)
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+    angles = _AngleText()
+    line_of = dict(zip(map(id, c.gates), c.gates))  # id -> distinct gate; c keeps each alive
+    for key, g in line_of.items():
+        line_of[key] = _WRITERS[g.name](g, angles)
+    head = f"qubits {c.n_qubits}\nphase {_format_angle(c.global_phase)}\n"
+    return head + "".join(map(line_of.__getitem__, map(id, c.gates)))
 
 
-def _line_error(text: str, line: str, message: str) -> ParseError:
-    # only the first copy of a stripped line can fail: a copy before it fails first
-    lineno = next(i for i, raw in enumerate(text.splitlines(), start=1) if raw.strip() == line)
+def _line_error(text: str, line: str, message: str, start: int = 0) -> ParseError:
+    """A ParseError naming the first raw line whose stripped text is ``line``,
+    from the ``start``-th line that is neither blank nor a comment: a header
+    line from 0, a gate line from the first after the header lines.  Within
+    a region only the first copy of a line can fail: a copy before it fails first."""
+    numbered = [
+        (i, ln) for i, raw in enumerate(text.splitlines(), start=1)
+        if (ln := raw.strip()) and ln[0] != "#"
+    ]
+    lineno = next(i for i, ln in numbered[start:] if ln == line)
     return ParseError(f"line {lineno}: {message}: {line!r}")
 
 
 def parse_circuit(text: str) -> Circuit:
     """Read serialize() output back; a malformed line is a ParseError naming it."""
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    if "#" in text:
+        lines = [ln for ln in lines if ln[0] != "#"]
     if not text.isascii() or "_" in text:  # int() and float() read "1_0" and non-ASCII digits
         for bad in (ln for ln in lines if not ln.isascii() or "_" in ln):
             raise _line_error(text, bad, "numbers must be plain ASCII digits")
-    if not lines or not lines[0].startswith("qubits "):
+    header = lines[0].split() if lines else ()  # a header line is known by its first field
+    if not header or header[0] != "qubits":
         raise ParseError("circuit text must start with a 'qubits N' line")
-    header, body = lines[0], lines[1:]
     try:
-        _, count = header.split()
+        _, count = header
         n = int(count)
     except ValueError as exc:
-        raise _line_error(text, header, "bad qubits line") from exc
+        raise _line_error(text, lines[0], "bad qubits line") from exc
     if n < 0:
-        raise _line_error(text, header, "negative qubit count")
+        raise _line_error(text, lines[0], "negative qubit count")
     phase = 0.0
-    if body and body[0].startswith("phase "):
+    start = 1  # the header lines before the first gate line
+    if len(lines) > 1 and (fields := lines[1].split())[0] == "phase":
         try:
-            _, value = body[0].split()
+            _, value = fields
             phase = float(value)
         except ValueError as exc:
-            raise _line_error(text, body[0], "bad phase line") from exc
+            raise _line_error(text, lines[1], "bad phase line", 1) from exc
         if not math.isfinite(phase):
-            raise _line_error(text, body[0], "phase must be finite")
-        body = body[1:]
-    parsed: dict[str, Gate] = {}  # one checked gate per distinct line, in first-seen order
-    for ln in body:
-        if ln not in parsed:
-            fields = ln.split()
-            reader = _READERS.get(fields[0])
-            try:
-                g = reader(fields, n) if reader else None
-            except ValueError:  # a field that int() or float() cannot read
-                g = None
-            parsed[ln] = _parse_gate(text, ln, n) if g is None else g
+            raise _line_error(text, lines[1], "phase must be finite", 1)
+        start = 2
+    body = lines[start:]
+    qubits = _QubitTokens(n)
+    parsed: dict[str, Gate] = dict.fromkeys(body)  # one gate per distinct line, first-seen order
+    for ln in parsed:
+        fields = ln.split()
+        reader = _READERS.get(fields[0])
+        try:
+            g = reader(fields, qubits) if reader else None
+        except ValueError:  # an angle that float() cannot read
+            g = None
+        parsed[ln] = _parse_gate(text, ln, n, start) if g is None else g
     return _circuit(n, map(parsed.__getitem__, body), phase)
 
 
 # -- one reader per gate shape -----------------------------------------------
-# Each takes the fields of a split line, the gate name first, converts them by
-# position and tests the Gate rules and the register bound inline.  It returns
-# None for a line that breaks one, and _parse_gate then names the fault.
+# Each takes the fields of a split line, the gate name first, reads the qubits
+# through the call's token table and the angle by float(), and tests the Gate
+# rules inline.  It returns None for a line that breaks one, or whose qubit
+# token is not canonical, and _parse_gate then reads it or names the fault.
 
 
-def _read_q(f: list[str], n: int) -> Gate | None:
+class _QubitTokens(dict):
+    """Qubit token -> its qubit, read on first use; one per parse_circuit call.
+    A canonical token, "1" to "n" in ASCII digits without a sign or a leading
+    zero, reads as its qubit and any other token as 0.  It holds the tokens
+    seen, never a table of the register."""
+
+    __slots__ = ("n", "width")
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+        self.width = len(str(n))  # a longer token is above n; int() would refuse 4301 digits
+
+    def __missing__(self, token: str) -> int:
+        q = 0
+        if len(token) <= self.width and token.isdigit() and token[0] != "0":
+            q = int(token)
+            if q > self.n:
+                q = 0
+        self[token] = q
+        return q
+
+
+def _read_q(f: list[str], qubits: _QubitTokens) -> Gate | None:
     if len(f) == 2:
-        q = int(f[1])
-        if 0 < q <= n:
+        q = qubits[f[1]]
+        if q:
             return _gate(f[0], (q,))
     return None
 
 
-def _read_q_angle(f: list[str], n: int) -> Gate | None:
+def _read_q_angle(f: list[str], qubits: _QubitTokens) -> Gate | None:
     if len(f) == 3:
-        q, angle = int(f[1]), float(f[2])
-        if 0 < q <= n and math.isfinite(angle):
+        q, angle = qubits[f[1]], float(f[2])
+        if q and math.isfinite(angle):
             return _gate(f[0], (q,), angle)
     return None
 
 
-def _read_qq(f: list[str], n: int) -> Gate | None:
+def _read_qq(f: list[str], qubits: _QubitTokens) -> Gate | None:
     if len(f) == 3:
-        a, b = int(f[1]), int(f[2])
-        if a != b and 0 < a <= n and 0 < b <= n:
+        a, b = qubits[f[1]], qubits[f[2]]
+        if a and b and a != b:
             return _gate(f[0], (a, b))
     return None
 
 
-def _read_qq_angle(f: list[str], n: int) -> Gate | None:
+def _read_qq_angle(f: list[str], qubits: _QubitTokens) -> Gate | None:
     if len(f) == 4:
-        a, b, angle = int(f[1]), int(f[2]), float(f[3])
-        if a != b and 0 < a <= n and 0 < b <= n and math.isfinite(angle):
+        a, b, angle = qubits[f[1]], qubits[f[2]], float(f[3])
+        if a and b and a != b and math.isfinite(angle):
             return _gate(f[0], (a, b), angle)
     return None
 
 
-def _read_qqq_angle(f: list[str], n: int) -> Gate | None:
+def _read_qqq_angle(f: list[str], qubits: _QubitTokens) -> Gate | None:
     if len(f) == 5:
-        a, b, c, angle = int(f[1]), int(f[2]), int(f[3]), float(f[4])
-        if (a != b != c != a and 0 < a <= n and 0 < b <= n and 0 < c <= n
-                and math.isfinite(angle)):
+        a, b, c, angle = qubits[f[1]], qubits[f[2]], qubits[f[3]], float(f[4])
+        if a and b and c and a != b != c != a and math.isfinite(angle):
             return _gate(f[0], (a, b, c), angle)
     return None
 
@@ -495,21 +596,22 @@ _READ_SHAPE = {
 _READERS = {name: _READ_SHAPE[shape] for name, shape in _GATE_SHAPE.items()}
 
 
-def _parse_gate(text: str, ln: str, n_qubits: int) -> Gate:
-    """The gate on one line, checked by the Gate rules and the register bound."""
+def _parse_gate(text: str, ln: str, n_qubits: int, start: int) -> Gate:
+    """The gate on one line, checked by the Gate rules and the register bound;
+    ``start`` is where _line_error looks for the line."""
     fields = ln.split()
     name = fields[0]
     if name not in _GATE_SHAPE:
-        raise _line_error(text, ln, "unknown gate")
+        raise _line_error(text, ln, "unknown gate", start)
     arity, takes_angle = _GATE_SHAPE[name]
     if len(fields) != 1 + arity + takes_angle:
-        raise _line_error(text, ln, "wrong number of fields")
+        raise _line_error(text, ln, "wrong number of fields", start)
     try:
         qubits = tuple(map(int, fields[1 : 1 + arity]))
         angle = float(fields[-1]) if takes_angle else None
         _check_shape(name, qubits, angle)
     except ValueError as exc:  # bad numbers, repeated qubits, non-finite angles
-        raise _line_error(text, ln, str(exc)) from exc
+        raise _line_error(text, ln, str(exc), start) from exc
     if max(qubits) > n_qubits:
-        raise _line_error(text, ln, _outside_message(name, qubits, n_qubits))
+        raise _line_error(text, ln, _outside_message(name, qubits, n_qubits), start)
     return _gate(name, qubits, angle)

@@ -383,15 +383,37 @@ def from_diagonal(h: DiagonalHamiltonian) -> PauliOperator:
     )
 
 
+def reference_format_angle(a) -> str:
+    """The shortest of a's 15, 16 and 17 significant-digit %g forms that
+    parses back to a: serialize's angle text, by trying each in turn."""
+    for precision in (15, 16, 17):
+        text = f"{a:.{precision}g}"
+        if float(text) == a:
+            return text
+    return repr(a)
+
+
+def reference_serialize(c: Circuit) -> str:
+    """serialize with every gate line written in full, its angle formatted anew."""
+    lines = [f"qubits {c.n_qubits}", f"phase {reference_format_angle(c.global_phase)}"]
+    for g in c.gates:
+        parts = [g.name, *map(str, g.qubits)]
+        if g.angle is not None:
+            parts.append(reference_format_angle(g.angle))
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
 def reference_parse_circuit(text: str) -> Circuit:
     """parse_circuit with every distinct gate line read by _parse_gate alone,
-    the generic reader that words each ParseError."""
+    the generic reader that words each ParseError.  A header line is known
+    by its first whitespace-split field."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not text.isascii() or "_" in text:
         for bad in (ln for ln in lines if not ln.isascii() or "_" in ln):
             raise _line_error(text, bad, "numbers must be plain ASCII digits")
-    if not lines or not lines[0].startswith("qubits "):
+    if not lines or lines[0].split()[0] != "qubits":
         raise ParseError("circuit text must start with a 'qubits N' line")
     header, body = lines[0], lines[1:]
     try:
@@ -402,19 +424,21 @@ def reference_parse_circuit(text: str) -> Circuit:
     if n < 0:
         raise _line_error(text, header, "negative qubit count")
     phase = 0.0
-    if body and body[0].startswith("phase "):
+    start = 1  # the gate lines follow the header lines
+    if body and body[0].split()[0] == "phase":
         try:
             _, value = body[0].split()
             phase = float(value)
         except ValueError as exc:
-            raise _line_error(text, body[0], "bad phase line") from exc
+            raise _line_error(text, body[0], "bad phase line", 1) from exc
         if not math.isfinite(phase):
-            raise _line_error(text, body[0], "phase must be finite")
+            raise _line_error(text, body[0], "phase must be finite", 1)
         body = body[1:]
+        start = 2
     parsed: dict = {}
     for ln in body:
         if ln not in parsed:
-            parsed[ln] = _parse_gate(text, ln, n)
+            parsed[ln] = _parse_gate(text, ln, n, start)
     return _circuit(n, map(parsed.__getitem__, body), phase)
 
 

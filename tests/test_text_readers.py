@@ -1,13 +1,26 @@
 """The direct readers of circuit lines and Z labels agree with the generic
 readers they stand in front of (kept in conftest): on random lines and
-labels, each gives the same Gate or term masks, or the same error text."""
+labels, each gives the same Gate or term masks, or the same error text.
+Likewise serialize and its angle formatter write what the 15/16/17-digit
+search of the reference writes."""
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boolham.circuits import _GATE_SHAPE, Gate, emit_evolution, parse_circuit, serialize
+from boolham.circuits import (
+    _GATE_SHAPE,
+    Circuit,
+    Gate,
+    _format_angle,
+    emit_evolution,
+    parse_circuit,
+    serialize,
+)
 from boolham.errors import BoolhamError, ParseError
 from boolham.zpoly import (
     MAX_QUBITS,
@@ -17,7 +30,13 @@ from boolham.zpoly import (
     qubits_of,
     term_label,
 )
-from conftest import random_zham, reference_parse_circuit, reference_parse_pauli_label
+from conftest import (
+    random_zham,
+    reference_format_angle,
+    reference_parse_circuit,
+    reference_parse_pauli_label,
+    reference_serialize,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=400)
 
@@ -131,6 +150,143 @@ def test_emitted_circuits_round_trip(seed, n, gamma):
     c = emit_evolution(random_zham(np.random.default_rng(seed), n, 40), gamma)
     text = serialize(c)
     assert parse_circuit(text) == c == reference_parse_circuit(text)
+    assert serialize(parse_circuit(text)) == text
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("qubits 1\nqubits 1\n", "line 2: unknown gate: 'qubits 1'"),
+        ("qubits 2\nphase 0.5\nphase 0.5\n", "line 3: unknown gate: 'phase 0.5'"),
+        ("qubits 1\nphase 0\nx 1\nqubits 1\n", "line 4: unknown gate: 'qubits 1'"),
+        ("# c\n qubits 1\n\n#qubits 1\nqubits 1\n", "line 5: unknown gate: 'qubits 1'"),
+    ],
+    ids=["header-repeated", "phase-repeated", "header-after-a-gate", "around-comments"],
+)
+def test_a_gate_line_that_repeats_a_header_line_is_named_at_its_own_line(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_circuit(text)
+    assert str(err.value) == message == str(outcome(reference_parse_circuit, text)[1])
+
+
+@pytest.mark.parametrize(
+    "text, n, phase",
+    [
+        ("qubits\t2\nphase 0.5\nh 2\n", 2, 0.5),
+        ("qubits 2\nphase\t0.5\nh 2\n", 2, 0.5),
+        ("qubits  2\nphase \t -0.5\nh 2\n", 2, -0.5),
+        ("qubits\x1f2\nh 2\n", 2, 0.0),
+    ],
+    ids=["tab-after-qubits", "tab-after-phase", "runs-of-spaces", "unit-separator"],
+)
+def test_header_lines_split_at_whitespace_as_gate_lines_do(text, n, phase):
+    c = parse_circuit(text)
+    assert (c.n_qubits, c.global_phase, c.gates) == (n, phase, (Gate("h", (2,)),))
+    assert circuit_outcome(parse_circuit, text) == circuit_outcome(reference_parse_circuit, text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("qubits\n", "line 1: bad qubits line: 'qubits'"),
+        ("qubits 1\nphase\n", "line 2: bad phase line: 'phase'"),
+        ("qubitsx 1\n", "circuit text must start with a 'qubits N' line"),
+        ("qubits 1\nphasex 1\n", "line 2: unknown gate: 'phasex 1'"),
+    ],
+)
+def test_a_header_line_is_known_by_its_first_field(text, message):
+    assert outcome(parse_circuit, text) == ("ParseError", message)
+    assert outcome(reference_parse_circuit, text) == ("ParseError", message)
+
+
+# -- qubit tokens --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["cx +01 2", "cx 01 2", "rz 007 0.5", "crz +3 1 0.5", "ccrz 1 2 03 -1", "h 0", "h -0",
+     "h 00", "x +0", "h -1", "cx 1 4", "rz 4 0.5", "ccrz 1 2 4 0.5", "x 9999", "h " + "9" * 4301,
+     "cx 3 +3", "cx 03 3", "h 1.0", "h 0x1"],
+)
+def test_non_canonical_and_outside_tokens_read_as_the_generic_reader_reads_them(line):
+    text = circuit_text(3, ["cx 1 2", line, "h 3"])
+    assert circuit_outcome(parse_circuit, text) == circuit_outcome(reference_parse_circuit, text)
+
+
+def test_the_token_table_is_not_sized_by_the_register():
+    text = "qubits 1000000000\nphase 0\ncx 1 999999999\nrz 1000000000 0.5\nh 1\n"
+    parse_circuit(text)  # warm
+    tracemalloc.start()
+    try:
+        c = parse_circuit(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert c.n_qubits == 10**9 and len(c.gates) == 3
+    assert peak < 1 << 20
+
+
+# -- angle text ----------------------------------------------------------------
+
+
+def edge_angles() -> list[float]:
+    """Where the 15/16/17-digit search and repr could part: signed zeros,
+    every +-2^k and its neighbours, integers, the 1e15 boundary, the edge of
+    repr's exponent form, and subnormals."""
+    values = [0.0, -0.0, 999999999999999.9, 1e15, 1e16, 1e-4, 1e-5, 5e-324, 2.2250738585072014e-308,
+              2.225073858507201e-308, 1e-310, 123456789012345.25, 0.1, 1 / 3, math.pi]
+    for k in range(-1074, 1024):
+        p = 2.0**k
+        values += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    for exp in range(17):
+        values += [float(10**exp), float(10**exp - 1), float(10**exp + 1)]
+    values += [float(i) for i in range(-1000, 1001)]
+    finite = [v for v in values if math.isfinite(v)]
+    return finite + [-v for v in finite]
+
+
+def test_edge_angles_format_as_the_digit_search_formats_them():
+    mismatched = [a for a in edge_angles() if _format_angle(a) != reference_format_angle(a)]
+    assert mismatched == []
+
+
+@PROPERTY
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_angles_format_as_the_digit_search_formats_them(a):
+    assert _format_angle(a) == reference_format_angle(a)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def shared_gate_circuits(draw):
+    """A circuit drawn from a pool of gate objects, each used any number of
+    times; its angles come from a pool of floats that holds 0.0 and -0.0."""
+    n = draw(st.integers(3, 6))
+    qubit = st.integers(1, n)
+    angles = draw(st.lists(FINITE, max_size=4)) + [0.0, -0.0]
+    pool = []
+    for name in draw(st.lists(st.sampled_from(sorted(_GATE_SHAPE)), min_size=1, max_size=8)):
+        arity, takes_angle = _GATE_SHAPE[name]
+        qubits = draw(st.lists(qubit, min_size=arity, max_size=arity, unique=True))
+        pool.append(Gate(name, tuple(qubits), draw(st.sampled_from(angles)) if takes_angle else None))
+    order = draw(st.lists(st.integers(0, len(pool) - 1), max_size=30))
+    return Circuit(n, [pool[i] for i in order], draw(FINITE))
+
+
+@PROPERTY
+@given(shared_gate_circuits())
+def test_serialize_writes_what_the_reference_writes(c):
+    assert serialize(c) == reference_serialize(c)
+
+
+def test_a_zero_angle_keeps_its_sign():
+    # gamma 0 makes each term's angle 2 * 0.0 * w: -0.0 where w < 0
+    c = emit_evolution(DiagonalHamiltonian(3, {0b001: 1.5, 0b010: -2.0, 0b110: 0.5, 0b101: -1.0}), 0.0)
+    text = serialize(c)
+    assert text == reference_serialize(c)
+    assert {"rz 1 0", "rz 2 -0", "rz 3 0", "rz 3 -0"} <= set(text.splitlines())
     assert serialize(parse_circuit(text)) == text
 
 

@@ -554,22 +554,19 @@ def conjunction(clauses: Sequence[BoolExpr]) -> BoolExpr:
     return And(tuple(clauses))
 
 
-class _Unread(Exception):
-    """A DIMACS clause body holds a token that its place does not accept."""
-
-
 def _read_clauses(
     tokens: list[str], weighted: bool, n_vars: int
-) -> tuple[list[float], list[BoolExpr], bool]:
-    """The clauses in a body's tokens: their weights, their nodes, and
-    whether a clause is left open at the end.  A clause is the literals up
-    to a 0 and may span lines.  In WCNF (``weighted``) the first token of
-    every clause is its weight; in CNF every clause has weight 1.  Each
-    distinct token is read once, and each literal gets one node, which
+) -> tuple[list[float], list[BoolExpr], int | None, bool]:
+    """The clauses in a body's tokens: their weights, their nodes, where
+    reading stopped, and whether that place holds a weight.  A clause is the
+    literals up to a 0 and may span lines.  In WCNF (``weighted``) the first
+    token of every clause is its weight; in CNF every clause has weight 1.
+    Each distinct token is read once, and each literal gets one node, which
     every clause that reads it shares.
-    Raises _Unread for a literal that int() cannot read or that is past
-    n_vars, and for a weight that float() cannot read or that is not
-    finite."""
+    Reading stops at the first token that its place does not accept: a
+    literal that int() cannot read or that is past n_vars, or a weight that
+    float() cannot read or that is not finite.  It stops at len(tokens) if
+    the last clause is left open, and at None if every clause is closed."""
     value: dict[str, int] = {}
     for token in set(tokens):
         try:
@@ -580,30 +577,31 @@ def _read_clauses(
             value[token] = lit
     literals = _Literals()
     node = {token: literals[lit] for token, lit in value.items() if lit}
+    size = len(tokens)
     values = list(map(value.get, tokens))  # None: not a literal
+    values += (0, None)  # sentinels, so that each search below finds its value
     nodes = list(map(node.get, tokens))
     weights: list[float] = []
     clauses: list[BoolExpr] = []
-    weights_unread = 0  # weight tokens that no literal reads: the only Nones allowed
+    unread = values.index(None)  # the first token at or after p that no literal reads
     p = 0
-    size = len(tokens)
-    left_open = False
     while p < size:
         weight = 1.0
         if weighted:
             try:
                 weight = float(tokens[p])
             except ValueError:
-                raise _Unread from None
+                return weights, clauses, p, True
             if not math.isfinite(weight):
-                raise _Unread
-            weights_unread += values[p] is None
+                return weights, clauses, p, True
             p += 1
-        try:
-            end = values.index(0, p)
-        except ValueError:  # no 0 left: the clause is open
-            left_open = True
-            break
+            if unread < p:  # it was the weight, which float() reads
+                unread = values.index(None, p)
+        end = values.index(0, p)  # size: no 0 is left, and the clause is open
+        if unread < end:
+            return weights, clauses, unread, False
+        if end == size:
+            return weights, clauses, size, False
         parts = nodes[p:end]
         if len(parts) > 1:  # literals are never Or nodes
             clauses.append(Or._of(tuple(parts)))
@@ -611,9 +609,7 @@ def _read_clauses(
             clauses.append(parts[0] if parts else Const(0))
         weights.append(weight)
         p = end + 1
-    if values.count(None) != weights_unread:
-        raise _Unread
-    return weights, clauses, left_open
+    return weights, clauses, None, False
 
 
 def _dimacs_error(text: str, k: int, message: str) -> ParseError:
@@ -652,45 +648,31 @@ def _read_header(text: str, line: str) -> tuple[int, int, bool]:
     return n_vars, n_declared, fields[1] == "wcnf"
 
 
-def _line_fault(
-    line: str, n_vars: int, weighted: bool, is_open: bool
-) -> tuple[str | None, bool]:
-    """The first fault in one body line, or None, and whether a clause is
-    open after it (for a line without a fault), given whether one is open
-    where the line starts.  In WCNF a token that starts a clause is its
-    weight."""
-    if not _plain(line):
-        return f"numbers must be plain ASCII digits: {line!r}", False
-    if line[0] == "p":
-        return "duplicate problem line", False
-    for token in line.split():
-        if weighted and not is_open:
-            try:
-                weight = float(token)
-            except ValueError:
-                return f"bad clause weight {token!r}", False
-            if not math.isfinite(weight):
-                return f"clause weight {token!r} must be finite", False
-            is_open = True  # a weight alone leaves its clause open
-            continue
+def _token_error(
+    text: str, body: list[str], tokens: list[str], k: int, weight: bool, n_vars: int
+) -> ParseError:
+    """The error of the k-th token of the body lines, the first that its
+    place does not accept, named at its line; ``weight`` tells whether
+    that place holds a clause weight."""
+    token = tokens[k]
+    for line, words in enumerate(body):
+        k -= len(words.split())
+        if k < 0:
+            break
+    if body[line][0] == "p":  # its first token, as no number starts with "p"
+        message = "duplicate problem line"
+    elif weight:
         try:
-            lit = int(token)
+            float(token)
+            message = f"clause weight {token!r} must be finite"
         except ValueError:
-            return f"bad literal {token!r}", False
-        if abs(lit) > n_vars:
-            return f"literal {lit} out of range (n={n_vars})", False
-        is_open = lit != 0
-    return None, is_open
-
-
-def _first_fault(text: str, body: list[str], n_vars: int, weighted: bool) -> ParseError:
-    """The error of the first faulty body line, found line by line."""
-    is_open = False  # a clause is open where the line starts
-    for k, line in enumerate(body):
-        fault, is_open = _line_fault(line, n_vars, weighted, is_open)
-        if fault:
-            return _dimacs_error(text, k + 1, fault)
-    raise AssertionError("no faulty line")
+            message = f"bad clause weight {token!r}"
+    else:
+        try:
+            message = f"literal {int(token)} out of range (n={n_vars})"
+        except ValueError:
+            message = f"bad literal {token!r}"
+    return _dimacs_error(text, line + 1, message)
 
 
 def parse_dimacs(text: str) -> tuple[PseudoBooleanObjective, BoolExpr]:
@@ -703,7 +685,11 @@ def parse_dimacs(text: str) -> tuple[PseudoBooleanObjective, BoolExpr]:
     One pass: blank and comment lines are dropped, the first line left is
     the header, and the rest is split into tokens once.  Each distinct
     token is read as a literal once, and each clause is the slice up to its
-    0.  The line of a fault is found only when one is raised.
+    0.  _read_clauses is the only place that decides which token a place
+    accepts; it stops at the first it does not, and only then is the
+    token's line found and the error worded (_token_error).  Body lines
+    past the first one that is not plain ASCII are not read: a fault before
+    it is named first, else that line is.
     """
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "c"]
     if not lines:
@@ -711,13 +697,17 @@ def parse_dimacs(text: str) -> tuple[PseudoBooleanObjective, BoolExpr]:
     n_vars, n_declared, weighted = _read_header(text, lines[0])
     body = lines[1:]
     joined = " ".join(body)
-    try:
-        if not _plain(joined):
-            raise _Unread
-        weights, exprs, left_open = _read_clauses(joined.split(), weighted, n_vars)
-    except _Unread:
-        raise _first_fault(text, body, n_vars, weighted) from None
-    if left_open:
+    bad = len(body)  # the first body line that is not plain, if any
+    if not _plain(joined):
+        bad = next(k for k, line in enumerate(body) if not _plain(line))
+        joined = " ".join(body[:bad])
+    tokens = joined.split()
+    weights, exprs, stop, weight = _read_clauses(tokens, weighted, n_vars)
+    if stop is not None and stop < len(tokens):
+        raise _token_error(text, body, tokens, stop, weight, n_vars)
+    if bad < len(body):
+        raise _dimacs_error(text, bad + 1, f"numbers must be plain ASCII digits: {body[bad]!r}")
+    if stop is not None:
         raise ParseError("last clause is missing its terminating 0")
     if len(exprs) != n_declared:
         raise ParseError(f"header declares {n_declared} clauses, found {len(exprs)}")

@@ -15,7 +15,9 @@ or optimization passes are applied.
 Gates are checked where they enter the program: the public Gate and
 Circuit constructors and parse_circuit check names, arities, distinct
 1-based integer qubits, angles, the register size and bound, and a finite
-global phase, so every circuit they accept serializes to text that
+global phase.  The constructors store each angle and the phase as a float
+(an int past 2^53, a Fraction or a numpy float becomes the float that
+serialize writes), so every circuit they accept serializes to text that
 parse_circuit reads back equal.  The emitters and lower_basic build gates
 that are valid by construction (their qubits come from operator masks,
 which DiagonalHamiltonian keeps inside the register), so they check only
@@ -82,6 +84,8 @@ class Gate:
             raise ValueError(f"{self.name} qubit indices must be integers: {qubits}")
         object.__setattr__(self, "qubits", qubits)
         _check_shape(self.name, qubits, self.angle)
+        if self.angle is not None:  # a float, as parse_circuit reads it back
+            object.__setattr__(self, "angle", float(self.angle))
 
 
 def _check_shape(name: str, qubits: tuple[int, ...], angle) -> None:
@@ -140,6 +144,7 @@ class Circuit:
         if type(self.n_qubits) is not int or self.n_qubits < 0:
             raise ValueError(f"qubit count must be a non-negative integer, got {self.n_qubits!r}")
         _require_finite(self.global_phase, "global phase must be finite")
+        object.__setattr__(self, "global_phase", float(self.global_phase))
         object.__setattr__(self, "gates", tuple(self.gates))
         _require_in_register(self.n_qubits, self.gates)
 

@@ -29,9 +29,10 @@ read through ``load_json``, ``json_field``, ``json_list`` and ``json_number``
 here: a value of the wrong JSON type is a ParseError, never converted.
 
 Term labels are ASCII.  ``term_label`` spells a mask from a tuple of the
-names "Z1".."Z63", and ``parse_pauli_label`` reads that spelling ("Z3 Z17",
-atoms separated by any ASCII whitespace) through a table of its atoms.  Any
-other label goes through the regex reader, which also accepts atoms run
+names "Z1".."Z63".  ``parse_pauli_label`` is the one reader of labels: it
+splits a label at ASCII whitespace and reads each chunk in that spelling
+("Z17", on the register and not yet read) through a table of its atoms.
+Any other chunk goes through the regex reader, which also accepts atoms run
 together ("X1Z3"), leading zeros ("Z01"), X and Y atoms and "I", and words
 every ParseError.
 """
@@ -95,21 +96,6 @@ def term_label(mask: int, sep: str = "") -> str:
     return sep.join(names)
 
 
-def _z_label_mask(label, n_qubits: int) -> int | None:
-    """The term mask of a label spelled as term_label(mask, " ") spells it
-    ("Z3 Z17": atoms "Z<j>", j without leading zeros, each qubit once, all on
-    the register, split by whitespace); None for any other label."""
-    if type(label) is not str or not label.isascii():  # str.split splits at non-ASCII spaces
-        return None
-    mask = 0
-    for atom in label.split():
-        bit = _Z_ATOM_BIT.get(atom, 0)
-        if not bit or mask & bit:
-            return None
-        mask |= bit
-    return mask if mask >> n_qubits == 0 else None
-
-
 # one atom per match: a letter and its qubit digits, or a bad atom, which runs
 # from any character to the next letter or space
 _PAULI_ATOM = re.compile(r"([XYZ])([0-9]+)(?![^\sXYZ])|(\S[^\sXYZ]*)")
@@ -118,30 +104,33 @@ _PAULI_ATOM = re.compile(r"([XYZ])([0-9]+)(?![^\sXYZ])|(\S[^\sXYZ]*)")
 def parse_pauli_label(label: str, n_qubits: int) -> tuple[int, int]:
     """(x_mask, z_mask) of a label like 'X1 Z3' or 'X1Z3'; 'I' is the identity.
 
-    A label in term_label's spelling is read through a table of its atoms;
-    every other label (X and Y atoms, atoms run together as 'X1Z3', leading
-    zeros as 'Z01', and every faulty label) goes through the regex reader,
-    which words each ParseError."""
-    z_mask = _z_label_mask(label, n_qubits)
-    if z_mask is not None:
-        return 0, z_mask
+    The label is read chunk by chunk, split at whitespace.  A chunk in
+    term_label's spelling of a qubit on the register and not yet read
+    ("Z17") is looked up in a table of those atoms; any other chunk (X and Y
+    atoms, atoms run together as 'X1Z3', leading zeros as 'Z01', and every
+    fault) goes through the regex reader, which words each ParseError."""
     if not isinstance(label, str) or not label.isascii():  # int() reads other scripts' digits
         raise ParseError(f"Pauli label must be an ASCII string, got {label!r}")
-    label = label.strip()
-    if label in ("I", ""):
-        return 0, 0
     x_mask = z_mask = 0
-    for letter, digits, bad in _PAULI_ATOM.findall(label):
-        if bad:
-            raise ParseError(f"bad Pauli atom {bad!r} in label {label!r}")
-        j = int(digits)
-        bit = qubit_bit(j, n_qubits)
-        if (x_mask | z_mask) & bit:
-            raise ParseError(f"qubit {j} appears twice in label {label!r}")
-        if letter != "Z":  # X or Y
-            x_mask |= bit
-        if letter != "X":  # Y or Z
+    for chunk in label.split():
+        bit = _Z_ATOM_BIT.get(chunk, 0)
+        if bit and not (x_mask | z_mask) & bit and not bit >> n_qubits:
             z_mask |= bit
+            continue
+        name = label.strip()  # the label the errors name
+        if name == "I":
+            return 0, 0
+        for letter, digits, bad in _PAULI_ATOM.findall(chunk):
+            if bad:
+                raise ParseError(f"bad Pauli atom {bad!r} in label {name!r}")
+            j = int(digits)
+            bit = qubit_bit(j, n_qubits)
+            if (x_mask | z_mask) & bit:
+                raise ParseError(f"qubit {j} appears twice in label {name!r}")
+            if letter != "Z":  # X or Y
+                x_mask |= bit
+            if letter != "X":  # Y or Z
+                z_mask |= bit
     return x_mask, z_mask
 
 

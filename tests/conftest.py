@@ -19,7 +19,7 @@ from boolham.boolexpr import (
     compose,
     register_size,
 )
-from boolham.circuits import Circuit, Gate, _circuit, _line_error, _parse_gate
+from boolham.circuits import Circuit, Gate
 from boolham.compiler import compile_expr
 from boolham.errors import ParseError
 from boolham.oracle import _check_cap, _hadamard_rows
@@ -404,15 +404,66 @@ def reference_serialize(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _reference_line_error(text: str, line: str, message: str, start: int = 0) -> ParseError:
+    """A ParseError naming the first line whose stripped text is ``line``,
+    counting from the ``start``-th line that is neither blank nor a comment."""
+    significant = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        ln = raw.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        if significant >= start and ln == line:
+            return ParseError(f"line {lineno}: {message}: {line!r}")
+        significant += 1
+    raise AssertionError(f"no line {line!r}")
+
+
+# gate name -> number of qubits, takes an angle
+_REFERENCE_GATE_SHAPE = {
+    "cx": (2, False), "rz": (1, True), "h": (1, False), "x": (1, False),
+    "crz": (2, True), "ccrz": (3, True),
+}
+
+
+def _reference_parse_gate(text: str, ln: str, n_qubits: int, start: int) -> Gate:
+    """One gate line, its rules tested one at a time in the order the
+    library words them: name, field count, numbers, distinct and 1-based
+    qubits, a finite angle, the register bound."""
+
+    def fault(message: str) -> ParseError:
+        return _reference_line_error(text, ln, message, start)
+
+    name, *fields = ln.split()
+    if name not in _REFERENCE_GATE_SHAPE:
+        raise fault("unknown gate")
+    arity, takes_angle = _REFERENCE_GATE_SHAPE[name]
+    if len(fields) != arity + takes_angle:
+        raise fault("wrong number of fields")
+    try:
+        qubits = tuple(int(f) for f in fields[:arity])
+        angle = float(fields[arity]) if takes_angle else None
+    except ValueError as exc:
+        raise fault(str(exc)) from exc
+    if len(set(qubits)) != arity:
+        raise fault(f"{name} qubits must be distinct: {qubits}")
+    if min(qubits) < 1:
+        raise fault(f"qubit indices are 1-based: {qubits}")
+    if takes_angle and not math.isfinite(angle):
+        raise fault(f"{name} needs a finite angle, got {angle!r}")
+    if max(qubits) > n_qubits:
+        raise fault(f"gate {name} touches qubit {max(qubits)} on a {n_qubits}-qubit circuit")
+    return Gate(name, qubits, angle)
+
+
 def reference_parse_circuit(text: str) -> Circuit:
-    """parse_circuit with every distinct gate line read by _parse_gate alone,
-    the generic reader that words each ParseError.  A header line is known
-    by its first whitespace-split field."""
+    """parse_circuit with every distinct gate line read by a generic line
+    reader that tests each rule in turn and words each ParseError.  A
+    header line is known by its first whitespace-split field."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not text.isascii() or "_" in text:
         for bad in (ln for ln in lines if not ln.isascii() or "_" in ln):
-            raise _line_error(text, bad, "numbers must be plain ASCII digits")
+            raise _reference_line_error(text, bad, "numbers must be plain ASCII digits")
     if not lines or lines[0].split()[0] != "qubits":
         raise ParseError("circuit text must start with a 'qubits N' line")
     header, body = lines[0], lines[1:]
@@ -420,9 +471,9 @@ def reference_parse_circuit(text: str) -> Circuit:
         _, count = header.split()
         n = int(count)
     except ValueError as exc:
-        raise _line_error(text, header, "bad qubits line") from exc
+        raise _reference_line_error(text, header, "bad qubits line") from exc
     if n < 0:
-        raise _line_error(text, header, "negative qubit count")
+        raise _reference_line_error(text, header, "negative qubit count")
     phase = 0.0
     start = 1  # the gate lines follow the header lines
     if body and body[0].split()[0] == "phase":
@@ -430,16 +481,16 @@ def reference_parse_circuit(text: str) -> Circuit:
             _, value = body[0].split()
             phase = float(value)
         except ValueError as exc:
-            raise _line_error(text, body[0], "bad phase line", 1) from exc
+            raise _reference_line_error(text, body[0], "bad phase line", 1) from exc
         if not math.isfinite(phase):
-            raise _line_error(text, body[0], "phase must be finite", 1)
+            raise _reference_line_error(text, body[0], "phase must be finite", 1)
         body = body[1:]
         start = 2
     parsed: dict = {}
     for ln in body:
         if ln not in parsed:
-            parsed[ln] = _parse_gate(text, ln, n, start)
-    return _circuit(n, map(parsed.__getitem__, body), phase)
+            parsed[ln] = _reference_parse_gate(text, ln, n, start)
+    return Circuit(n, [parsed[ln] for ln in body], phase)
 
 
 _REFERENCE_PAULI_ATOM = re.compile(r"([XYZ])([0-9]+)(?![^\sXYZ])|(\S[^\sXYZ]*)")

@@ -1,6 +1,7 @@
 """Unit tests for circuit emission, serialization, and lowering."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -274,6 +275,19 @@ class TestSerialization:
             emit_bit_query(parse_expr("x1 & x2 | x3"), 3),
         ):
             assert parse_circuit(serialize(circ)) == circ
+
+    @pytest.mark.parametrize(
+        "angle, phase",
+        [(Fraction(1, 3), 0.0), (0.5, Fraction(1, 3)), (2**60 + 1, 0.0), (np.float32(0.1), 0.0),
+         (3, np.float64(0.25))],
+        ids=["fraction-angle", "fraction-phase", "int-past-2**53", "float32", "int-and-float64"],
+    )
+    def test_real_angles_are_stored_as_floats_and_round_trip(self, angle, phase):
+        circ = Circuit(2, (rz(1, angle), crz(1, 2, angle)), phase)
+        assert all(type(g.angle) is float for g in circ.gates)
+        assert type(circ.global_phase) is float
+        assert circ.gates[0].angle == float(angle) and circ.global_phase == float(phase)
+        assert parse_circuit(serialize(circ)) == circ
 
     def test_parsing_checks_each_line_without_the_gate_constructor(self, monkeypatch):
         text = serialize(lower_basic(emit_bit_query(parse_expr("x1 & x2 | x3"), 3)))

@@ -123,12 +123,16 @@ CORRUPT = ["x", "1.5", "1_0", "٣", "p", "nan", "inf", "-inf", "1e400", "99", "-
 
 @st.composite
 def corrupted_texts(draw):
-    """A generated text with one whitespace-separated token replaced."""
+    """A generated text with one to three whitespace-separated tokens
+    replaced, so a text may hold several faults and the first must be named."""
     text = draw(dimacs_texts())
     spans = [(m.start(), m.end()) for m in re.finditer(r"\S+", text)]
-    # half the time one of the last tokens, so the clause body is hit more than the header
-    start, end = draw(st.sampled_from(spans[-12:] if draw(st.booleans()) else spans))
-    return text[:start] + draw(st.sampled_from(CORRUPT)) + text[end:]
+    # half the time among the last tokens, so the clause body is hit more than the header
+    pool = spans[-12:] if draw(st.booleans()) else spans
+    picked = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    for start, end in sorted(picked, reverse=True):  # from the end: earlier spans keep their place
+        text = text[:start] + draw(st.sampled_from(CORRUPT)) + text[end:]
+    return text
 
 
 @TEXTS
@@ -150,7 +154,7 @@ def test_accepted_text_takes_no_second_pass(text, monkeypatch):
     def second_pass(*args):
         raise AssertionError("accepted text was read again")
 
-    monkeypatch.setattr(boolexpr, "_first_fault", second_pass)
+    monkeypatch.setattr(boolexpr, "_token_error", second_pass)
     monkeypatch.setattr(boolexpr, "_dimacs_error", second_pass)
     assert assert_same_parse(text) is None
 

@@ -1,6 +1,6 @@
-"""The direct readers of circuit lines and Z labels agree with the generic
-readers they stand in front of (kept in conftest): on random lines and
-labels, each gives the same Gate or term masks, or the same error text.
+"""The circuit reader agrees with a generic line reader, and the label
+reader with a regex reader alone (both kept in conftest): on random lines
+and labels, each gives the same Gate or term masks, or the same error text.
 Likewise serialize and its angle formatter write what the 15/16/17-digit
 search of the reference writes."""
 
@@ -21,11 +21,10 @@ from boolham.circuits import (
     parse_circuit,
     serialize,
 )
-from boolham.errors import BoolhamError, ParseError
+from boolham.errors import BoolhamError, ParseError, QubitCountError
 from boolham.zpoly import (
     MAX_QUBITS,
     DiagonalHamiltonian,
-    _z_label_mask,
     parse_pauli_label,
     qubits_of,
     term_label,
@@ -335,7 +334,6 @@ def test_random_labels_read_as_the_regex_reader_reads_them(label, n):
     ids=["em-space", "nbsp", "arabic-digit", "none", "int", "list", "bytes"],
 )
 def test_non_ascii_and_non_string_labels_are_rejected(label):
-    assert _z_label_mask(label, 3) is None
     kind, message = outcome(parse_pauli_label, label, 3)
     assert (kind, message) == outcome(reference_parse_pauli_label, label, 3)
     assert kind == "ParseError" and message.startswith("Pauli label must be an ASCII string")
@@ -356,8 +354,9 @@ def test_term_label_spells_each_qubit_once_in_order(mask, sep):
     label = term_label(mask, sep)
     assert label == (sep.join(f"Z{j}" for j in qubits_of(mask)) if mask else "I")
     if sep and mask:
-        assert _z_label_mask(label, MAX_QUBITS) == mask
-        assert _z_label_mask(label, mask.bit_length() - 1) is None  # its top qubit is off the register
+        assert parse_pauli_label(label, MAX_QUBITS) == (0, mask)
+        with pytest.raises(QubitCountError):  # its top qubit is off the register
+            parse_pauli_label(label, mask.bit_length() - 1)
 
 
 def test_every_qubit_has_a_name():

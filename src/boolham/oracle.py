@@ -8,23 +8,29 @@ position j counting from the right.
 
 The dense register cap defaults to 12 qubits (a complex matrix is about
 256 MiB at n = 12) and is hard-limited to 14.  ``simulate_circuit`` keeps
-each run of CX, X, RZ, CRZ and CCRZ gates as a permutation and a phase
-vector, at O(2^n) per gate, and makes one dense pass per H gate and one at
-the end; an H-free circuit builds only its result.  Matrix exponentials of
-diagonal operators are computed entrywise.  A diagonal operator's values
-come from one Walsh-Hadamard transform of its coefficients
+each run of CX, X, RZ, CRZ and CCRZ gates as a GF(2) parity map, one int
+mask per qubit, and a phase vector: a CX or an X is an int XOR, a rotation
+costs O(2^n).  It makes one dense pass per H gate and one at the end; an
+H-free circuit builds only its result.  ``_monomial`` returns an H-free
+circuit's unitary as its 2^n-entry permutation and phase vectors, with no
+matrix, so ``verify`` checks evolution circuits on vectors
+(``_monomial_maxdiff``).  Matrix exponentials of diagonal operators are
+computed entrywise.  A diagonal operator's values come from one
+Walsh-Hadamard transform of its coefficients
 (``fourier.table_from_fourier``).  Spectra are of diagonal operators only
 and read the same value table, so they reach n = 24.
 
-The checks built from these matrices live in ``verify``; its kickback
-suite uses only the 2^(n+1)-square bit queries and the H butterfly.  The
-reference bit query (``bit_query_matrix``) takes f's value table, not f,
-so a caller that already holds the table builds no second one.
+The checks built from these matrices live in ``verify``; only its
+bit-query and kickback checks build matrices, the 2^(n+1)-square bit
+queries and the H butterfly.  The reference bit query
+(``bit_query_matrix``) takes f's value table, not f, so a caller that
+already holds the table builds no second one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,7 +41,7 @@ from .boolexpr import BoolExpr, register_size, truth_table
 from .circuits import Circuit
 from .errors import CapExceeded
 from .pauli import PauliOperator
-from .zpoly import DiagonalHamiltonian, basis_label
+from .zpoly import DiagonalHamiltonian, basis_label, check_table_cap
 
 DENSE_CAP_DEFAULT = 12
 DENSE_CAP_MAX = 14
@@ -91,61 +97,106 @@ def simulate_circuit(c: Circuit, cap: int | None = None) -> np.ndarray:
     """Exact unitary of a circuit: gate product times e^(i global_phase).
 
     Every gate but H maps a basis state to one basis state times a phase,
-    so a run of them is kept as two 2^n vectors: column j's one entry sits
-    in row ``rows[j]`` with value ``vals[j]``.  CX and X flip bits of
-    ``rows``; RZ, CRZ and CCRZ scale ``vals`` by exp(-+i theta/2) where
-    every control of ``rows`` is 1.  Each costs O(2^n).  The dense matrix
-    costs one pass per H gate and one at the end: a run is scattered into
-    zeros if no H came before it, else gathered onto the matrix and scaled
-    in place, or only scaled in place if its rows are the identity.  The
-    global phase scales ``vals``, so an H-free circuit builds its result
-    and nothing larger, and a bit query holds one matrix and a half-size
-    butterfly temporary.
+    so ``_runs`` keeps each run of them as a parity map and a phase vector,
+    and a CX or an X costs no array work.  The dense matrix costs one pass
+    per H gate and one at the end: a run is scattered into zeros if no H
+    came before it, else gathered onto the matrix and scaled in place, or
+    only scaled in place if its map is the identity.  The global phase
+    scales the last run, so an H-free circuit builds its result and nothing
+    larger, and a bit query holds one matrix and a half-size butterfly
+    temporary.
     """
     _check_cap(c.n_qubits, cap)
-    dim = 1 << c.n_qubits
-    idx = np.arange(dim)
     u = None  # the identity, until the first H
-    rows, vals = idx.copy(), np.ones(dim, dtype=complex)
-    for gate in c.gates:
-        name, qubits = gate.name, gate.qubits
-        if name == "cx":
-            ctrl, tgt = qubits
-            bit = rows & (1 << (ctrl - 1))
-            rows ^= bit << (tgt - ctrl) if tgt > ctrl else bit >> (ctrl - tgt)
-        elif name == "x":
-            rows ^= 1 << (qubits[0] - 1)
-        elif name == "h":
-            u = _flush(u, rows, vals)  # rebound first: the old u is freed before H
-            u = _hadamard_rows(u, qubits[0], c.n_qubits)
-            rows, vals = idx.copy(), np.ones(dim, dtype=complex)
-        else:  # rz, crz, ccrz: RZ on the last qubit where every other one is 1
-            *controls, tgt = qubits
-            half = np.exp(1j * (gate.angle / 2.0) * _SIGNS)  # exp(-+i theta/2)
-            factor = half[(rows >> (tgt - 1)) & 1]
-            for q in controls:
-                factor[(rows >> (q - 1)) & 1 == 0] = 1.0
-            # factor first, as the dense gate-by-gate d * u: with FMA, complex
-            # products are not commutative to the bit
-            np.multiply(factor, vals, out=vals)
-    np.multiply(np.exp(1j * c.global_phase), vals, out=vals)
-    return _flush(u, rows, vals)
+    for masks, vals, h in _runs(c):
+        u = _flush(u, masks, vals)  # rebound first: the old u is freed before H
+        if h is not None:
+            u = _hadamard_rows(u, h, c.n_qubits)
+    return u
 
 
-def _flush(u: np.ndarray | None, rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """The monomial run (rows, vals) times u, u None for the identity:
+def _monomial(c: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """An H-free circuit's unitary as two 2^n vectors, phase included:
+    column j's one entry sits in row ``rows[j]`` with value ``vals[j]``.
+    Bounded like a value table, not by the dense cap."""
+    check_table_cap(c.n_qubits)
+    masks, vals, h = next(_runs(c))
+    if h is not None:
+        raise ValueError(f"a monomial circuit has no H gate, found one on qubit {h}")
+    return _rows(masks), vals
+
+
+def _runs(c: Circuit) -> Iterator[tuple[list[int], np.ndarray, int | None]]:
+    """Split c at its H gates: per run of CX, X, RZ, CRZ and CCRZ gates,
+    yield its parity map, its phase vector and the qubit of the H that ends
+    it (None for the last run, whose vector carries the global phase).
+
+    The map keeps one int mask per qubit over GF(2): bit i < n of
+    ``masks[q - 1]`` is set where input bit x_(i+1) enters qubit q's bit,
+    and bit n where an X flipped it.  A CX or an X is an int XOR.  A
+    rotation reads its qubits' bits over the 2^n inputs x as the parity of
+    mask & (x + 2^n), looked up in a table, takes its exp(-+i theta/2) pair
+    from one exp over all the circuit's angles, and scales ``vals`` where
+    every control is 1.  This is the phase-polynomial view of CNOT+RZ
+    circuits (Amy, Maslov and Mosca, arXiv:1303.2042), kept numeric.
+    """
+    n = c.n_qubits
+    lifted = np.arange(1 << n, 2 << n)  # x with bit n set, the bit a mask's X flips sit on
+    parity = np.bitwise_count(np.arange(2 << n)) & 1  # of each value of mask & lifted
+    angles = np.array([gate.angle for gate in c.gates if gate.angle is not None], dtype=float)
+    halves = iter(np.exp(1j * (angles / 2.0)[:, None] * _SIGNS))  # exp(-+i theta/2) per rotation
+    gates = iter(c.gates)
+    while True:
+        masks, vals = [1 << q for q in range(n)], np.ones(1 << n, dtype=complex)
+        for gate in gates:
+            name, qubits = gate.name, gate.qubits
+            if name == "cx":
+                ctrl, tgt = qubits
+                masks[tgt - 1] ^= masks[ctrl - 1]
+            elif name == "x":
+                masks[qubits[0] - 1] ^= 1 << n
+            elif name == "h":
+                yield masks, vals, qubits[0]
+                break
+            else:  # rz, crz, ccrz: RZ on the last qubit where every other one is 1
+                *controls, tgt = qubits
+                factor = next(halves).take(parity.take(lifted & masks[tgt - 1]))
+                for q in controls:
+                    factor[parity.take(lifted & masks[q - 1]) == 0] = 1.0
+                # factor first, as the dense gate-by-gate d * u: with FMA, complex
+                # products are not commutative to the bit
+                np.multiply(factor, vals, out=vals)
+        else:
+            np.multiply(np.exp(1j * c.global_phase), vals, out=vals)
+            yield masks, vals, None
+            return
+
+
+def _rows(masks: list[int]) -> np.ndarray:
+    """The permutation of a parity map: ``rows[x]`` is the state x goes to.
+    Built by doubling, rows[x + 2^i] = rows[x] ^ (the image of bit i)."""
+    n = len(masks)
+    image = lambda i: sum(((m >> i) & 1) << q for q, m in enumerate(masks))
+    rows = np.array([image(n)])  # where 0 goes: the X flips
+    for i in range(n):
+        rows = np.concatenate((rows, rows ^ image(i)))
+    return rows
+
+
+def _flush(u: np.ndarray | None, masks: list[int], vals: np.ndarray) -> np.ndarray:
+    """The monomial run (masks, vals) times u, u None for the identity:
     row rows[j] of the product is vals[j] times row j of u.  A run whose
-    rows are the identity (a bit query's, between its H gates) scales u in
+    map is the identity (a bit query's, between its H gates) scales u in
     place; any other gathers a copy."""
-    idx = np.arange(rows.size)
+    idx = np.arange(vals.size)
     if u is None:
-        out = np.zeros((rows.size, rows.size), dtype=complex)
-        out[rows, idx] = vals
+        out = np.zeros((vals.size, vals.size), dtype=complex)
+        out[_rows(masks), idx] = vals
         return out
-    if np.array_equal(rows, idx):
+    if all(m == 1 << q for q, m in enumerate(masks)):
         return np.multiply(vals[:, None], u, out=u)
-    inv = np.empty_like(rows)
-    inv[rows] = idx
+    inv = np.empty_like(idx)
+    inv[_rows(masks)] = idx
     out = u[inv]
     return np.multiply(vals[inv][:, None], out, out=out)
 
@@ -202,6 +253,25 @@ def phase_aligned_maxdiff(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.max(np.abs(a - b)))
     rotation = (pivot_a / abs(pivot_a)) / (pivot_b / abs(pivot_b))
     return float(np.max(np.abs(a - rotation * b)))
+
+
+def _monomial_maxdiff(t: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> float:
+    """``phase_aligned_maxdiff(np.diag(t), u)`` to the bit, u the monomial
+    (rows, vals) of ``_monomial``, from 2^n-entry vectors: the same pivot
+    (the first largest |t|) and the same guard.  Column j's entry sits on
+    the diagonal where rows[j] == j, and off it elsewhere, where it differs
+    from zero by itself and leaves t[j] on the diagonal."""
+    moved = rows != np.arange(rows.size)
+    k = int(np.argmax(np.abs(t)))
+    pivot_a, pivot_b = t[k], 0j if moved[k] else vals[k]
+    if abs(pivot_a) < 1e-300 or abs(pivot_b) < 1e-300:
+        b = vals
+    else:
+        b = ((pivot_a / abs(pivot_a)) / (pivot_b / abs(pivot_b))) * vals
+    if not moved.any():
+        return float(np.max(np.abs(t - b)))
+    diagonal = np.abs(np.where(moved, t, t - b))
+    return float(max(np.max(diagonal), np.max(np.abs(b[moved]))))
 
 
 def maxdiff(a: np.ndarray, b: np.ndarray) -> float:

@@ -2,8 +2,8 @@
 
 The bit query G_f maps |x>|a> to |x>|a xor f(x)>.  Single-bit phase
 estimation builds it from an ancilla-controlled phase query, and phase
-kickback recovers the phase query from G_f; the suite checks all four
-equivalences on explicit matrices no larger than G_f.
+kickback recovers the phase query from G_f.  G_f never changes x, so the
+suite checks all four equivalences on its 2^n 2x2 blocks, one per x.
 """
 
 import numpy as np

@@ -20,11 +20,11 @@ Walsh-Hadamard transform of its coefficients
 (``fourier.table_from_fourier``).  Spectra are of diagonal operators only
 and read the same value table, so they reach n = 24.
 
-The checks built from these matrices live in ``verify``; only its
-bit-query and kickback checks build matrices, the 2^(n+1)-square bit
-queries and the H butterfly.  The reference bit query
-(``bit_query_matrix``) takes f's value table, not f, so a caller that
-already holds the table builds no second one.
+The checks built on this module live in ``verify``, and none of them
+builds a matrix.  A bit query never changes its data register, so
+``_query_blocks`` holds its unitary as 2^n 2x2 blocks, one per data state,
+built with ``simulate_circuit``'s ufunc calls and equal to its entries to
+the bit.  ``simulate_circuit`` stays the dense reference.
 """
 
 from __future__ import annotations
@@ -183,15 +183,19 @@ def _rows(masks: list[int]) -> np.ndarray:
     return rows
 
 
-def _flush(u: np.ndarray | None, masks: list[int], vals: np.ndarray) -> np.ndarray:
+def _flush(
+    u: np.ndarray | None, masks: list[int], vals: np.ndarray, width: int | None = None
+) -> np.ndarray:
     """The monomial run (masks, vals) times u, u None for the identity:
     row rows[j] of the product is vals[j] times row j of u.  A run whose
     map is the identity (a bit query's, between its H gates) scales u in
-    place; any other gathers a copy."""
+    place; any other gathers a copy.  ``width`` 2 cuts the identity's rows
+    to the two columns of their block, as ``_query_blocks`` holds them."""
     idx = np.arange(vals.size)
     if u is None:
-        out = np.zeros((vals.size, vals.size), dtype=complex)
-        out[_rows(masks), idx] = vals
+        width = width or vals.size
+        out = np.zeros((vals.size, width), dtype=complex)
+        out[_rows(masks), idx * width // vals.size] = vals  # column j, or j's column in its block
         return out
     if all(m == 1 << q for q, m in enumerate(masks)):
         return np.multiply(vals[:, None], u, out=u)
@@ -278,23 +282,33 @@ def maxdiff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
-# -- oracle-query reference ---------------------------------------------------
+# -- bit queries as 2x2 blocks -----------------------------------------------
 
 
-def bit_query_matrix(table: np.ndarray, cap: int | None = None) -> np.ndarray:
-    """Reference permutation matrix |x>|a> -> |x>|a xor f(x)> from f's value
-    table (``truth_table(f, n)``, 2^n entries of 0 or 1), independent of the
-    circuit and Hamiltonian paths; the ancilla a is qubit n+1."""
-    n = (table.size - 1).bit_length()
-    _check_cap(n + 1, cap)
-    fvals = table.astype(np.uint64)
-    dim = 1 << (n + 1)
-    idx = np.arange(dim, dtype=np.uint64)
-    data = idx & np.uint64((1 << n) - 1)
-    target = idx ^ (fvals[data.astype(np.int64)] << np.uint64(n))
-    out = np.zeros((dim, dim), dtype=complex)
-    out[target.astype(np.int64), idx.astype(np.int64)] = 1.0
-    return out
+def _query_blocks(c: Circuit) -> np.ndarray | None:
+    """A bit query's unitary as its 2^n 2x2 blocks, or None if c is not one.
+
+    c acts on data qubits 1..n and the ancilla n+1.  It is a bit query if no
+    run of ``_runs`` changes a data qubit's mask and every H acts on the
+    ancilla: x then never moves, and block x (``out[x]``, entry [a', a])
+    maps |x>|a> to |x>|a'>.  A run may still flip the ancilla's bit, a row
+    swap inside a block.  The blocks are held as the dense matrix's rows,
+    each cut to the two columns of its x, and built as ``simulate_circuit``
+    builds those rows (``_flush`` and ``_hadamard_rows``, the same ufunc
+    calls in the same order), so each entry equals the dense one to the bit.
+    O(2^n) work and memory, bounded like a value table.
+    """
+    check_table_cap(c.n_qubits)
+    n = c.n_qubits - 1
+    data = [1 << q for q in range(n)]
+    u = None  # the identity, until the first run
+    for masks, vals, h in _runs(c):
+        if masks[:n] != data or h not in (None, n + 1):
+            return None
+        u = _flush(u, masks, vals, width=2)
+        if h is not None:
+            u = _hadamard_rows(u, h, h)
+    return u.reshape(2, 1 << n, 2).transpose(1, 0, 2)
 
 
 # -- spectra -----------------------------------------------------------------

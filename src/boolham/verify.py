@@ -4,21 +4,27 @@ The corpus covers every basic-clause and three-variable golden case plus
 seeded random expressions and QUBO instances, so repeated runs produce
 byte-identical reports.  Each check compares an independently constructed
 reference against the compiled/emitted object and records its residual in
-a CheckResult.  The oracle-query equivalence (kickback) suite is here too,
-built on no matrix larger than G_f (2^(n+1) square) from ``oracle``.
+a CheckResult.  The oracle-query equivalence (kickback) suite is here too.
 
 A formula's suite compiles it once and tabulates it once.  The emitted bit
 query and the ground-state-logic operator are built from that H_f (the
 bodies of ``emit_bit_query`` and ``ground_state_logic``), and the reference
 G_f from that table, so each check still compares two independent paths.
 
-The evolution checks hold 2^n-entry vectors, not matrices: an emitted
-evolution circuit has no H gate, so ``oracle._monomial`` gives its unitary
-as a permutation and a phase vector, and ``oracle._monomial_maxdiff``
-compares those with the diagonal of exp(-i gamma H_f), to the bit as
-``phase_aligned_maxdiff`` compares the two matrices.  Only the bit-query
-and kickback checks build matrices.  The evolution checks still run where
-the dense cap allows, so every cap runs the checks it ran before.
+No check builds a matrix.  An emitted evolution circuit has no H gate, so
+``oracle._monomial`` gives its unitary as a permutation and a phase vector,
+and ``oracle._monomial_maxdiff`` compares those with the diagonal of
+exp(-i gamma H_f), to the bit as ``phase_aligned_maxdiff`` compares the two
+matrices.  A bit query never moves its data register, so the bit-query and
+kickback checks hold G_f as 2^n 2x2 blocks (``oracle._query_blocks``, the
+reference from the truth table: I where f(x) = 0, X where f(x) = 1) and
+read each residual from the blocks: O(2^n) work where the dense checks
+built 2^(n+1)-square matrices and their products.  The action, trace,
+phase_from_bit and bit_from_controlled_phase residuals equal the dense
+ones to the bit; the involution and sandwich products sum per block, not
+in BLAS's order, and agree with the dense ones within 1e-15.  The checks
+still run where the dense cap would have allowed their matrices, so every
+cap runs the checks it ran before.
 """
 
 from __future__ import annotations
@@ -176,12 +182,14 @@ def verify_kickback_suite(
     n: int | None = None,
     cap: int | None = None,
 ) -> VerificationReport:
-    """Check the bit-query / phase-query equivalences on G_f-sized matrices.
+    """Check the bit-query / phase-query equivalences on G_f's 2x2 blocks.
 
     Register layout: control a = qubit 1, data x = qubits 2..n+1, function
-    ancilla b = qubit n+2.  The emitted bit-query circuit supplies the
-    constructed G_f; the truth-table permutation matrix is the reference.
-    The four checks, each a max entry difference:
+    ancilla b = qubit n+2.  G_f never moves x, so each operator below is
+    held as its 2^n blocks on (x, b) (``oracle._query_blocks``).  The
+    emitted bit-query circuit supplies the constructed G_f; the truth
+    table's blocks are the reference.  The four checks, each a max entry
+    difference:
 
     - phase_from_bit: G_f on |-> realizes (-1)^f on the data register
     - bit_from_controlled_phase: H_a Lambda_{x_a}(e^{-i pi H_f}) H_a = G_f
@@ -193,7 +201,8 @@ def verify_kickback_suite(
     from the truth table alone.  f is compiled and tabulated once: the
     emitted G_f comes from that H_f, the reference G_f from that table.
     ``expression_checks`` passes the ones it has already built to the same
-    checks.
+    checks.  ``cap`` bounds n + 2, the register the sandwich checks act on,
+    though no matrix is built.
     """
     n = register_size(f, n)
     oracle._check_cap(n + 2, cap)
@@ -201,34 +210,48 @@ def verify_kickback_suite(
     return _kickback_checks(
         fourier.table_from_fourier(hf),
         table,
-        oracle.simulate_circuit(circuits._bit_query(hf), cap),  # data 1..n, ancilla n+1
-        oracle.bit_query_matrix(table, cap),
+        oracle._query_blocks(circuits._bit_query(hf)),  # data 1..n, ancilla n+1
+        _reference_blocks(table),
     )
+
+
+def _reference_blocks(table: np.ndarray) -> np.ndarray:
+    """G_f's blocks from f's value table: I where f(x) = 0, X where f(x) = 1,
+    independent of the circuit and Hamiltonian paths."""
+    g = np.empty((table.size, 2, 2), dtype=complex)
+    g[:, 0, 0] = g[:, 1, 1] = 1.0 - table
+    g[:, 0, 1] = g[:, 1, 0] = table
+    return g
 
 
 def _kickback_checks(
     diag: np.ndarray,
     table: np.ndarray,
-    g_circuit: np.ndarray,
+    g_circuit: np.ndarray | None,
     g_reference: np.ndarray,
 ) -> VerificationReport:
     """The kickback suite on f's artefacts: ``diag`` the diagonal of H_f,
-    ``table`` f's value table, ``g_circuit`` the simulated emitted bit query
-    and ``g_reference`` the truth-table one (data x low, ancilla on top)."""
+    ``table`` f's value table, ``g_circuit`` the emitted bit query's blocks
+    (None, which fails both checks that read it, if the circuit is not a
+    bit query) and ``g_reference`` the truth table's."""
     dim_x = table.size
     anc = dim_x.bit_length()  # the ancilla, qubit n+1: the top index bit
     fsigns = 1.0 - 2.0 * table  # (-1)^f(x)
 
     # (1) phase kickback: G_f |x>|-> = (-1)^f(x) |x>|->
-    kicked = (g_circuit[:, :dim_x] - g_circuit[:, dim_x:]) / math.sqrt(2)
-    r1 = oracle.maxdiff(kicked, np.vstack([np.diag(fsigns), -np.diag(fsigns)]) / math.sqrt(2))
+    r1 = math.inf
+    if g_circuit is not None:
+        kicked = (g_circuit[:, :, 0] - g_circuit[:, :, 1]) / math.sqrt(2)
+        r1 = oracle.maxdiff(kicked, np.stack([fsigns, -fsigns], axis=1) / math.sqrt(2))
 
     # (2) single-bit phase estimation: H_a Lambda_{x_a}(e^{-i pi H_f}) H_a = G_f, H_a the
-    # row butterfly simulate_circuit applies, compared on ancilla-|0> columns
+    # row butterfly simulate_circuit applies, on I's rows cut to their blocks as in
+    # _query_blocks, compared on ancilla-|0> columns
     phase = np.concatenate([np.ones(dim_x), fsigns])
-    h_anc = oracle._hadamard_rows(np.eye(2 * dim_x, dtype=complex), anc, anc)
+    h_anc = oracle._hadamard_rows(np.repeat(np.eye(2, dtype=complex), dim_x, axis=0), anc, anc)
     g_built = oracle._hadamard_rows(phase[:, None] * h_anc, anc, anc)
-    r2 = oracle.maxdiff(g_built[:, :dim_x], g_reference[:, :dim_x])
+    g_built = g_built.reshape(2, dim_x, 2).transpose(1, 0, 2)
+    r2 = oracle.maxdiff(g_built[:, :, 0], g_reference[:, :, 0])
 
     return VerificationReport((
         CheckResult("phase_from_bit", r1, TOL),
@@ -239,15 +262,23 @@ def _kickback_checks(
     ))
 
 
-def _sandwich_residual(g: np.ndarray, diag: np.ndarray) -> float:
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The blockwise product a[x] @ b[x] of two stacks of blocks."""
+    return np.einsum("xij,xjk->xik", a, b)
+
+
+def _sandwich_residual(g: np.ndarray | None, diag: np.ndarray) -> float:
     """G_f e^{-i t a b} G_f against Lambda_{x_a}(e^{-i t H_f}) on b = 0 inputs.  G_f acts
-    on (x, b), so the a = 0 block is G_f G_f = I and the a = 1 block G_f e^{-i t b} G_f."""
-    dim_x = diag.size
-    residual = oracle.maxdiff(g @ g[:, :dim_x], np.eye(2 * dim_x, dim_x))
+    on (x, b), so the a = 0 block is G_f G_f = I and the a = 1 block G_f e^{-i t b} G_f;
+    per x, each is read on block column b = 0."""
+    if g is None:
+        return math.inf
+    column = g[:, :, :1]
+    residual = oracle.maxdiff(_times(g, column), [[1.0], [0.0]])
     for t in KICKBACK_TIMES:
-        phase_b = np.repeat([1.0, np.exp(-1j * t)], dim_x)  # e^{-i t b}
-        target = np.vstack([np.diag(np.exp(-1j * t * diag)), np.zeros((dim_x, dim_x))])
-        residual = max(residual, oracle.maxdiff(g @ (phase_b[:, None] * g[:, :dim_x]), target))
+        phase_b = np.array([[1.0], [np.exp(-1j * t)]])  # e^{-i t b} on block row b
+        target = np.stack([np.exp(-1j * t * diag), np.zeros(diag.size)], axis=1)[:, :, None]
+        residual = max(residual, oracle.maxdiff(_times(g, phase_b * column), target))
     return residual
 
 
@@ -333,28 +364,22 @@ def expression_checks(
         out.append(CheckResult(f"{name}: Grover phase query", residual, TOL))
 
     if n <= min(6, dense_cap - 1):
-        g = oracle.simulate_circuit(circuits._bit_query(h), cap=dense_cap)
-        g_ref = oracle.bit_query_matrix(table, cap=dense_cap)
-        out.append(CheckResult(f"{name}: bit query action", oracle.maxdiff(g, g_ref), TOL))
-        out.append(
-            CheckResult(
-                f"{name}: bit query involution",
-                oracle.maxdiff(g @ g, np.eye(g.shape[0])),
-                TOL,
-            )
-        )
-        trace_target = 1.0 - h.identity_coeff
-        out.append(
-            CheckResult(
-                f"{name}: bit query trace identity",
-                abs(np.trace(g).real / (1 << (n + 1)) - trace_target)
-                + abs(np.trace(g).imag / (1 << (n + 1))),
-                TOL,
-            )
-        )
+        oracle._check_cap(n + 1, dense_cap)  # refuses a cap above the maximum
+        g = oracle._query_blocks(circuits._bit_query(h))
+        g_ref = _reference_blocks(table)
+        if g is None:  # not a bit query: every check that reads it fails
+            action = involution = trace = math.inf
+        else:
+            action = oracle.maxdiff(g, g_ref)
+            involution = oracle.maxdiff(_times(g, g), np.eye(2))
+            tr = np.concatenate((g[:, 0, 0], g[:, 1, 1])).sum()  # in np.trace's order
+            trace = abs(tr.real / (2 << n) - (1.0 - h.identity_coeff)) + abs(tr.imag / (2 << n))
+        out.append(CheckResult(f"{name}: bit query action", action, TOL))
+        out.append(CheckResult(f"{name}: bit query involution", involution, TOL))
+        out.append(CheckResult(f"{name}: bit query trace identity", trace, TOL))
 
     if n <= min(5, dense_cap - 2):
-        # the same H_f diagonal, table and G_f matrices as the checks above
+        # the same H_f diagonal, table and G_f blocks as the checks above
         report = _kickback_checks(values, table, g, g_ref)
         out.append(
             CheckResult(f"{name}: kickback suite", max(c.residual for c in report.checks), TOL)

@@ -24,6 +24,7 @@ from boolham.compiler import compile_expr
 from boolham.errors import ParseError
 from boolham.oracle import _check_cap, _hadamard_rows
 from boolham.pauli import PauliOperator, PauliString
+from boolham.verify import KICKBACK_TIMES
 from boolham.zpoly import DiagonalHamiltonian, check_table_cap, qubit_bit, qubits_of
 
 
@@ -360,6 +361,53 @@ def reference_simulate(c: Circuit, cap: int | None = None) -> np.ndarray:
     for gate in c.gates:
         u = _apply_gate(u, gate, idx, c.n_qubits)
     return np.exp(1j * c.global_phase) * u
+
+
+def reference_bit_query_matrix(table: np.ndarray, cap: int | None = None) -> np.ndarray:
+    """Dense permutation matrix |x>|a> -> |x>|a xor f(x)> from f's value table
+    (2^n entries of 0 or 1); the ancilla a is qubit n+1."""
+    n = (table.size - 1).bit_length()
+    _check_cap(n + 1, cap)
+    fvals = table.astype(np.uint64)
+    dim = 1 << (n + 1)
+    idx = np.arange(dim, dtype=np.uint64)
+    data = idx & np.uint64((1 << n) - 1)
+    target = idx ^ (fvals[data.astype(np.int64)] << np.uint64(n))
+    out = np.zeros((dim, dim), dtype=complex)
+    out[target.astype(np.int64), idx.astype(np.int64)] = 1.0
+    return out
+
+
+def _reference_sandwich(g: np.ndarray, diag: np.ndarray) -> float:
+    dim_x = diag.size
+    residual = float(np.max(np.abs(g @ g[:, :dim_x] - np.eye(2 * dim_x, dim_x))))
+    for t in KICKBACK_TIMES:
+        phase_b = np.repeat([1.0, np.exp(-1j * t)], dim_x)  # e^{-i t b}
+        target = np.vstack([np.diag(np.exp(-1j * t * diag)), np.zeros((dim_x, dim_x))])
+        residual = max(residual, float(np.max(np.abs(g @ (phase_b[:, None] * g[:, :dim_x]) - target))))
+    return residual
+
+
+def reference_kickback_checks(
+    diag: np.ndarray, table: np.ndarray, g_circuit: np.ndarray, g_reference: np.ndarray
+) -> tuple[float, float, float, float]:
+    """The kickback suite's four residuals (phase_from_bit,
+    bit_from_controlled_phase, controlled_phase_from_bit,
+    controlled_phase_composite) on dense 2^(n+1)-square bit queries:
+    ``g_circuit`` the simulated circuit, ``g_reference`` the truth table's."""
+    dim_x = table.size
+    anc = dim_x.bit_length()
+    fsigns = 1.0 - 2.0 * table
+    kicked = (g_circuit[:, :dim_x] - g_circuit[:, dim_x:]) / math.sqrt(2)
+    target = np.vstack([np.diag(fsigns), -np.diag(fsigns)]) / math.sqrt(2)
+    r1 = float(np.max(np.abs(kicked - target)))
+    phase = np.concatenate([np.ones(dim_x), fsigns])
+    h_anc = _hadamard_rows(np.eye(2 * dim_x, dtype=complex), anc, anc)
+    g_built = _hadamard_rows(phase[:, None] * h_anc, anc, anc)
+    r2 = float(np.max(np.abs(g_built[:, :dim_x] - g_reference[:, :dim_x])))
+    return (
+        r1, r2, _reference_sandwich(g_circuit, diag), _reference_sandwich(g_built, diag)
+    )
 
 
 def random_cnf(

@@ -11,11 +11,12 @@ The dense register cap defaults to 12 qubits (a complex matrix is about
 each run of CX, X, RZ, CRZ and CCRZ gates as a GF(2) parity map, one int
 mask per qubit, and a phase vector: a CX or an X is an int XOR, a rotation
 costs O(2^n).  It makes one dense pass per H gate and one at the end; an
-H-free circuit builds only its result.  ``_monomial`` returns an H-free
-circuit's unitary as its 2^n-entry permutation and phase vectors, with no
-matrix, so ``verify`` checks evolution circuits on vectors
-(``_monomial_maxdiff``).  Matrix exponentials of diagonal operators are
-computed entrywise.  A diagonal operator's values come from one
+H-free circuit builds only its result.  ``_phase_polynomial`` keeps the
+same parity map with no vector at all: it returns an H-free circuit's map
+and its phase polynomial P, the circuit being |x> -> e^(-i P(x)) |map(x)>,
+in O(gates), so ``verify`` checks evolution circuits term by term against
+gamma H_f at any register size.  Matrix exponentials of diagonal operators
+are computed entrywise.  A diagonal operator's values come from one
 Walsh-Hadamard transform of its coefficients
 (``fourier.table_from_fourier``).  Spectra are of diagonal operators only
 and read the same value table, so they reach n = 24.
@@ -115,17 +116,6 @@ def simulate_circuit(c: Circuit, cap: int | None = None) -> np.ndarray:
     return u
 
 
-def _monomial(c: Circuit) -> tuple[np.ndarray, np.ndarray]:
-    """An H-free circuit's unitary as two 2^n vectors, phase included:
-    column j's one entry sits in row ``rows[j]`` with value ``vals[j]``.
-    Bounded like a value table, not by the dense cap."""
-    check_table_cap(c.n_qubits)
-    masks, vals, h = next(_runs(c))
-    if h is not None:
-        raise ValueError(f"a monomial circuit has no H gate, found one on qubit {h}")
-    return _rows(masks), vals
-
-
 def _runs(c: Circuit) -> Iterator[tuple[list[int], np.ndarray, int | None]]:
     """Split c at its H gates: per run of CX, X, RZ, CRZ and CCRZ gates,
     yield its parity map, its phase vector and the qubit of the H that ends
@@ -205,6 +195,49 @@ def _flush(
     return np.multiply(vals[inv][:, None], out, out=out)
 
 
+# -- H-free circuits as phase polynomials ------------------------------------
+
+
+def _phase_polynomial(c: Circuit) -> tuple[list[int], dict[int, float]] | None:
+    """An H-free circuit as its parity map and phase polynomial, or None if
+    c has an H gate: c maps |x> to e^(-i P(x)) |y>, P(x) the sum over masks
+    S of ``poly[S]`` (-1)^|S & x|, and y read off ``masks`` as in ``_runs``.
+
+    The map is ``_runs``' one int mask per qubit, bit n an X flip, with no
+    2^n vector: a CX or an X is an int XOR.  RZ(theta) on a qubit of mask m
+    gives e^(-i theta/2 (-1)^b), b the qubit's bit, and (-1)^b = s Z_m with
+    s = -1 where m's X bit is set, so it adds s theta/2 to Z_m.  A control's
+    bit is (1 - s_c Z_mc)/2, so a CRZ adds theta/4 to Z_mt and -theta/4 to
+    Z_(mt ^ mc), and a CCRZ four terms of theta/8; an XOR of masks carries
+    the product of their signs.  The global phase phi adds -phi to the
+    identity term.  This is the phase-polynomial reading of CNOT+RZ
+    circuits (Amy, Maslov and Mosca, arXiv:1303.2042), in O(gates).
+    """
+    n = c.n_qubits
+    flip, data = 1 << n, (1 << n) - 1
+    masks = [1 << q for q in range(n)]
+    poly = {0: -c.global_phase}
+    for gate in c.gates:
+        name, qubits = gate.name, gate.qubits
+        if name == "cx":
+            ctrl, tgt = qubits
+            masks[tgt - 1] ^= masks[ctrl - 1]
+        elif name == "x":
+            masks[qubits[0] - 1] ^= flip
+        elif name == "h":
+            return None
+        else:  # rz, crz, ccrz: RZ on the last qubit where every other one is 1
+            *controls, tgt = qubits
+            terms = [(masks[tgt - 1], gate.angle / 2.0)]
+            for q in controls:  # times the control's bit, (1 - s_c Z_mc)/2
+                mc = masks[q - 1]
+                terms = [t for m, a in terms for t in ((m, a / 2.0), (m ^ mc, -a / 2.0))]
+            for m, a in terms:
+                key = m & data
+                poly[key] = poly.get(key, 0.0) + (-a if m & flip else a)
+    return masks, poly
+
+
 # -- controlled operators and exponentials -----------------------------------
 
 
@@ -257,25 +290,6 @@ def phase_aligned_maxdiff(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.max(np.abs(a - b)))
     rotation = (pivot_a / abs(pivot_a)) / (pivot_b / abs(pivot_b))
     return float(np.max(np.abs(a - rotation * b)))
-
-
-def _monomial_maxdiff(t: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> float:
-    """``phase_aligned_maxdiff(np.diag(t), u)`` to the bit, u the monomial
-    (rows, vals) of ``_monomial``, from 2^n-entry vectors: the same pivot
-    (the first largest |t|) and the same guard.  Column j's entry sits on
-    the diagonal where rows[j] == j, and off it elsewhere, where it differs
-    from zero by itself and leaves t[j] on the diagonal."""
-    moved = rows != np.arange(rows.size)
-    k = int(np.argmax(np.abs(t)))
-    pivot_a, pivot_b = t[k], 0j if moved[k] else vals[k]
-    if abs(pivot_a) < 1e-300 or abs(pivot_b) < 1e-300:
-        b = vals
-    else:
-        b = ((pivot_a / abs(pivot_a)) / (pivot_b / abs(pivot_b))) * vals
-    if not moved.any():
-        return float(np.max(np.abs(t - b)))
-    diagonal = np.abs(np.where(moved, t, t - b))
-    return float(max(np.max(diagonal), np.max(np.abs(b[moved]))))
 
 
 def maxdiff(a: np.ndarray, b: np.ndarray) -> float:

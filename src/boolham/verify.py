@@ -12,11 +12,16 @@ bodies of ``emit_bit_query`` and ``ground_state_logic``), and the reference
 G_f from that table, so each check still compares two independent paths.
 
 No check builds a matrix.  An emitted evolution circuit has no H gate, so
-``oracle._monomial`` gives its unitary as a permutation and a phase vector,
-and ``oracle._monomial_maxdiff`` compares those with the diagonal of
-exp(-i gamma H_f), to the bit as ``phase_aligned_maxdiff`` compares the two
-matrices.  A bit query never moves its data register, so the bit-query and
-kickback checks hold G_f as 2^n 2x2 blocks (``oracle._query_blocks``, the
+``oracle._phase_polynomial`` reads it as a parity map and a phase
+polynomial P, with no 2^n vector, and ``_evolution_residual`` compares P
+with gamma H_f term by term: O(gates) work.  The map must be the identity
+(a dropped or moved CX, or an H gate, reads inf), and the identity term,
+a global phase, is skipped, as the phase-aligned matrix comparison skipped
+it.  Each term's rotation angle 2 gamma w halves exactly, so an emitted
+circuit reads residual 0.
+
+A bit query never moves its data register, so the bit-query and kickback
+checks hold G_f as 2^n 2x2 blocks (``oracle._query_blocks``, the
 reference from the truth table: I where f(x) = 0, X where f(x) = 1) and
 read each residual from the blocks: O(2^n) work where the dense checks
 built 2^(n+1)-square matrices and their products.  The action, trace,
@@ -282,6 +287,22 @@ def _sandwich_residual(g: np.ndarray | None, diag: np.ndarray) -> float:
     return residual
 
 
+def _evolution_residual(c: circuits.Circuit, h: DiagonalHamiltonian, gamma: float) -> float:
+    """c against exp(-i gamma H) as phase polynomials (``oracle._phase_polynomial``):
+    max over masks S of |P[S] - gamma w_S|, or inf if c has an H gate or its
+    parity map moves a basis state.  The identity term is a global phase, so
+    it is skipped, as the phase-aligned matrix comparison ignored it."""
+    read = oracle._phase_polynomial(c)
+    if read is None or read[0] != [1 << q for q in range(c.n_qubits)]:
+        return math.inf
+    diff = read[1]
+    del diff[0]
+    for mask, w in h.items():
+        if mask:
+            diff[mask] = diff.get(mask, 0.0) - gamma * w
+    return max(map(abs, diff.values()), default=0.0)
+
+
 def expression_checks(
     name: str,
     e: BoolExpr,
@@ -353,8 +374,7 @@ def expression_checks(
         expected_cnots = sum(2 * (m.bit_count() - 1) for m, _ in h.items() if m)
         for gamma in (0.3, 1.0, math.pi):
             circ = circuits.emit_evolution(h, gamma)
-            rows, vals = oracle._monomial(circ)
-            worst = max(worst, oracle._monomial_maxdiff(np.exp(-1j * gamma * values), rows, vals))
+            worst = max(worst, _evolution_residual(circ, h, gamma))
             count_defect = max(count_defect, float(abs(circ.cnot_count - expected_cnots)))
         out.append(CheckResult(f"{name}: evolution circuit vs exponential", worst, TOL))
         out.append(CheckResult(f"{name}: evolution CNOT count", count_defect, 0.0))
@@ -435,8 +455,7 @@ def qubo_checks(
     if q.n_vars <= min(8, dense_cap):
         oracle._check_cap(n, dense_cap)
         t = 0.7
-        rows, vals = oracle._monomial(circuits.emit_qubo_evolution(q, t))
-        residual = oracle._monomial_maxdiff(np.exp(-1j * t * values), rows, vals)
+        residual = _evolution_residual(circuits.emit_qubo_evolution(q, t), closed, t)
         out.append(CheckResult(f"{name}: evolution circuit vs exponential", residual, TOL))
     return out
 

@@ -22,7 +22,7 @@ from boolham.boolexpr import (
 from boolham.circuits import Circuit, Gate
 from boolham.compiler import compile_expr
 from boolham.errors import ParseError
-from boolham.oracle import _check_cap, _hadamard_rows
+from boolham.oracle import _check_cap, _hadamard_rows, _rows, _runs
 from boolham.pauli import PauliOperator, PauliString
 from boolham.verify import KICKBACK_TIMES
 from boolham.zpoly import DiagonalHamiltonian, check_table_cap, qubit_bit, qubits_of
@@ -361,6 +361,58 @@ def reference_simulate(c: Circuit, cap: int | None = None) -> np.ndarray:
     for gate in c.gates:
         u = _apply_gate(u, gate, idx, c.n_qubits)
     return np.exp(1j * c.global_phase) * u
+
+
+def _monomial(c: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """An H-free circuit's unitary as two 2^n vectors, phase included:
+    column j's one entry sits in row ``rows[j]`` with value ``vals[j]``.
+    Bounded like a value table, not by the dense cap."""
+    check_table_cap(c.n_qubits)
+    masks, vals, h = next(_runs(c))
+    if h is not None:
+        raise ValueError(f"a monomial circuit has no H gate, found one on qubit {h}")
+    return _rows(masks), vals
+
+
+def _monomial_maxdiff(t: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> float:
+    """``phase_aligned_maxdiff(np.diag(t), u)`` to the bit, u the monomial
+    (rows, vals) of ``_monomial``, from 2^n-entry vectors: the same pivot
+    (the first largest |t|) and the same guard.  Column j's entry sits on
+    the diagonal where rows[j] == j, and off it elsewhere, where it differs
+    from zero by itself and leaves t[j] on the diagonal."""
+    moved = rows != np.arange(rows.size)
+    k = int(np.argmax(np.abs(t)))
+    pivot_a, pivot_b = t[k], 0j if moved[k] else vals[k]
+    if abs(pivot_a) < 1e-300 or abs(pivot_b) < 1e-300:
+        b = vals
+    else:
+        b = ((pivot_a / abs(pivot_a)) / (pivot_b / abs(pivot_b))) * vals
+    if not moved.any():
+        return float(np.max(np.abs(t - b)))
+    diagonal = np.abs(np.where(moved, t, t - b))
+    return float(max(np.max(diagonal), np.max(np.abs(b[moved]))))
+
+
+def reference_walk(c: Circuit, x: int) -> tuple[int, float]:
+    """An H-free circuit on the basis state |x>, one gate at a time on a
+    Python int: c|x> = e^(i phase) |image>, returned as (image, phase).  A CX
+    flips its target where its control is 1 and an X flips its qubit; a
+    rotation adds -theta/2 where its target is 0 and theta/2 where it is 1,
+    if every control is 1.  O(gates) per state at any n, no 2^n vector."""
+    phase = c.global_phase
+    for g in c.gates:
+        bits = [(x >> (q - 1)) & 1 for q in g.qubits]
+        if g.name == "cx":
+            x ^= bits[0] << (g.qubits[1] - 1)
+        elif g.name == "x":
+            x ^= 1 << (g.qubits[0] - 1)
+        elif g.name in ("rz", "crz", "ccrz"):  # RZ on the last qubit
+            *controls, target = bits
+            if all(controls):
+                phase += g.angle / 2.0 if target else -g.angle / 2.0
+        else:
+            raise ValueError(f"the walk reads H-free circuits, found {g.name!r}")
+    return x, phase
 
 
 def reference_bit_query_matrix(table: np.ndarray, cap: int | None = None) -> np.ndarray:

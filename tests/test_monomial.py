@@ -20,10 +20,10 @@ from boolham.circuits import _GATE_SHAPE, Circuit, Gate, emit_evolution
 from boolham.compiler import compile_expr
 from boolham.errors import CapExceeded
 from boolham.fourier import table_from_fourier
-from boolham.oracle import _monomial, _monomial_maxdiff, phase_aligned_maxdiff, simulate_circuit
+from boolham.oracle import phase_aligned_maxdiff, simulate_circuit
 from boolham.verify import TOL, expression_checks, qubo_checks, random_expr, random_qubo
 from boolham.zpoly import TABLE_CAP, DiagonalHamiltonian
-from conftest import random_zham, reference_simulate
+from conftest import _monomial, _monomial_maxdiff, random_zham, reference_simulate
 from test_fold import PROPERTY
 from test_simulate import circuits
 

@@ -15,18 +15,45 @@ the formula.  Above that it applies the composition rules of
     H_(f=>g) = I - H_f + H_f H_g
 
 with H_0 = 0, H_1 = I and H_xj = (I - Z_j)/2 to sparse Z-polynomials
-(``_fold``), pairwise for n-ary nodes, each operand as it finishes; a product of two operators with up to T terms each costs up
-to T^2 term products, so the fold is the path for formulas that stay
-sparse on a large register.  Both paths are exact, so the output is the
-same to the bit: the table sums integers, and every partial sum in the fold
-is a multiple of 2^-2n below 4 in magnitude (the operands of each product
-are 0/1 functions, whose coefficient vectors have norm at most 1), which
-takes at most 2n + 2 bits.  The cap keeps its meaning: no table is larger
-than ``SIZE_CAP``, and only the fold at n >= 20 can build an intermediate
-operator above ``SIZE_CAP`` terms (general formulas can be exponentially
-dense).  Formulas that stay sparse on a large register pay for the
-transform: x1 & x19 takes about 8 ms (0.5 ms of it the table), against
-0.02 ms on the fold.
+(``_fold``), pairwise for n-ary nodes, each operand as it finishes.  The
+fold runs on ``_Terms``, a private ring of plain ``{mask: coeff}`` dicts:
+each +, - and * drops its terms below PRUNE_EPS as it builds them, and
+``_guard`` checks the term count of every pairwise and => result, but no
+step sorts, scans for finiteness or builds a DiagonalHamiltonian.  The
+result is sorted once, at the end.  A product of two operators with up to
+T terms each costs up to T^2 term products, so the fold is the path for
+formulas that stay sparse on a large register.  The cap keeps its meaning:
+no table is larger than ``SIZE_CAP``, and only the fold at n >= 20 can
+build an intermediate operator above ``SIZE_CAP`` terms (general formulas
+can be exponentially dense).  Formulas that stay sparse on a large register
+pay for the transform: x1 & x19 takes about 8 ms (0.5 ms of it the table),
+against 0.02 ms on the fold.
+
+Both paths are exact, so the output is the same to the bit, and the fold
+gives the same bits in any summation order.  The table sums integers.  In
+the fold, every value is the polynomial of a 0/1 function f, so each
+coefficient is at most 1 in magnitude, the coefficient vector's norm is at
+most 1 (Parseval: sum_S f_hat(S)^2 = E[f]), and every coefficient is a
+multiple of 2^-k for two values of k:
+
+- k = n, since f_hat(S) = 2^-n sum_x f(x) (-1)^|S&x|;
+- k = max(1, ceil(log2(T + 1))) if f has T terms.  1 - 2f is +-1-valued
+  with at most T + 1 terms, and a +-1-valued function with s >= 2 terms
+  has every coefficient a multiple of 2^(1 - ceil(log2 s)) (Gopalan,
+  O'Donnell, Servedio, Shpilka and Wimmer, "Testing Fourier dimensionality
+  and sparsity", SIAM J. Comput. 2011).
+
+Every operand is a variable, a constant, a guarded result or one minus
+one of these, so it has at most SIZE_CAP + 1 < 2^20 terms, and k <= 20 at
+any n.  A product's partial sums are then multiples of 2^-2k at most 1 in
+magnitude (Cauchy-Schwarz), which take at most 2k + 1 <= 41 bits: exact in
+any order.  A sum or a difference adds one pair of coefficients per mask,
+and 2 (f g) is exact.  The nonzero coefficients of such an operand are at
+least 2^-20, so pruning drops only exact zeros; only the unguarded f g
+inside the Or and Xor rules could hold one below PRUNE_EPS, and only with
+more than 2^39 terms.
+``tests/test_fold.py`` checks the ring fold against the fold over
+DiagonalHamiltonian to the bit at every n up to 63.
 
 Weighted clause sums (``compile_pseudo``, ``augment_penalties``) add every
 clause into one term table and prune once.  A clause that is a literal or
@@ -45,7 +72,7 @@ clause (And, constants, nested formulas, repeated variables) is folded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from typing import Iterable
 
 import numpy as np
@@ -68,15 +95,18 @@ from .errors import CapExceeded, ParseError, QubitCountError
 from .fourier import fourier_from_table
 from .zpoly import (
     MAX_QUBITS,
+    PRUNE_EPS,
     DiagonalHamiltonian,
     basis_index,
     bit_projector,
+    check_register,
     is_finite_real,
     is_integer,
     json_field,
     json_list,
     json_number,
     load_json,
+    qubit_bit,
 )
 
 SIZE_CAP = 10**6
@@ -96,12 +126,66 @@ def _takes_table(n: int) -> bool:
     return n <= SIZE_CAP.bit_length() - 1
 
 
+class _Terms(dict):
+    """The fold's ring: a ``{mask: coeff}`` term dict.  +, - and * (by another
+    _Terms, or by an int) build a new one and drop each term below PRUNE_EPS
+    as it is built: no sort, no finiteness scan and no DiagonalHamiltonian
+    per step.  No operation changes its operands, so a variable's terms are
+    shared by all its uses.  Keys stay in insertion order; ``_fold`` sorts once."""
+
+    __slots__ = ()
+
+    def __add__(self, other: "_Terms") -> "_Terms":
+        return self._plus(other, 1.0)
+
+    def __sub__(self, other: "_Terms") -> "_Terms":
+        return self._plus(other, -1.0)  # a + (-c) is a - c to the bit
+
+    def _plus(self, other: "_Terms", sign: float) -> "_Terms":
+        acc = _Terms(self)
+        for m, c in other.items():
+            c = acc.get(m, 0.0) + sign * c
+            if abs(c) >= PRUNE_EPS:
+                acc[m] = c
+            else:  # only a key already in acc: other's own terms are not below the epsilon
+                del acc[m]
+        return acc
+
+    def __mul__(self, other: "_Terms") -> "_Terms":
+        if len(self) > len(other):  # the longer loop innermost
+            self, other = other, self
+        acc = _Terms()
+        get = acc.get
+        inner = other.items()
+        for ma, ca in self.items():
+            for mb, cb in inner:
+                m = ma ^ mb  # Z_S Z_T = Z_{S xor T}
+                acc[m] = get(m, 0.0) + ca * cb
+        for m in [m for m, c in acc.items() if abs(c) < PRUNE_EPS]:
+            del acc[m]
+        return acc
+
+    def __rmul__(self, k: int) -> "_Terms":  # the 2 (f g) of the Xor rule
+        return _Terms({m: k * c for m, c in self.items() if abs(k * c) >= PRUNE_EPS})
+
+
+def _fold_terms(e: BoolExpr, n: int) -> _Terms:
+    """H_e's terms on n qubits by the composition rules over ``_Terms``, in
+    no particular order; e must use no variable above n.  ``_guard`` sees
+    each pairwise and => result."""
+    check_register(n)
+    one = _Terms({0: 1.0})
+    # (I - Z_j)/2, built once per variable and shared by its uses
+    var = cache(lambda j: _Terms({0: 0.5, qubit_bit(j, n): -0.5}))
+    step = lambda t: _guard(len(t), t)
+    return fold(e, lambda node, values: compose(node, values, one, var, step), pairwise=True)
+
+
 def _fold(e: BoolExpr, n: int) -> DiagonalHamiltonian:
-    """H_e on n qubits by the composition rules; e must use no variable above n."""
-    identity = DiagonalHamiltonian.identity(n)
-    var = cache(partial(bit_projector, n))  # one projector per variable, shared by its uses
-    step = lambda h: _guard(h.size, h)
-    return fold(e, lambda node, values: compose(node, values, identity, var, step), pairwise=True)
+    """H_e on n qubits by the composition rules on ``_fold_terms``' ring,
+    pruned and guarded per step, sorted into a DiagonalHamiltonian once, at
+    the end."""
+    return DiagonalHamiltonian._from_checked(n, DiagonalHamiltonian._table(_fold_terms(e, n)))
 
 
 def _or_terms(e: BoolExpr) -> dict[int, float] | None:
@@ -130,17 +214,18 @@ def _or_terms(e: BoolExpr) -> dict[int, float] | None:
 def _clause_sum(
     base: DiagonalHamiltonian, clauses: Iterable[tuple[float, BoolExpr]]
 ) -> DiagonalHamiltonian:
-    """base + sum_j w_j H_fj in one term table, pruned once.  The clauses'
-    containers checked their variables when built, so they skip register_size
-    and the table's masks need no check.  Literal and OR-of-literal clauses
-    are written by the closed form; the rest are folded."""
+    """base + sum_j w_j H_fj in one term table, pruned and sorted once.  The
+    clauses' containers checked their variables when built, so they skip
+    register_size and the table's masks need no check.  Literal and
+    OR-of-literal clauses are written by the closed form; the rest are
+    folded, and the ring's terms (``_fold_terms``) are added as they come."""
     n = base.n_qubits
     acc = dict(base.items())
     for w, expr in clauses:
         w = float(w)  # an np.float64 weight would make every sum an np.float64
         terms = _or_terms(expr)
         if terms is None:
-            terms = _fold(expr, n)
+            terms = _fold_terms(expr, n)
         for mask, c in terms.items():
             acc[mask] = acc.get(mask, 0.0) + w * c
         _guard(len(acc))

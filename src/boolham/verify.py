@@ -27,9 +27,12 @@ read each residual from the blocks: O(2^n) work where the dense checks
 built 2^(n+1)-square matrices and their products.  The action, trace,
 phase_from_bit and bit_from_controlled_phase residuals equal the dense
 ones to the bit; the involution and sandwich products sum per block, not
-in BLAS's order, and agree with the dense ones within 1e-15.  The checks
-still run where the dense cap would have allowed their matrices, so every
-cap runs the checks it ran before.
+in BLAS's order, and agree with the dense ones within 1e-15.  The sandwich
+puts its block columns for t = 0 and each of ``KICKBACK_TIMES`` side by
+side and takes one product.  The checks still run where the dense cap would
+have allowed their matrices, so every cap runs the checks it ran before.
+The ground-state row compares the ground states' indices with x | f(x) << n
+and builds no basis label.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import numpy as np
 from . import boolexpr, circuits, compiler, fourier, oracle
 from .boolexpr import BoolExpr, Var, parse_expr, register_size, truth_table
 from .compiler import QuboInstance, compile_expr, compile_pseudo, qubo_objective
-from .zpoly import TABLE_CAP, DiagonalHamiltonian, basis_label
+from .zpoly import TABLE_CAP, DiagonalHamiltonian
 
 TOL = 1e-9
 GOLDEN_TOL = 1e-12
@@ -275,15 +278,33 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _sandwich_residual(g: np.ndarray | None, diag: np.ndarray) -> float:
     """G_f e^{-i t a b} G_f against Lambda_{x_a}(e^{-i t H_f}) on b = 0 inputs.  G_f acts
     on (x, b), so the a = 0 block is G_f G_f = I and the a = 1 block G_f e^{-i t b} G_f;
-    per x, each is read on block column b = 0."""
+    per x, each is read on block column b = 0.  The columns for t = 0 (the a = 0 block)
+    and each of KICKBACK_TIMES sit side by side: one product, one maxdiff."""
     if g is None:
         return math.inf
-    column = g[:, :, :1]
-    residual = oracle.maxdiff(_times(g, column), [[1.0], [0.0]])
-    for t in KICKBACK_TIMES:
-        phase_b = np.array([[1.0], [np.exp(-1j * t)]])  # e^{-i t b} on block row b
-        target = np.stack([np.exp(-1j * t * diag), np.zeros(diag.size)], axis=1)[:, :, None]
-        residual = max(residual, oracle.maxdiff(_times(g, phase_b * column), target))
+    column = g[:, :, 0]
+    phases = np.exp(-1j * np.array(KICKBACK_TIMES))
+    columns = np.empty((diag.size, 2, 1 + len(KICKBACK_TIMES)), dtype=complex)
+    columns[:, :, 0] = column
+    columns[:, 0, 1:] = column[:, :1]
+    columns[:, 1, 1:] = phases * column[:, 1:]  # e^{-i t b} on block row b
+    target = np.zeros(columns.shape, dtype=complex)
+    target[:, 0, 0] = 1.0
+    target[:, 0, 1:] = np.exp(-1j * np.multiply.outer(diag, KICKBACK_TIMES))
+    return oracle.maxdiff(_times(g, columns), target)
+
+
+def _ground_state_residual(h: DiagonalHamiltonian, table: np.ndarray) -> float:
+    """The spectrum of I (x) x_a + H_f (x) Z_a (``compiler._ground_state_logic``)
+    against f's graph: 0 if its ground states are exactly the indices
+    x | f(x) << n, else 1, or the largest distance of another level from 1."""
+    spec = oracle.spectrum(compiler._ground_state_logic(h))
+    ground = np.flatnonzero(spec.table <= spec.min_value + 1e-9)
+    graph = np.concatenate((np.flatnonzero(table == 0), table.size + np.flatnonzero(table)))
+    residual = 0.0 if np.array_equal(ground, graph) else 1.0
+    others = spec.values[ground.size:]
+    if others.size:
+        residual = max(residual, float(np.max(np.abs(others - 1.0))))
     return residual
 
 
@@ -404,16 +425,7 @@ def expression_checks(
         out.append(
             CheckResult(f"{name}: kickback suite", max(c.residual for c in report.checks), TOL)
         )
-        hg = compiler._ground_state_logic(h)
-        spec_g = oracle.spectrum(hg)
-        expected_ground = sorted(
-            basis_label(x, n) + ("1" if table[x] else "0") for x in range(1 << n)
-        )
-        ground = sorted(spec_g.ground_states(tol=1e-9))
-        residual = 0.0 if ground == expected_ground else 1.0
-        others = spec_g.values[len(ground):]
-        if others.size:
-            residual = max(residual, float(np.max(np.abs(others - 1.0))))
+        residual = _ground_state_residual(h, table)
         out.append(CheckResult(f"{name}: ground-state logic spectrum", residual, TOL))
 
     return out

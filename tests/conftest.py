@@ -17,15 +17,23 @@ from boolham.boolexpr import (
     Var,
     Xor,
     compose,
+    fold,
     register_size,
 )
 from boolham.circuits import Circuit, Gate
-from boolham.compiler import compile_expr
+from boolham.compiler import _ground_state_logic, _guard, compile_expr
 from boolham.errors import ParseError
-from boolham.oracle import _check_cap, _hadamard_rows, _rows, _runs
+from boolham.oracle import _check_cap, _hadamard_rows, _rows, _runs, spectrum
 from boolham.pauli import PauliOperator, PauliString
 from boolham.verify import KICKBACK_TIMES
-from boolham.zpoly import DiagonalHamiltonian, check_table_cap, qubit_bit, qubits_of
+from boolham.zpoly import (
+    DiagonalHamiltonian,
+    basis_label,
+    bit_projector,
+    check_table_cap,
+    qubit_bit,
+    qubits_of,
+)
 
 
 def brute_fourier(values) -> dict[int, float]:
@@ -135,6 +143,18 @@ def reference_truth_table(e, n: int) -> np.ndarray:
 
     table = reference_fold(e, lambda node, values: compose(node, values, one, var), pairwise=True)
     return table.astype(np.float64)
+
+
+def reference_zham_fold(e, n: int) -> DiagonalHamiltonian:
+    """H_e on n qubits by the composition rules (``compose``) over
+    DiagonalHamiltonian, pairwise for n-ary nodes: every +, - and * builds a
+    sorted, checked and pruned operator, each variable is ``bit_projector``,
+    and ``_guard`` sees each pairwise and => result.  The reference for
+    ``compiler._fold``, which runs the same rules on a private term ring."""
+    identity = DiagonalHamiltonian.identity(n)
+    var = functools.cache(functools.partial(bit_projector, n))  # one projector per variable
+    step = lambda h: _guard(h.size, h)
+    return fold(e, lambda node, values: compose(node, values, identity, var, step), pairwise=True)
 
 
 def reference_clause_expr(lits):
@@ -460,6 +480,37 @@ def reference_kickback_checks(
     return (
         r1, r2, _reference_sandwich(g_circuit, diag), _reference_sandwich(g_built, diag)
     )
+
+
+def reference_sandwich_residual(g: np.ndarray | None, diag: np.ndarray) -> float:
+    """The kickback sandwich on 2x2 blocks one time at a time: a product and a
+    maxdiff for the a = 0 block (G_f G_f = I) and one more per KICKBACK_TIMES
+    entry (G_f e^{-i t b} G_f), each read on block column b = 0."""
+    if g is None:
+        return math.inf
+    times = lambda a, b: np.einsum("xij,xjk->xik", a, b)
+    column = g[:, :, :1]
+    residual = float(np.max(np.abs(times(g, column) - np.array([[1.0], [0.0]]))))
+    for t in KICKBACK_TIMES:
+        phase_b = np.array([[1.0], [np.exp(-1j * t)]])  # e^{-i t b} on block row b
+        target = np.stack([np.exp(-1j * t * diag), np.zeros(diag.size)], axis=1)[:, :, None]
+        residual = max(residual, float(np.max(np.abs(times(g, phase_b * column) - target))))
+    return residual
+
+
+def reference_ground_state_residual(h: DiagonalHamiltonian, table: np.ndarray) -> float:
+    """The "ground-state logic spectrum" row by labels: the sorted labels of
+    the ground states of I (x) x_a + H_f (x) Z_a against the sorted strings
+    x + f(x), then every other level against 1."""
+    n = h.n_qubits
+    spec = spectrum(_ground_state_logic(h))
+    expected = sorted(basis_label(x, n) + ("1" if table[x] else "0") for x in range(1 << n))
+    ground = sorted(spec.ground_states(tol=1e-9))
+    residual = 0.0 if ground == expected else 1.0
+    others = spec.values[len(ground):]
+    if others.size:
+        residual = max(residual, float(np.max(np.abs(others - 1.0))))
+    return residual
 
 
 def random_cnf(

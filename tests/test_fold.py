@@ -1,6 +1,9 @@
 """The formula fold: deep formulas, parser limits, the frame walk against
-the reference walk, and the composition rules as properties over random
-formulas."""
+the reference walk, the composition rules as properties over random
+formulas, and ``compiler._fold``'s term ring against the fold over
+DiagonalHamiltonian."""
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,11 +25,13 @@ from boolham.boolexpr import (
     to_text,
     truth_table,
 )
+from boolham import compiler
 from boolham.cli import main
 from boolham.compiler import compile_expr
-from boolham.errors import ParseError
-from boolham.zpoly import bit_projector
-from conftest import reference_fold
+from boolham.errors import CapExceeded, ParseError, QubitCountError
+from boolham.zpoly import MAX_QUBITS, bit_projector
+from conftest import reference_fold, reference_zham_fold
+from test_table_switch import wide_formulas
 
 DEPTH = 5000
 
@@ -226,3 +231,62 @@ def recorded_fold(walk, e, pairwise):
 @given(shared_formulas(), st.booleans())
 def test_frame_walk_makes_the_reference_walks_calls(e, pairwise):
     assert recorded_fold(fold, e, pairwise) == recorded_fold(reference_fold, e, pairwise)
+
+
+# -- the term ring against the fold over DiagonalHamiltonian -------------------
+
+
+def hex_terms(h) -> list[tuple[int, str]]:
+    return [(mask, c.hex()) for mask, c in h.items()]
+
+
+# every register size, sparse formulas on wide registers, and dense ones at n <= 8
+any_register = st.integers(0, MAX_QUBITS).flatmap(lambda n: st.tuples(formulas(n), st.just(n)))
+dense_and_size = st.integers(1, 8).flatmap(lambda n: st.tuples(wide_formulas(n), st.just(n)))
+
+
+@PROPERTY
+@given(st.one_of(any_register, dense_and_size))
+def test_the_ring_fold_is_the_operator_fold_to_the_bit(case):
+    # keys, their order and every coefficient's bits
+    e, n = case
+    assert hex_terms(compiler._fold(e, n)) == hex_terms(reference_zham_fold(e, n))
+
+
+def folded_or_cap(fold_, e, n):
+    try:
+        return hex_terms(fold_(e, n))
+    except CapExceeded as exc:
+        return str(exc)
+
+
+@PROPERTY
+@given(st.one_of(formula_and_size, dense_and_size), st.integers(1, 64))
+def test_both_folds_hit_a_low_cap_on_the_same_inputs(case, cap):
+    e, n = case
+    with mock.patch.object(compiler, "SIZE_CAP", cap):
+        assert folded_or_cap(compiler._fold, e, n) == folded_or_cap(reference_zham_fold, e, n)
+
+
+def test_a_low_cap_stops_both_folds_at_the_same_intermediate():
+    # OR_5's pairwise intermediates have 4, 8, 16 and 32 terms
+    wide_or = Or(tuple(Var(j) for j in range(1, 6)))
+    for cap, outcome in ((32, "ok"), (31, "has 32 terms"), (15, "has 16 terms")):
+        with mock.patch.object(compiler, "SIZE_CAP", cap):
+            got = [folded_or_cap(fold_, wide_or, 5) for fold_ in (compiler._fold, reference_zham_fold)]
+        assert got[0] == got[1]
+        assert isinstance(got[0], list) if outcome == "ok" else outcome in got[0]
+
+
+@pytest.mark.parametrize(
+    "e, n",
+    [(Var(3), 2), (And((Var(1), Not(Var(5)))), 4), (Var(64), MAX_QUBITS), (Var(1), 0),
+     (Const(1), MAX_QUBITS + 1), (Const(0), -1)],
+)
+def test_a_variable_or_register_out_of_range_is_refused_as_before(e, n):
+    messages = []
+    for fold_ in (compiler._fold, reference_zham_fold):
+        with pytest.raises(QubitCountError) as info:
+            fold_(e, n)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]

@@ -1,9 +1,10 @@
-"""The vector path of the evolution checks: ``oracle._monomial`` reads an
-H-free circuit as a permutation and a phase vector, and
-``oracle._monomial_maxdiff`` gives the number ``phase_aligned_maxdiff``
-gives on the two matrices, to the bit.  The evolution checks built on them
-catch the faults an emitted circuit can have, and hold vectors, not
-matrices."""
+"""The vector references of the evolution checks, and the faults the checks
+catch.  ``_monomial`` and ``_monomial_maxdiff`` are references in
+``conftest``: the first reads an H-free circuit as a permutation and a phase
+vector, and the second gives the number ``phase_aligned_maxdiff`` gives on
+the two matrices, to the bit.  The evolution rows of ``verify`` read
+``oracle._phase_polynomial`` instead, with no 2^n vector; they catch the
+faults an emitted circuit can have and hold no matrix."""
 
 import math
 import tracemalloc
@@ -176,7 +177,7 @@ def test_a_shifted_global_phase_still_passes(monkeypatch):
     assert evolution_residual(qubo_checks("q", q)) <= TOL
 
 
-# -- memory: vectors, not matrices ----------------------------------------------
+# -- memory: no matrix in the checks, vectors in the reference ------------------
 
 
 def traced_peak(fn, *args) -> int:
@@ -189,7 +190,8 @@ def traced_peak(fn, *args) -> int:
 
 
 def test_the_checks_at_8_qubits_hold_no_matrix():
-    # a 256-square complex matrix is 1 MiB
+    # a 256-square complex matrix is 1 MiB; the evolution rows read phase
+    # polynomials, and the bound stays where it was set for 2^n vectors
     rng = np.random.default_rng(8)
     e, q = random_expr(rng, 8, depth=4), random_qubo(rng, 8)
     assert compile_expr(e, 8).degree >= 1
@@ -199,6 +201,7 @@ def test_the_checks_at_8_qubits_hold_no_matrix():
 
 
 def test_monomial_memory_does_not_grow_with_the_gate_count():
+    # the conftest reference holds two 2^n vectors, whatever the gate count
     rng = np.random.default_rng(12)
     h = DiagonalHamiltonian(12, {m: float(rng.uniform(-1, 1)) for m in range(1, 1 << 12)})
     c = emit_evolution(h, math.pi / 3)

@@ -26,12 +26,17 @@ from boolham.verify import (
     TOL,
     _kickback_checks,
     _reference_blocks,
+    _sandwich_residual,
     expression_checks,
     random_expr,
     verify_kickback_suite,
 )
 from boolham.zpoly import TABLE_CAP
-from conftest import reference_bit_query_matrix, reference_kickback_checks
+from conftest import (
+    reference_bit_query_matrix,
+    reference_kickback_checks,
+    reference_sandwich_residual,
+)
 from test_fold import PROPERTY, formulas
 from test_simulate import circuits
 
@@ -133,6 +138,32 @@ def test_block_residuals_match_the_dense_checks(case):
     residuals = [check.residual for check in blocks.checks]
     assert [r.hex() for r in residuals[:2]] == [r.hex() for r in dense[:2]]
     assert all(abs(a - b) <= 1e-15 for a, b in zip(residuals[2:], dense[2:]))
+
+
+@PROPERTY
+@given(st.integers(0, 6), st.integers(0, 2**32 - 1), st.booleans())
+def test_the_one_product_sandwich_is_the_per_time_reference_to_the_bit(n, seed, rounded):
+    # random complex blocks; rounded ones hold zeros and small integers, as bit queries do
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(1 << n, 2, 2)) + 1j * rng.normal(size=(1 << n, 2, 2))
+    diag = rng.normal(size=1 << n)
+    if rounded:
+        g, diag = np.round(g), np.round(diag)
+    assert _sandwich_residual(g, diag).hex() == reference_sandwich_residual(g, diag).hex()
+
+
+@PROPERTY
+@given(small_formulas)
+def test_the_sandwich_on_bit_queries_is_the_per_time_reference_to_the_bit(case):
+    e, n = case
+    hf = compile_expr(e, n)
+    g, diag = _query_blocks(circuits_module._bit_query(hf)), table_from_fourier(hf)
+    assert _sandwich_residual(g, diag).hex() == reference_sandwich_residual(g, diag).hex()
+
+
+def test_no_bit_query_reads_inf_in_the_sandwich():
+    assert _sandwich_residual(None, np.zeros(4)) == reference_sandwich_residual(None, np.zeros(4))
+    assert _sandwich_residual(None, np.zeros(4)) == math.inf
 
 
 def test_reference_blocks_are_the_dense_reference():

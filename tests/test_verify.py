@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from boolham import compiler
-from boolham.boolexpr import max_var, parse_expr
+from boolham.boolexpr import max_var, parse_expr, truth_table
 from boolham.errors import CapExceeded
 from boolham.oracle import DENSE_CAP_MAX
 from boolham.verify import (
+    TOL,
     CheckResult,
     VerificationReport,
+    _ground_state_residual,
     bundled_corpus,
     expression_checks,
     qubo_checks,
@@ -18,7 +22,9 @@ from boolham.verify import (
     basic_clause_cases,
     three_variable_cases,
 )
-from boolham.zpoly import DiagonalHamiltonian
+from boolham.zpoly import DiagonalHamiltonian, bit_projector
+from conftest import reference_ground_state_residual
+from test_fold import PROPERTY, formulas
 
 
 def test_golden_tables_have_expected_shape():
@@ -93,3 +99,42 @@ def test_qubo_eval_is_sampled_above_the_table_cap(rng, monkeypatch):
     )
     evals = [c for c in qubo_checks("q", q) if c.name == "q: eval matches polynomial"]
     assert len(evals) == 1 and abs(evals[0].residual - 1.0) < 1e-9
+
+
+# -- the ground-state logic row -------------------------------------------------
+
+CORRUPTIONS = ["none", "flipped table entry", "scaled H_f", "shifted H_f"]
+
+
+@PROPERTY
+@given(
+    st.integers(0, 5).flatmap(lambda n: st.tuples(formulas(n), st.just(n))),
+    st.sampled_from(CORRUPTIONS),
+    st.integers(0, 31),
+)
+def test_the_index_ground_state_row_is_the_label_row(case, corruption, x):
+    e, n = case
+    h, table = compiler.compile_expr(e, n), truth_table(e, n)
+    if corruption == "flipped table entry":
+        table[x % table.size] = 1.0 - table[x % table.size]
+    elif corruption == "scaled H_f":
+        h = h.scaled(0.75)
+    elif corruption == "shifted H_f":
+        h = h + DiagonalHamiltonian(n, {0: 0.25})
+    got = _ground_state_residual(h, table)
+    assert got.hex() == reference_ground_state_residual(h, table).hex()
+    if corruption == "none":
+        assert got == 0.0
+
+
+def test_a_flipped_ancilla_sign_fails_the_ground_state_row(monkeypatch):
+    # I (x) x_a - H_f (x) Z_a puts the states |x>|0> with f(x) = 1 at -1
+    def flipped(hf):
+        ancilla = hf.n_qubits + 1
+        return bit_projector(ancilla, ancilla) - hf.tensor(DiagonalHamiltonian(1, {1: 1.0}))
+
+    e = parse_expr("(x1 | !x2) & x3")
+    row = "f: ground-state logic spectrum"
+    assert {c.name: c for c in expression_checks("f", e)}[row].residual <= TOL
+    monkeypatch.setattr(compiler, "_ground_state_logic", flipped)
+    assert {c.name: c for c in expression_checks("f", e)}[row].residual > TOL

@@ -23,9 +23,10 @@ and read the same value table, so they reach n = 24.
 
 The checks built on this module live in ``verify``, and none of them
 builds a matrix.  A bit query never changes its data register, so
-``_query_blocks`` holds its unitary as 2^n 2x2 blocks, one per data state,
-built with ``simulate_circuit``'s ufunc calls and equal to its entries to
-the bit.  ``simulate_circuit`` stays the dense reference.
+``_query_blocks`` holds its unitary as 2^n 2x2 blocks, one per data state.
+It reads the middle between the query's two ancilla H gates as a phase
+polynomial and takes one transform of it, with no per-rotation vector.
+``simulate_circuit`` stays the dense reference.
 """
 
 from __future__ import annotations
@@ -173,19 +174,15 @@ def _rows(masks: list[int]) -> np.ndarray:
     return rows
 
 
-def _flush(
-    u: np.ndarray | None, masks: list[int], vals: np.ndarray, width: int | None = None
-) -> np.ndarray:
+def _flush(u: np.ndarray | None, masks: list[int], vals: np.ndarray) -> np.ndarray:
     """The monomial run (masks, vals) times u, u None for the identity:
     row rows[j] of the product is vals[j] times row j of u.  A run whose
     map is the identity (a bit query's, between its H gates) scales u in
-    place; any other gathers a copy.  ``width`` 2 cuts the identity's rows
-    to the two columns of their block, as ``_query_blocks`` holds them."""
+    place; any other gathers a copy."""
     idx = np.arange(vals.size)
     if u is None:
-        width = width or vals.size
-        out = np.zeros((vals.size, width), dtype=complex)
-        out[_rows(masks), idx * width // vals.size] = vals  # column j, or j's column in its block
+        out = np.zeros((vals.size, vals.size), dtype=complex)
+        out[_rows(masks), idx] = vals
         return out
     if all(m == 1 << q for q, m in enumerate(masks)):
         return np.multiply(vals[:, None], u, out=u)
@@ -302,27 +299,31 @@ def maxdiff(a: np.ndarray, b: np.ndarray) -> float:
 def _query_blocks(c: Circuit) -> np.ndarray | None:
     """A bit query's unitary as its 2^n 2x2 blocks, or None if c is not one.
 
-    c acts on data qubits 1..n and the ancilla n+1.  It is a bit query if no
-    run of ``_runs`` changes a data qubit's mask and every H acts on the
-    ancilla: x then never moves, and block x (``out[x]``, entry [a', a])
-    maps |x>|a> to |x>|a'>.  A run may still flip the ancilla's bit, a row
-    swap inside a block.  The blocks are held as the dense matrix's rows,
-    each cut to the two columns of its x, and built as ``simulate_circuit``
-    builds those rows (``_flush`` and ``_hadamard_rows``, the same ufunc
-    calls in the same order), so each entry equals the dense one to the bit.
-    O(2^n) work and memory, bounded like a value table.
+    c acts on data qubits 1..n and the ancilla n+1.  It is a bit query if it
+    is H on the ancilla, an H-free middle whose parity map is the identity,
+    and H on the ancilla: x never moves, and block x (``out[x]``, entry
+    [a', a]) maps |x>|a> to |x>|a'>.  The middle with the global phase is
+    e^(-i P), P its phase polynomial (``_phase_polynomial``): one transform
+    of P on n + 1 qubits, no vector per rotation, bounded like a value table.
     """
     check_table_cap(c.n_qubits)
-    n = c.n_qubits - 1
-    data = [1 << q for q in range(n)]
-    u = None  # the identity, until the first run
-    for masks, vals, h in _runs(c):
-        if masks[:n] != data or h not in (None, n + 1):
-            return None
-        u = _flush(u, masks, vals, width=2)
-        if h is not None:
-            u = _hadamard_rows(u, h, h)
-    return u.reshape(2, 1 << n, 2).transpose(1, 0, 2)
+    n, gates = c.n_qubits - 1, c.gates
+    ancilla_h = lambda g: g.name == "h" and g.qubits == (n + 1,)
+    if len(gates) < 2 or not (ancilla_h(gates[0]) and ancilla_h(gates[-1])):
+        return None
+    read = _phase_polynomial(Circuit(n + 1, gates[1:-1], c.global_phase))
+    if read is None or read[0] != [1 << q for q in range(n + 1)]:
+        return None
+    # every term, ascending, none pruned: the transform reads P as the circuit has it
+    p = DiagonalHamiltonian._from_checked(n + 1, dict(sorted(read[1].items())))
+    d = np.exp(-1j * fourier.table_from_fourier(p))
+    return _hadamard_blocks(d[: 1 << n], d[1 << n :])
+
+
+def _hadamard_blocks(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
+    """Blocks H diag(d0[x], d1[x]) H: 1/2 [[d0 + d1, d0 - d1], [d0 - d1, d0 + d1]]."""
+    plus, minus = (d0 + d1) / 2.0, (d0 - d1) / 2.0
+    return np.stack((plus, minus, minus, plus), axis=1).reshape(-1, 2, 2)
 
 
 # -- spectra -----------------------------------------------------------------

@@ -24,13 +24,13 @@ A bit query never moves its data register, so the bit-query and kickback
 checks hold G_f as 2^n 2x2 blocks (``oracle._query_blocks``, the
 reference from the truth table: I where f(x) = 0, X where f(x) = 1) and
 read each residual from the blocks: O(2^n) work where the dense checks
-built 2^(n+1)-square matrices and their products.  The action, trace,
-phase_from_bit and bit_from_controlled_phase residuals equal the dense
-ones to the bit; the involution and sandwich products sum per block, not
-in BLAS's order, and agree with the dense ones within 1e-15.  The sandwich
-puts its block columns for t = 0 and each of ``KICKBACK_TIMES`` side by
-side and takes one product.  The checks still run where the dense cap would
-have allowed their matrices, so every cap runs the checks it ran before.
+built 2^(n+1)-square matrices and their products.  The blocks come from
+the phase polynomial of the circuit's middle, between its two ancilla H
+gates, with one transform and no vector per rotation, and the residuals
+agree with the dense checks' within 1e-14.  The sandwich puts its block
+columns for t = 0 and each of ``KICKBACK_TIMES`` side by side and takes one
+product.  The checks still run where the dense cap would have allowed their
+matrices, so every cap runs the checks it ran before.
 The ground-state row compares the ground states' indices with x | f(x) << n
 and builds no basis label.
 """
@@ -194,10 +194,11 @@ def verify_kickback_suite(
 
     Register layout: control a = qubit 1, data x = qubits 2..n+1, function
     ancilla b = qubit n+2.  G_f never moves x, so each operator below is
-    held as its 2^n blocks on (x, b) (``oracle._query_blocks``).  The
-    emitted bit-query circuit supplies the constructed G_f; the truth
-    table's blocks are the reference.  The four checks, each a max entry
-    difference:
+    held as its 2^n blocks on (x, b).  The emitted bit-query circuit
+    supplies the constructed G_f, read by ``oracle._query_blocks`` from the
+    phase polynomial of its middle with one transform and no per-rotation
+    vector; the truth table's blocks are the reference.  The four checks,
+    each a max entry difference:
 
     - phase_from_bit: G_f on |-> realizes (-1)^f on the data register
     - bit_from_controlled_phase: H_a Lambda_{x_a}(e^{-i pi H_f}) H_a = G_f
@@ -243,7 +244,6 @@ def _kickback_checks(
     (None, which fails both checks that read it, if the circuit is not a
     bit query) and ``g_reference`` the truth table's."""
     dim_x = table.size
-    anc = dim_x.bit_length()  # the ancilla, qubit n+1: the top index bit
     fsigns = 1.0 - 2.0 * table  # (-1)^f(x)
 
     # (1) phase kickback: G_f |x>|-> = (-1)^f(x) |x>|->
@@ -252,13 +252,9 @@ def _kickback_checks(
         kicked = (g_circuit[:, :, 0] - g_circuit[:, :, 1]) / math.sqrt(2)
         r1 = oracle.maxdiff(kicked, np.stack([fsigns, -fsigns], axis=1) / math.sqrt(2))
 
-    # (2) single-bit phase estimation: H_a Lambda_{x_a}(e^{-i pi H_f}) H_a = G_f, H_a the
-    # row butterfly simulate_circuit applies, on I's rows cut to their blocks as in
-    # _query_blocks, compared on ancilla-|0> columns
-    phase = np.concatenate([np.ones(dim_x), fsigns])
-    h_anc = oracle._hadamard_rows(np.repeat(np.eye(2, dtype=complex), dim_x, axis=0), anc, anc)
-    g_built = oracle._hadamard_rows(phase[:, None] * h_anc, anc, anc)
-    g_built = g_built.reshape(2, dim_x, 2).transpose(1, 0, 2)
+    # (2) single-bit phase estimation: H_a Lambda_{x_a}(e^{-i pi H_f}) H_a = G_f, the
+    # controlled phase 1 on a = 0 and (-1)^f(x) on a = 1, compared on ancilla-|0> columns
+    g_built = oracle._hadamard_blocks(np.ones(dim_x), fsigns)
     r2 = oracle.maxdiff(g_built[:, :, 0], g_reference[:, :, 0])
 
     return VerificationReport((
@@ -413,7 +409,7 @@ def expression_checks(
         else:
             action = oracle.maxdiff(g, g_ref)
             involution = oracle.maxdiff(_times(g, g), np.eye(2))
-            tr = np.concatenate((g[:, 0, 0], g[:, 1, 1])).sum()  # in np.trace's order
+            tr = np.trace(g, axis1=1, axis2=2).sum()
             trace = abs(tr.real / (2 << n) - (1.0 - h.identity_coeff)) + abs(tr.imag / (2 << n))
         out.append(CheckResult(f"{name}: bit query action", action, TOL))
         out.append(CheckResult(f"{name}: bit query involution", involution, TOL))

@@ -23,7 +23,7 @@ from boolham.boolexpr import (
 from boolham.circuits import Circuit, Gate
 from boolham.compiler import _ground_state_logic, _guard, compile_expr
 from boolham.errors import ParseError
-from boolham.oracle import _check_cap, _hadamard_rows, _rows, _runs, spectrum
+from boolham.oracle import _check_cap, _flush, _hadamard_rows, _rows, _runs, spectrum
 from boolham.pauli import PauliOperator, PauliString
 from boolham.verify import KICKBACK_TIMES
 from boolham.zpoly import (
@@ -433,6 +433,32 @@ def reference_walk(c: Circuit, x: int) -> tuple[int, float]:
         else:
             raise ValueError(f"the walk reads H-free circuits, found {g.name!r}")
     return x, phase
+
+
+def reference_query_blocks(c: Circuit) -> np.ndarray | None:
+    """A bit query's 2^n 2x2 blocks as ``simulate_circuit`` builds their
+    entries, or None if c is not one: no run of ``_runs`` may change a data
+    qubit's mask, and every H must act on the ancilla n+1.  The blocks are
+    the dense matrix's rows, each cut to the two columns of its x, built
+    with ``_flush`` and ``_hadamard_rows`` (the same ufunc calls in the same
+    order), so each entry equals the dense one to the bit.  A run may still
+    flip the ancilla's bit, a row swap inside a block."""
+    check_table_cap(c.n_qubits)
+    n = c.n_qubits - 1
+    data = [1 << q for q in range(n)]
+    u = None  # the identity, until the first run
+    for masks, vals, h in _runs(c):
+        if masks[:n] != data or h not in (None, n + 1):
+            return None
+        if u is None:  # the identity's rows, cut to the two columns of their block
+            idx = np.arange(vals.size)
+            u = np.zeros((vals.size, 2), dtype=complex)
+            u[_rows(masks), idx * 2 // vals.size] = vals
+        else:
+            u = _flush(u, masks, vals)
+        if h is not None:
+            u = _hadamard_rows(u, h, h)
+    return u.reshape(2, 1 << n, 2).transpose(1, 0, 2)
 
 
 def reference_bit_query_matrix(table: np.ndarray, cap: int | None = None) -> np.ndarray:

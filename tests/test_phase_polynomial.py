@@ -19,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boolham import oracle
-from boolham.boolexpr import parse_dimacs
+from boolham.boolexpr import parse_dimacs, parse_expr
 from boolham.circuits import (
     Circuit,
     Gate,
@@ -33,7 +33,13 @@ from boolham.cli import main
 from boolham.compiler import QuboInstance, compile_expr, compile_pseudo, compile_qubo
 from boolham.fourier import table_from_fourier
 from boolham.oracle import _phase_polynomial
-from boolham.verify import QUBO_SAMPLE_SEED, TOL, _evolution_residual, random_qubo
+from boolham.verify import (
+    QUBO_SAMPLE_SEED,
+    TOL,
+    _evolution_residual,
+    random_qubo,
+    verify_kickback_suite,
+)
 from boolham.zpoly import MAX_QUBITS, DiagonalHamiltonian
 from conftest import _monomial, _monomial_maxdiff, random_cnf, random_zham, reference_walk
 from test_fold import PROPERTY, formulas
@@ -263,15 +269,14 @@ def test_the_verdict_is_the_vector_checks_on_operators(n, seed, qubo, gamma, fau
 # -- no 2^n vector ----------------------------------------------------------------
 
 
+def no_runs(c):
+    raise AssertionError("a circuit went through oracle._runs")
+
+
 def test_verify_reads_evolution_circuits_without_runs(monkeypatch, capsys, tmp_path):
-    runs = oracle._runs
-
-    def h_only(c):
-        if not any(g.name == "h" for g in c.gates):
-            raise AssertionError("an H-free circuit went through oracle._runs")
-        return runs(c)
-
-    monkeypatch.setattr(oracle, "_runs", h_only)
+    # evolution circuits, bit queries and the kickback suite: every tier reads
+    # circuits as phase polynomials
+    monkeypatch.setattr(oracle, "_runs", no_runs)
     assert main(["verify"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "1084 checks, 0 failures: PASS"
     rng = np.random.default_rng(8)
@@ -285,8 +290,15 @@ def test_verify_reads_evolution_circuits_without_runs(monkeypatch, capsys, tmp_p
     path = tmp_path / "q.json"
     path.write_text(json.dumps(doc))
     text = "(x1 & x2) | (x3 ^ x4 ^ !x5) | (x6 => x7 & x8)"
-    for argv in (["-e", text, "-n", "8"], ["--qubo", str(path)]):
+    six = "(x1 & x2) | (x3 ^ x4 ^ !x5) | x6"
+    for argv, rows in (
+        (["-e", text, "-n", "8"], 0),
+        (["-e", six, "-n", "6"], 3),  # the bit-query tier
+        (["--qubo", str(path)], 0),
+    ):
         assert main(["verify", *argv]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[-1].endswith("0 failures: PASS")
         assert any("evolution circuit vs exponential" in line for line in out)
+        assert sum("bit query" in line for line in out) == rows
+    assert verify_kickback_suite(parse_expr("(x1 & x2) ^ (x3 | !x4) ^ x5"), 5).passed

@@ -1,8 +1,11 @@
-"""The block path of the bit-query and kickback checks: ``oracle._query_blocks``
-reads a bit query as its 2^n 2x2 blocks, equal to the dense unitary's
-entries to the bit, and the checks built on the blocks give the residuals
-the dense 2^(n+1)-square matrices gave.  Mutated bit queries fail them, and
-the checks hold no matrix."""
+"""The block path of the bit-query and kickback checks.  ``oracle._query_blocks``
+reads a bit query H_a M H_a as its 2^n 2x2 blocks from the phase polynomial
+of its middle M, with one transform and no per-rotation vector; the blocks
+agree with the dense unitary within 1e-14, and the checks built on them give
+the dense checks' residuals within 1e-14.  ``reference_query_blocks``
+(conftest, imported here as ``_query_blocks``) is the numeric block path
+this replaced, equal to the dense entries to the bit.  Mutated bit queries
+fail the checks, and the checks hold no matrix."""
 
 import math
 import tracemalloc
@@ -21,7 +24,7 @@ from boolham.cli import main
 from boolham.compiler import compile_expr
 from boolham.errors import CapExceeded
 from boolham.fourier import table_from_fourier
-from boolham.oracle import _query_blocks, maxdiff, simulate_circuit
+from boolham.oracle import maxdiff, simulate_circuit
 from boolham.verify import (
     TOL,
     _kickback_checks,
@@ -35,9 +38,12 @@ from boolham.zpoly import TABLE_CAP
 from conftest import (
     reference_bit_query_matrix,
     reference_kickback_checks,
+    reference_query_blocks as _query_blocks,
     reference_sandwich_residual,
+    reference_walk,
 )
 from test_fold import PROPERTY, formulas
+from test_monomial import H_FREE
 from test_simulate import circuits
 
 small_formulas = st.integers(0, 6).flatmap(lambda n: st.tuples(formulas(n), st.just(n)))
@@ -113,31 +119,135 @@ def test_blocks_are_bounded_like_a_value_table():
         _query_blocks(Circuit(TABLE_CAP + 1, ()))
 
 
+# -- the library's blocks, read from the middle's phase polynomial ----------------
+
+
+def is_bit_query(c: Circuit) -> bool:
+    """H on the ancilla (the last qubit), an H-free middle that fixes every
+    basis state (``reference_walk``), and H on the ancilla."""
+    ancilla_h = lambda g: g.name == "h" and g.qubits == (c.n_qubits,)
+    if len(c.gates) < 2 or not (ancilla_h(c.gates[0]) and ancilla_h(c.gates[-1])):
+        return False
+    middle = Circuit(c.n_qubits, c.gates[1:-1])
+    if any(g.name == "h" for g in middle.gates):
+        return False
+    return all(reference_walk(middle, x)[0] == x for x in range(1 << c.n_qubits))
+
+
+def in_ancilla_hadamards(c: Circuit) -> Circuit:
+    return replace(c, gates=(h(c.n_qubits), *c.gates, h(c.n_qubits)))
+
+
+@PROPERTY
+@given(small_formulas)
+def test_the_phase_polynomial_blocks_are_the_dense_bit_query(case):
+    e, n = case
+    c = circuits_module._bit_query(compile_expr(e, n))
+    blocks, _ = dense_blocks(simulate_circuit(c))
+    assert maxdiff(oracle._query_blocks(c), blocks) <= 1e-14
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        circuits(),
+        circuits(H_FREE).map(in_ancilla_hadamards),
+        circuits(("rz", "crz", "ccrz")).map(in_ancilla_hadamards),
+    )
+)
+def test_the_reader_gives_the_dense_blocks_or_refuses_what_is_not_a_bit_query(c):
+    blocks = oracle._query_blocks(c)
+    if is_bit_query(c):
+        want, others = dense_blocks(simulate_circuit(c))
+        assert maxdiff(blocks, want) <= 1e-12
+        assert not others.any()
+    else:
+        assert blocks is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(x1 & x2 & x3 & x4) ^ (x5 & x6 & !x7 & x8) ^ (x9 | x10 | x11 | x12)",
+        "(x1 & x2 & x3 & x4) ^ (x5 & !x6 & x7 & x8) ^ (x9 & x10 & x11 & x12) ^ x13 ^ x14 ^ x15 ^ x16",
+    ],
+)
+def test_the_reader_at_12_and_16_data_qubits(text):
+    # over 4,000 terms each, on every qubit of the register
+    e = parse_expr(text)
+    n = max_var(e)
+    hf = compile_expr(e, n)
+    assert hf.size >= 4096
+    blocks = oracle._query_blocks(circuits_module._bit_query(hf))
+    assert maxdiff(blocks, _reference_blocks(truth_table(e, n))) <= TOL
+
+
+def test_the_reader_refuses_each_broken_sandwich():
+    c = circuits_module._bit_query(compile_expr(parse_expr("(x1 & x2) | x3"), 3))
+    assert oracle._query_blocks(c) is not None
+    gates = c.gates
+    broken = {
+        "no closing H": gates[:-1],
+        "a rotation in place of the closing H": (*gates[:-1], rz(4, 0.3)),
+        "an extra ancilla H": (*gates, h(4)),
+        "an H on a data qubit": (gates[0], h(2), *gates[1:]),
+        "an X on the ancilla in the middle": (gates[0], x(4), *gates[1:]),
+    }
+    for name, mutated in broken.items():
+        assert oracle._query_blocks(replace(c, gates=mutated)) is None, name
+
+
+def test_the_reader_is_bounded_like_a_value_table():
+    big = TABLE_CAP + 1
+    for c in (Circuit(big, ()), Circuit(big, (h(big), h(big)))):
+        with pytest.raises(CapExceeded):
+            oracle._query_blocks(c)
+
+
 # -- the residuals against the dense checks ------------------------------------
+
+
+def assert_near_with_its_verdict(got: float, want: float) -> None:
+    assert abs(got - want) <= 1e-14
+    assert (got <= TOL) == (want <= TOL)
 
 
 @PROPERTY
 @given(small_formulas)
 def test_block_residuals_match_the_dense_checks(case):
+    # the library's blocks come from the middle's phase polynomial, not from
+    # simulate_circuit's ufunc calls, so its residuals match the dense ones within
+    # 1e-14; the reference blocks still give the dense action and trace to the bit
     e, n = case
     hf, table = compile_expr(e, n), truth_table(e, n)
     c = circuits_module._bit_query(hf)
     g, g_ref = simulate_circuit(c), reference_bit_query_matrix(table)
-    got = by_name(expression_checks("f", e, n))
-    assert got["bit query action"].hex() == maxdiff(g, g_ref).hex()
     trace = np.trace(g)
     dense_trace = abs(trace.real / (1 << (n + 1)) - (1.0 - hf.identity_coeff)) + abs(
         trace.imag / (1 << (n + 1))
     )
-    assert got["bit query trace identity"].hex() == dense_trace.hex()
-    assert abs(got["bit query involution"] - maxdiff(g @ g, np.eye(g.shape[0]))) <= 1e-15
+    dense = {
+        "bit query action": maxdiff(g, g_ref),
+        "bit query involution": maxdiff(g @ g, np.eye(g.shape[0])),
+        "bit query trace identity": dense_trace,
+    }
+    got = by_name(expression_checks("f", e, n))
+    for name, want in dense.items():
+        assert_near_with_its_verdict(got[name], want)
 
     diag = table_from_fourier(hf)
-    blocks = _kickback_checks(diag, table, _query_blocks(c), _reference_blocks(table))
-    dense = reference_kickback_checks(diag, table, g, g_ref)
-    residuals = [check.residual for check in blocks.checks]
-    assert [r.hex() for r in residuals[:2]] == [r.hex() for r in dense[:2]]
-    assert all(abs(a - b) <= 1e-15 for a, b in zip(residuals[2:], dense[2:]))
+    dense_kickback = reference_kickback_checks(diag, table, g, g_ref)
+    blocks = _kickback_checks(diag, table, oracle._query_blocks(c), _reference_blocks(table))
+    for check, want in zip(blocks.checks, dense_kickback):
+        assert_near_with_its_verdict(check.residual, want)
+
+    ref = _query_blocks(c)
+    assert maxdiff(ref, _reference_blocks(table)).hex() == dense["bit query action"].hex()
+    ref_trace = np.concatenate((ref[:, 0, 0], ref[:, 1, 1])).sum()  # in np.trace's order
+    assert (ref_trace.real.hex(), ref_trace.imag.hex()) == (trace.real.hex(), trace.imag.hex())
+    on_ref = _kickback_checks(diag, table, ref, _reference_blocks(table)).checks
+    assert on_ref[0].residual.hex() == dense_kickback[0].hex()
+    assert abs(on_ref[2].residual - dense_kickback[2]) <= 1e-15
 
 
 @PROPERTY

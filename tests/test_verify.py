@@ -1,5 +1,7 @@
 """Tests for the bundled verification corpus and report machinery."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from boolham import compiler
 from boolham.boolexpr import max_var, parse_expr, truth_table
+from boolham.cli import main
 from boolham.errors import CapExceeded
 from boolham.oracle import DENSE_CAP_MAX
 from boolham.verify import (
@@ -41,6 +44,19 @@ def test_corpus_is_deterministic():
     for (_, qa), (_, qb) in zip(qubos1, qubos2):
         assert np.array_equal(qa.quadratic, qb.quadratic)
         assert np.array_equal(qa.linear, qb.linear)
+
+
+# sha256 of `boolham verify`'s check names, one a line in report order: a new
+# way of reading a circuit may move residuals, never names, their order or count
+CORPUS_NAMES_SHA256 = "192fd1cb956b71b6ef59b438872660a45752e468938fb1c5651b825088d56135"
+
+
+def test_verify_prints_the_corpus_check_names_in_order(capsys):
+    assert main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "1084 checks, 0 failures: PASS"
+    names = [line.partition(" residual ")[0].rstrip() for line in lines[:-1]]
+    assert hashlib.sha256("\n".join(names).encode()).hexdigest() == CORPUS_NAMES_SHA256
 
 
 def test_corpus_sizes():

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import fourier
 from .boolexpr import BoolExpr, register_size, truth_table
-from .circuits import Circuit
+from .circuits import Circuit, _circuit
 from .errors import CapExceeded
 from .pauli import PauliOperator
 from .zpoly import DiagonalHamiltonian, basis_label, check_table_cap
@@ -311,7 +311,8 @@ def _query_blocks(c: Circuit) -> np.ndarray | None:
     ancilla_h = lambda g: g.name == "h" and g.qubits == (n + 1,)
     if len(gates) < 2 or not (ancilla_h(gates[0]) and ancilla_h(gates[-1])):
         return None
-    read = _phase_polynomial(Circuit(n + 1, gates[1:-1], c.global_phase))
+    # the middle's gates are c's, already checked: no second register check
+    read = _phase_polynomial(_circuit(n + 1, gates[1:-1], c.global_phase))
     if read is None or read[0] != [1 << q for q in range(n + 1)]:
         return None
     # every term, ascending, none pruned: the transform reads P as the circuit has it

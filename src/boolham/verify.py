@@ -16,23 +16,22 @@ No check builds a matrix.  An emitted evolution circuit has no H gate, so
 polynomial P, with no 2^n vector, and ``_evolution_residual`` compares P
 with gamma H_f term by term: O(gates) work.  The map must be the identity
 (a dropped or moved CX, or an H gate, reads inf), and the identity term,
-a global phase, is skipped, as the phase-aligned matrix comparison skipped
-it.  Each term's rotation angle 2 gamma w halves exactly, so an emitted
-circuit reads residual 0.
+a global phase, is skipped.  Each term's rotation angle 2 gamma w halves
+exactly, so an emitted circuit reads residual 0.
 
 A bit query never moves its data register, so the bit-query and kickback
 checks hold G_f as 2^n 2x2 blocks (``oracle._query_blocks``, the
 reference from the truth table: I where f(x) = 0, X where f(x) = 1) and
-read each residual from the blocks: O(2^n) work where the dense checks
-built 2^(n+1)-square matrices and their products.  The blocks come from
+read each residual from the blocks: O(2^n) work.  The blocks come from
 the phase polynomial of the circuit's middle, between its two ancilla H
-gates, with one transform and no vector per rotation, and the residuals
-agree with the dense checks' within 1e-14.  The sandwich puts its block
-columns for t = 0 and each of ``KICKBACK_TIMES`` side by side and takes one
-product.  The checks still run where the dense cap would have allowed their
-matrices, so every cap runs the checks it ran before.
-The ground-state row compares the ground states' indices with x | f(x) << n
-and builds no basis label.
+gates, with one transform and no vector per rotation.  The sandwich puts
+its block columns for t = 0 and each of ``KICKBACK_TIMES`` side by side and
+takes one product.  The ground-state row compares the ground states' indices
+with x | f(x) << n and builds no basis label.
+
+``_tiers`` alone decides which of these checks run: three nested tiers, on
+n, n + 1 and n + 2 qubits, each bounded by ``dense_cap`` and by its top in
+``_TIER_TOPS``.
 """
 
 from __future__ import annotations
@@ -206,9 +205,10 @@ def verify_kickback_suite(
     - controlled_phase_composite: same, with G_f itself expanded as in
       bit_from_controlled_phase
 
-    The first and third read the emitted circuit; the other two are built
-    from the truth table alone.  f is compiled and tabulated once: the
-    emitted G_f comes from that H_f, the reference G_f from that table.
+    The first and third read the emitted circuit; the other two build G_f
+    from the H_f diagonal, and the second compares it with the truth
+    table's blocks.  f is compiled and tabulated once: the emitted G_f
+    comes from that H_f, the reference G_f from that table.
     ``expression_checks`` passes the ones it has already built to the same
     checks.  ``cap`` bounds n + 2, the register the sandwich checks act on,
     though no matrix is built.
@@ -253,8 +253,8 @@ def _kickback_checks(
         r1 = oracle.maxdiff(kicked, np.stack([fsigns, -fsigns], axis=1) / math.sqrt(2))
 
     # (2) single-bit phase estimation: H_a Lambda_{x_a}(e^{-i pi H_f}) H_a = G_f, the
-    # controlled phase 1 on a = 0 and (-1)^f(x) on a = 1, compared on ancilla-|0> columns
-    g_built = oracle._hadamard_blocks(np.ones(dim_x), fsigns)
+    # controlled phase 1 on a = 0 and e^{-i pi H_f} on a = 1, compared on ancilla-|0> columns
+    g_built = oracle._hadamard_blocks(np.ones(dim_x), np.exp(-1j * math.pi * diag))
     r2 = oracle.maxdiff(g_built[:, :, 0], g_reference[:, :, 0])
 
     return VerificationReport((
@@ -308,7 +308,7 @@ def _evolution_residual(c: circuits.Circuit, h: DiagonalHamiltonian, gamma: floa
     """c against exp(-i gamma H) as phase polynomials (``oracle._phase_polynomial``):
     max over masks S of |P[S] - gamma w_S|, or inf if c has an H gate or its
     parity map moves a basis state.  The identity term is a global phase, so
-    it is skipped, as the phase-aligned matrix comparison ignored it."""
+    it is skipped."""
     read = oracle._phase_polynomial(c)
     if read is None or read[0] != [1 << q for q in range(c.n_qubits)]:
         return math.inf
@@ -320,6 +320,23 @@ def _evolution_residual(c: circuits.Circuit, h: DiagonalHamiltonian, gamma: floa
     return max(map(abs, diff.values()), default=0.0)
 
 
+# The dense tiers nest: tier k (0 evolution, 1 bit query, 2 kickback) acts on
+# n + k qubits and runs while n <= min(_TIER_TOPS[k], dense_cap - k), so a tier
+# runs only where every tier before it does.
+_TIER_TOPS = (8, 6, 5)
+
+
+def _tiers(n: int, dense_cap: int) -> int:
+    """How many dense tiers run at n; a cap above the maximum is refused
+    wherever one runs."""
+    runs = next(
+        (k for k, top in enumerate(_TIER_TOPS) if n > min(top, dense_cap - k)), len(_TIER_TOPS)
+    )
+    if runs:
+        oracle._check_cap(n, dense_cap)
+    return runs
+
+
 def expression_checks(
     name: str,
     e: BoolExpr,
@@ -328,19 +345,15 @@ def expression_checks(
 ) -> list[CheckResult]:
     """Full invariant suite for one Boolean formula.
 
-    Dense-matrix checks run only where they fit under ``dense_cap`` (the
-    kickback suite needs two extra ancilla qubits, the bit query one).
+    Seven rows always run, and the size bound for a non-constant formula;
+    ``_tiers`` decides how many dense tiers follow: the evolution and Grover
+    rows, then the bit-query rows, then the kickback and ground-state rows.
     Every check reads one H_f and one truth table of e.
     """
     n = register_size(e, n)
     h = compile_expr(e, n)
     table = truth_table(e, n)
-    out: list[CheckResult] = []
-
     values = fourier.table_from_fourier(h)
-    out.append(
-        CheckResult(f"{name}: eval matches truth table", float(np.max(np.abs(values - table))), TOL)
-    )
 
     # the composition rules on sparse operators against the table's transform;
     # h is already one of the two, so only the other path runs
@@ -348,60 +361,44 @@ def expression_checks(
         dual, sparse = h, compiler._fold(e, n)
     else:
         dual, sparse = fourier.fourier_from_table(table), h
-    out.append(CheckResult(f"{name}: transform paths agree", sparse.max_coeff_diff(dual), TOL))
-
     coeffs = np.array([c for _, c in h.items()])
-    sq_sum = float(np.sum(coeffs**2))
-    out.append(
-        CheckResult(f"{name}: sum of squares = identity coeff", abs(sq_sum - h.identity_coeff), TOL)
-    )
-    out.append(
-        CheckResult(
-            f"{name}: coefficient sum = f(0..0)",
-            abs(float(np.sum(coeffs)) - table[0]),
-            TOL,
-        )
-    )
     range_violation = max(
         0.0,
         h.identity_coeff - 1.0,
         -h.identity_coeff,
         max((abs(c) - 0.5 for m, c in h.items() if m != 0), default=0.0),
     )
-    out.append(CheckResult(f"{name}: coefficient ranges", range_violation, TOL))
-    # h is diagonal, so h*h has the value table values**2
-    projector_defect = fourier.fourier_from_table(values * values).max_coeff_diff(h)
-    out.append(CheckResult(f"{name}: projector h*h = h", projector_defect, TOL))
-
-    brute_count = int(np.sum(table))
-    counted = fourier._count_models(h, values)
-    out.append(CheckResult(f"{name}: model count", float(abs(counted - brute_count)), 0.0))
-
+    rows = [
+        ("eval matches truth table", float(np.max(np.abs(values - table))), TOL),
+        ("transform paths agree", sparse.max_coeff_diff(dual), TOL),
+        ("sum of squares = identity coeff", abs(float(np.sum(coeffs**2)) - h.identity_coeff), TOL),
+        ("coefficient sum = f(0..0)", abs(float(np.sum(coeffs)) - table[0]), TOL),
+        ("coefficient ranges", range_violation, TOL),
+        # h is diagonal, so h*h has the value table values**2
+        ("projector h*h = h", fourier.fourier_from_table(values * values).max_coeff_diff(h), TOL),
+        ("model count", float(abs(fourier._count_models(h, values) - int(np.sum(table)))), 0.0),
+    ]
     d = h.degree
     if d >= 1:
         bound = (math.e / d) ** (d - 1) * n**d + 1
-        out.append(
-            CheckResult(f"{name}: size bound", max(0.0, float(h.size) - bound), 0.0)
-        )
+        rows.append(("size bound", max(0.0, float(h.size) - bound), 0.0))
 
-    if n <= min(8, dense_cap):
-        oracle._check_cap(n, dense_cap)  # refuses a cap above the maximum, as the tiers below do
-        worst = 0.0
-        count_defect = 0.0
+    tiers = _tiers(n, dense_cap)
+    if tiers >= 1:
+        worst = count_defect = 0.0
         expected_cnots = sum(2 * (m.bit_count() - 1) for m, _ in h.items() if m)
         for gamma in (0.3, 1.0, math.pi):
             circ = circuits.emit_evolution(h, gamma)
             worst = max(worst, _evolution_residual(circ, h, gamma))
             count_defect = max(count_defect, float(abs(circ.cnot_count - expected_cnots)))
-        out.append(CheckResult(f"{name}: evolution circuit vs exponential", worst, TOL))
-        out.append(CheckResult(f"{name}: evolution CNOT count", count_defect, 0.0))
-
         # both sides are diagonal, so their diagonals hold every difference
-        residual = oracle.maxdiff(np.exp(-1j * math.pi * values), 1.0 - 2.0 * table)
-        out.append(CheckResult(f"{name}: Grover phase query", residual, TOL))
-
-    if n <= min(6, dense_cap - 1):
-        oracle._check_cap(n + 1, dense_cap)  # refuses a cap above the maximum
+        grover = oracle.maxdiff(np.exp(-1j * math.pi * values), 1.0 - 2.0 * table)
+        rows += [
+            ("evolution circuit vs exponential", worst, TOL),
+            ("evolution CNOT count", count_defect, 0.0),
+            ("Grover phase query", grover, TOL),
+        ]
+    if tiers >= 2:
         g = oracle._query_blocks(circuits._bit_query(h))
         g_ref = _reference_blocks(table)
         if g is None:  # not a bit query: every check that reads it fails
@@ -411,20 +408,18 @@ def expression_checks(
             involution = oracle.maxdiff(_times(g, g), np.eye(2))
             tr = np.trace(g, axis1=1, axis2=2).sum()
             trace = abs(tr.real / (2 << n) - (1.0 - h.identity_coeff)) + abs(tr.imag / (2 << n))
-        out.append(CheckResult(f"{name}: bit query action", action, TOL))
-        out.append(CheckResult(f"{name}: bit query involution", involution, TOL))
-        out.append(CheckResult(f"{name}: bit query trace identity", trace, TOL))
-
-    if n <= min(5, dense_cap - 2):
-        # the same H_f diagonal, table and G_f blocks as the checks above
+        rows += [
+            ("bit query action", action, TOL),
+            ("bit query involution", involution, TOL),
+            ("bit query trace identity", trace, TOL),
+        ]
+    if tiers >= 3:  # the same H_f diagonal, table and G_f blocks as the bit-query rows
         report = _kickback_checks(values, table, g, g_ref)
-        out.append(
-            CheckResult(f"{name}: kickback suite", max(c.residual for c in report.checks), TOL)
-        )
-        residual = _ground_state_residual(h, table)
-        out.append(CheckResult(f"{name}: ground-state logic spectrum", residual, TOL))
-
-    return out
+        rows += [
+            ("kickback suite", max(c.residual for c in report.checks), TOL),
+            ("ground-state logic spectrum", _ground_state_residual(h, table), TOL),
+        ]
+    return [CheckResult(f"{name}: {row}", residual, tol) for row, residual, tol in rows]
 
 
 def qubo_checks(
@@ -432,14 +427,9 @@ def qubo_checks(
 ) -> list[CheckResult]:
     """Closed form vs clause composition, values against the QUBO (every
     assignment up to TABLE_CAP, a fixed sample above it), rotation counts,
-    and the evolution circuit where it fits under ``dense_cap``."""
-    out: list[CheckResult] = []
+    and the evolution circuit where the first dense tier runs (``_tiers``)."""
     closed = compiler.compile_qubo(q)
     via_clauses = compile_pseudo(qubo_objective(q), q.n_vars)
-    out.append(
-        CheckResult(f"{name}: closed form vs composition", closed.max_coeff_diff(via_clauses), TOL)
-    )
-
     n = q.n_vars
     if n <= TABLE_CAP:
         xs = range(1 << n)
@@ -449,23 +439,22 @@ def qubo_checks(
         xs = [0, (1 << n) - 1, *(rnd.getrandbits(n) for _ in range(QUBO_SAMPLE_SIZE - 2))]
         values = np.array([closed.eval(x) for x in xs])
     direct = np.array([q.value(x) for x in xs])
-    out.append(CheckResult(f"{name}: eval matches polynomial", float(np.max(np.abs(values - direct))), TOL))
-
     profile = circuits.evolution_term_profile(closed)
-    max_deg = max(profile, default=0)
     count_ok = (
-        max_deg <= 2
-        and profile.get(1, 0) <= q.n_vars
-        and profile.get(2, 0) <= q.n_vars * (q.n_vars - 1) // 2
+        max(profile, default=0) <= 2
+        and profile.get(1, 0) <= n
+        and profile.get(2, 0) <= n * (n - 1) // 2
     )
-    out.append(CheckResult(f"{name}: rotation counts within bounds", 0.0 if count_ok else 1.0, 0.0))
-
-    if q.n_vars <= min(8, dense_cap):
-        oracle._check_cap(n, dense_cap)
+    rows = [
+        ("closed form vs composition", closed.max_coeff_diff(via_clauses), TOL),
+        ("eval matches polynomial", float(np.max(np.abs(values - direct))), TOL),
+        ("rotation counts within bounds", 0.0 if count_ok else 1.0, 0.0),
+    ]
+    if _tiers(n, dense_cap):
         t = 0.7
         residual = _evolution_residual(circuits.emit_qubo_evolution(q, t), closed, t)
-        out.append(CheckResult(f"{name}: evolution circuit vs exponential", residual, TOL))
-    return out
+        rows.append(("evolution circuit vs exponential", residual, TOL))
+    return [CheckResult(f"{name}: {row}", residual, tol) for row, residual, tol in rows]
 
 
 def bundled_corpus(

@@ -499,7 +499,7 @@ def reference_kickback_checks(
     kicked = (g_circuit[:, :dim_x] - g_circuit[:, dim_x:]) / math.sqrt(2)
     target = np.vstack([np.diag(fsigns), -np.diag(fsigns)]) / math.sqrt(2)
     r1 = float(np.max(np.abs(kicked - target)))
-    phase = np.concatenate([np.ones(dim_x), fsigns])
+    phase = np.concatenate([np.ones(dim_x), np.exp(-1j * math.pi * diag)])  # e^{-i pi H_f} on a = 1
     h_anc = _hadamard_rows(np.eye(2 * dim_x, dtype=complex), anc, anc)
     g_built = _hadamard_rows(phase[:, None] * h_anc, anc, anc)
     r2 = float(np.max(np.abs(g_built[:, :dim_x] - g_reference[:, :dim_x])))

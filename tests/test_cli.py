@@ -205,6 +205,35 @@ class TestVerify:
         code, out, _ = run(capsys, "verify")
         assert code == 3 and "FAIL" in out
 
+    def test_the_dense_cap_is_passed_by_keyword(self, tmp_path, capsys, monkeypatch):
+        # a traced benchmark run reads each call's dense_cap from its keyword arguments
+        import boolham.verify as verify_mod
+
+        calls = []
+
+        def recording(name):
+            real = getattr(verify_mod, name)
+
+            def record(*args, **kwargs):
+                calls.append((name, kwargs))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(verify_mod, name, record)
+
+        for name in ("expression_checks", "qubo_checks", "run_corpus_verification"):
+            recording(name)
+        q = tmp_path / "q.json"
+        q.write_text('{"n": 2, "a": 1, "linear": [0.5, -1], "quadratic": [[1, 2, 2]]}')
+        for argv, called in [
+            (["verify", "-e", "x1 & x2", "--dense-cap", "5"], "expression_checks"),
+            (["verify", "--qubo", str(q), "--dense-cap", "5"], "qubo_checks"),
+            (["verify", "--dense-cap", "5"], "run_corpus_verification"),
+        ]:
+            calls.clear()
+            assert run(capsys, *argv)[0] == 0
+            assert calls[0] == (called, {"dense_cap": 5}), argv
+            assert all(kwargs == {"dense_cap": 5} for _, kwargs in calls), argv
+
 
 class TestParserReuse:
     """main() builds its parser once per process; a call must not see the

@@ -261,7 +261,7 @@ class TestKickbackSuite:
     @pytest.mark.parametrize("text", ["x1 & x2", "x1 ^ x2 ^ x3", "x1 => x2"])
     def test_a_broken_bit_query_fails_the_checks_built_on_it(self, text, monkeypatch):
         # without its closing H the emitted G_f is wrong; the two checks built
-        # from the truth table alone do not see the circuit and still pass
+        # from H_f and the truth table do not see the circuit and still pass
         emit = circuits._bit_query
 
         def without_closing_h(hf):
@@ -279,8 +279,8 @@ class TestKickbackSuite:
             "controlled_phase_composite": True,
         }
         assert not report.passed
-        # expression_checks simulates G_f once for the bit-query checks and
-        # the kickback suite: the shared matrix fails both
+        # expression_checks reads G_f's blocks once for the bit-query checks
+        # and the kickback suite: the shared blocks fail both
         checks = {c.name: c.passed for c in expression_checks("f", parse_expr(text))}
         assert checks["f: bit query action"] is False
         assert checks["f: kickback suite"] is False
@@ -288,8 +288,9 @@ class TestKickbackSuite:
     @pytest.mark.parametrize(
         "corruption, expected",
         [
-            ("H_f diagonal", (True, True, False, False)),
-            ("table bit", (False, False, True, False)),
+            ("H_f diagonal", (True, False, False, False)),
+            ("halved H_f diagonal", (True, False, False, False)),
+            ("table bit", (False, True, True, True)),
             ("reference columns", (True, False, True, True)),
             ("ancilla H", (False, True, False, True)),
         ],
@@ -307,6 +308,8 @@ class TestKickbackSuite:
         g_reference = _reference_blocks(truth_table(f, n))
         if corruption == "H_f diagonal":
             diag[1] += 0.1
+        elif corruption == "halved H_f diagonal":  # still 0 where f is 0
+            diag *= 0.5
         elif corruption == "table bit":
             table[1] = 1.0 - table[1]
         elif corruption == "reference columns":  # swapped inside each reference block

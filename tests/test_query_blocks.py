@@ -197,6 +197,18 @@ def test_the_reader_refuses_each_broken_sandwich():
         assert oracle._query_blocks(replace(c, gates=mutated)) is None, name
 
 
+def test_the_reader_does_not_check_the_middle_again(monkeypatch):
+    # the middle's gates come from the checked query, so no Circuit re-checks them
+    e = parse_expr("(x1 & x2) | x3")
+    c = circuits_module._bit_query(compile_expr(e, 3))
+
+    def refuse(n_qubits, gates):
+        raise AssertionError("register checked again")
+
+    monkeypatch.setattr(circuits_module, "_require_in_register", refuse)
+    assert maxdiff(oracle._query_blocks(c), _reference_blocks(truth_table(e, 3))) <= TOL
+
+
 def test_the_reader_is_bounded_like_a_value_table():
     big = TABLE_CAP + 1
     for c in (Circuit(big, ()), Circuit(big, (h(big), h(big)))):

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boolham import compiler
-from boolham.boolexpr import max_var, parse_expr, truth_table
+from boolham.boolexpr import Const, max_var, parse_expr, truth_table
 from boolham.cli import main
 from boolham.errors import CapExceeded
 from boolham.oracle import DENSE_CAP_MAX
@@ -20,6 +20,7 @@ from boolham.verify import (
     bundled_corpus,
     expression_checks,
     qubo_checks,
+    random_expr,
     random_qubo,
     run_corpus_verification,
     basic_clause_cases,
@@ -73,12 +74,51 @@ def test_expression_checks_all_pass():
             assert check.passed, check.line()
 
 
-@pytest.mark.parametrize("n", [5, 7])
-def test_a_dense_cap_above_the_maximum_is_refused(n):
-    # at 7 <= n <= 8 only the evolution checks are dense, and they refuse it too
-    e = parse_expr(" & ".join(f"x{j}" for j in range(1, n + 1)))
-    with pytest.raises(CapExceeded, match="exceeds hard maximum"):
-        expression_checks("and", e, n, dense_cap=DENSE_CAP_MAX + 1)
+ALWAYS_ROWS = [
+    "eval matches truth table",
+    "transform paths agree",
+    "sum of squares = identity coeff",
+    "coefficient sum = f(0..0)",
+    "coefficient ranges",
+    "projector h*h = h",
+    "model count",
+]
+TIER_ROWS = [
+    ["evolution circuit vs exponential", "evolution CNOT count", "Grover phase query"],
+    ["bit query action", "bit query involution", "bit query trace identity"],
+    ["kickback suite", "ground-state logic spectrum"],
+]
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_each_cap_runs_the_nested_tiers(n):
+    # the tier rule written out: evolution on n qubits, bit query on n + 1, kickback on n + 2
+    rng = np.random.default_rng(4200 + n)
+    e = random_expr(rng, n, depth=3) if n else Const(1)
+    q = random_qubo(rng, n)
+    table = truth_table(e, n)
+    always = ALWAYS_ROWS + (["size bound"] if table.min() != table.max() else [])
+    for cap in range(1, DENSE_CAP_MAX + 1):
+        runs = [n <= min(8, cap), n <= min(6, cap - 1), n <= min(5, cap - 2)]
+        tiers = [rows for rows, run in zip(TIER_ROWS, runs) if run]
+        want = [f"f: {row}" for row in always + sum(tiers, [])]
+        checks = expression_checks("f", e, n, dense_cap=cap)
+        assert [c.name for c in checks] == want, cap
+        assert all(c.passed for c in checks), cap
+        names = [c.name for c in qubo_checks("q", q, dense_cap=cap)]
+        assert ("q: evolution circuit vs exponential" in names) == runs[0], cap
+        assert len(names) == 3 + runs[0], cap
+    # a cap above the maximum is refused exactly where some tier would run
+    cap = DENSE_CAP_MAX + 1
+    for check in (
+        lambda: expression_checks("f", e, n, dense_cap=cap),
+        lambda: qubo_checks("q", q, dense_cap=cap),
+    ):
+        if n <= min(8, cap):
+            with pytest.raises(CapExceeded, match="exceeds hard maximum"):
+                check()
+        else:
+            check()
 
 
 def test_qubo_checks_all_pass(rng):
